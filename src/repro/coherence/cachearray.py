@@ -1,41 +1,20 @@
-"""Set-associative cache arrays with LRU replacement — two backends.
+"""Set-associative cache array with LRU replacement.
 
-Used for both the private L1s and the shared inclusive LLC.  Victim
-selection can be steered away from transactionally-marked lines — real
-HTM way-selection does the same — via the ``pinned`` predicate; when
-every way of a set is pinned the caller gets a pinned victim back and
-must treat it as a capacity overflow.
+Used for the private L1s, the optional private middle level and the
+shared inclusive LLC.  Victim selection can be steered away from
+transactionally-marked lines — real HTM way-selection does the same —
+via the ``pinned`` predicate; when every way of a set is pinned the
+caller gets a pinned victim back and must treat it as a capacity
+overflow.
 
-Two interchangeable implementations share the same API and the same
-observable behaviour (states, victims, counters — pinned by the
-randomized equivalence suite):
-
-* :class:`DictCacheArray` — the dict-of-LRU-lists model and the
-  **default** backend (``CacheParams.backend = "reference"``).  Every
-  operation it performs (dict probe, ``list.remove`` + ``append`` LRU
-  shuffle over <= assoc entries) is already a C-level primitive, which
-  is why it measures *faster* under CPython on eviction-light cells —
-  see docs/PERFORMANCE.md (PR 8).
-* :class:`PackedCacheArray` — the flat-layout alternative, selectable
-  via ``CacheParams.backend = "packed"`` for differential testing and
-  eviction-heavy experiments.  Way slots live in flat arena lists laid
-  out ``base + way`` per set
-  (``stride = assoc + 1``: one spare *guard* slot per set kept for
-  layout alignment), paired with a ``line -> slot`` index dict so every
-  lookup (probe / hit_state / touch / set_state / invalidate) is one
-  C-level dict probe — way scans happen only on the insert/evict path,
-  where the set's ways must be examined anyway.  Arena blocks are
-  allocated on a set's *first insert* (``_base`` maps set -> arena
-  base), so construction is O(sets) bookkeeping, not O(capacity) —
-  preallocating the LLC's full geometry (hundreds of thousands of
-  slots) dominated fresh-Machine construction otherwise.  LRU is a
-  monotonic rank per slot: a touch stores the next tick instead of
-  shuffling a Python list, and the victim is the smallest-rank way.
-  ``reset()`` is O(touched sets) and keeps the arena, so machine-pool
-  reuse never pays for geometry either.
-
-Both are constructed through the :func:`CacheArray` factory, which
-dispatches on :attr:`repro.common.params.CacheParams.backend`.
+Lookup is one dict probe (line -> MESI state); each set keeps its
+resident lines in LRU order (oldest first) in a short list, so the LRU
+shuffle is ``list.remove`` + ``append`` over at most ``assoc`` entries.
+Every step is a C-level primitive, which is why this layout measured
+faster under CPython than a flat-arena alternative on eviction-light
+and eviction-heavy cells alike (docs/PERFORMANCE.md, PR 8).  Sets are
+created on first insert, so construction is O(1) and ``reset()`` is
+O(resident lines): machine-pool reuse never pays for the LLC geometry.
 """
 
 from __future__ import annotations
@@ -47,10 +26,6 @@ from repro.common.errors import ProtocolInvariantError
 from repro.common.params import CacheParams
 from repro.coherence.states import MESI
 
-#: Empty-slot sentinel in the packed line array.  Line addresses are
-#: non-negative (``addr >> 6``), so -1 never collides with a real line.
-_EMPTY = -1
-
 
 @dataclass(frozen=True)
 class EvictedLine:
@@ -61,393 +36,8 @@ class EvictedLine:
     was_pinned: bool
 
 
-class PackedCacheArray:
-    """Flat arena tag/state/rank slots (``backend="packed"``).
-
-    Geometry is validated once here (the construction-time bounds
-    assertion) instead of per call on the hot path; ``_num_sets`` /
-    ``_assoc`` / ``_stride`` are the cached geometry every method uses,
-    so set-index mapping cannot drift between methods.
-    """
-
-    __slots__ = (
-        "params",
-        "_num_sets",
-        "_assoc",
-        "_stride",
-        "_lines",
-        "_states",
-        "_ranks",
-        "_slot",
-        "_base",
-        "_occ",
-        "_dirty",
-        "_dirty_sets",
-        "_tick",
-        "_len",
-        "_empty_ways",
-        "_block_lines",
-        "_block_states",
-        "_block_ranks",
-        "hits",
-        "misses",
-        "evictions",
-    )
-
-    def __init__(self, params: CacheParams) -> None:
-        self.params = params
-        num_sets = params.num_sets
-        assoc = params.assoc
-        if num_sets <= 0 or assoc <= 0:
-            raise ProtocolInvariantError(
-                f"degenerate cache geometry: {num_sets} sets x {assoc} ways"
-            )
-        self._num_sets = num_sets
-        self._assoc = assoc
-        #: Slot stride per set: ``assoc`` ways plus one guard slot the
-        #: scans preload, making ``list.index`` miss-free.
-        self._stride = assoc + 1
-        # Arena lists: one stride-sized block appended per set on its
-        # first insert (see _base).  Empty at construction.
-        self._lines: List[int] = []
-        self._states: List[int] = []
-        self._ranks: List[int] = []
-        #: Resident line -> flat slot index; the O(1) lookup tier.
-        self._slot: Dict[int, int] = {}
-        #: Set index -> arena base of its block (allocated lazily).
-        self._base: Dict[int, int] = {}
-        #: Ways in use per set (the set_occupancy fast path).
-        self._occ: List[int] = [0] * num_sets
-        #: Sets touched since the last reset — reset() and the resident
-        #: iterators walk only these, keeping both O(touched).
-        self._dirty: List[bool] = [False] * num_sets
-        self._dirty_sets: List[int] = []
-        self._tick = 0
-        self._len = 0
-        self._empty_ways = [_EMPTY] * assoc
-        # Per-set arena block templates (extend copies the values).
-        self._block_lines = [_EMPTY] * self._stride
-        self._block_states = [MESI.I] * self._stride
-        self._block_ranks = [0] * self._stride
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def reset(self) -> None:
-        """Empty the array and zero its counters (machine-pool reuse).
-
-        The arena blocks (and ``_base``) survive the reset — only the
-        dirty sets' ways are emptied, so a pooled machine re-runs
-        without re-growing the arena.
-        """
-        lines = self._lines
-        bases = self._base
-        empty = self._empty_ways
-        assoc = self._assoc
-        dirty = self._dirty
-        for idx in self._dirty_sets:
-            base = bases[idx]
-            lines[base:base + assoc] = empty
-            self._occ[idx] = 0
-            dirty[idx] = False
-        self._dirty_sets.clear()
-        self._slot.clear()
-        self._tick = 0
-        self._len = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    # -- lookups ---------------------------------------------------------
-
-    def probe(self, line: int) -> int:
-        """Current MESI state of ``line`` (I when absent). No LRU update."""
-        i = self._slot.get(line)
-        if i is None:
-            return MESI.I
-        return self._states[i]
-
-    def contains(self, line: int) -> bool:
-        return line in self._slot
-
-    def hit_state(self, line: int, is_write: bool) -> int:
-        """Combined probe + LRU touch for the access fast path.
-
-        Returns the line's state when this access hits with sufficient
-        permission (refreshing its LRU position), and ``MESI.I``
-        otherwise — absent lines and write-to-S upgrades both take the
-        miss path *without* an LRU refresh, exactly like the separate
-        ``probe``/``touch`` sequence they replace.
-        """
-        i = self._slot.get(line)
-        if i is None:
-            return MESI.I
-        st = self._states[i]
-        if is_write and st == MESI.S:
-            return MESI.I
-        self._ranks[i] = self._tick
-        self._tick += 1
-        return st
-
-    def _find(self, line: int) -> int:
-        """Slot of ``line`` or -1 when absent."""
-        return self._slot.get(line, -1)
-
-    # -- mutation --------------------------------------------------------
-
-    def touch(self, line: int) -> None:
-        """Refresh LRU position after a hit."""
-        i = self._find(line)
-        if i < 0:
-            raise ProtocolInvariantError(f"touch of absent line {line:#x}")
-        self._ranks[i] = self._tick
-        self._tick += 1
-
-    def set_state(self, line: int, state: int) -> None:
-        """Change the state of a resident line (upgrades/downgrades)."""
-        i = self._find(line)
-        if i < 0:
-            raise ProtocolInvariantError(
-                f"state change on absent line {line:#x}"
-            )
-        if state == MESI.I:
-            self._lines[i] = _EMPTY
-            del self._slot[line]
-            self._occ[line % self._num_sets] -= 1
-            self._len -= 1
-        else:
-            self._states[i] = state
-
-    def insert(
-        self,
-        line: int,
-        state: int,
-        pinned: Optional[Callable[[int], bool]] = None,
-    ) -> Optional[EvictedLine]:
-        """Insert ``line`` in ``state``; return the victim if one is evicted.
-
-        Victim choice is LRU among non-pinned lines; if all ways are
-        pinned the true LRU line is returned with ``was_pinned=True`` and
-        is *not* evicted — the caller decides (overflow handling).
-        """
-        if state == MESI.I:
-            raise ProtocolInvariantError("inserting a line in state I")
-        slot = self._slot
-        tick = self._tick
-        i = slot.get(line)
-        if i is not None:
-            self._states[i] = state
-            self._ranks[i] = tick
-            self._tick = tick + 1
-            return None
-        lines = self._lines
-        idx = line % self._num_sets
-        base = self._base.get(idx)
-        if base is None:
-            # First insert into this set: grow the arena by one block.
-            base = len(lines)
-            self._base[idx] = base
-            lines.extend(self._block_lines)
-            self._states.extend(self._block_states)
-            self._ranks.extend(self._block_ranks)
-        assoc = self._assoc
-        guard = base + assoc
-        ranks = self._ranks
-        if self._occ[idx] < assoc:
-            if not self._dirty[idx]:
-                self._dirty[idx] = True
-                self._dirty_sets.append(idx)
-            j = lines.index(_EMPTY, base, guard)
-            lines[j] = line
-            slot[line] = j
-            self._states[j] = state
-            ranks[j] = tick
-            self._tick = tick + 1
-            self._occ[idx] += 1
-            self._len += 1
-            return None
-        # Full set: pick the victim in LRU (ascending-rank) order.  Rank
-        # order equals the reference backend's list order — both are
-        # "time of last insert/touch, oldest first" (see PERFORMANCE.md
-        # PR 8 for the determinism argument).
-        if pinned is None:
-            # min() drives the rank scan in C (the key is a C method).
-            chosen = min(range(base, guard), key=ranks.__getitem__)
-        else:
-            order = sorted(range(base, guard), key=ranks.__getitem__)
-            chosen = -1
-            for k in order:
-                if not pinned(lines[k]):
-                    chosen = k
-                    break
-            if chosen < 0:
-                # Every way pinned: report overflow, do not evict.
-                k0 = order[0]
-                return EvictedLine(lines[k0], self._states[k0], True)
-        victim = EvictedLine(lines[chosen], self._states[chosen], False)
-        self.evictions += 1
-        del slot[victim.line]
-        lines[chosen] = line
-        slot[line] = chosen
-        self._states[chosen] = state
-        ranks[chosen] = tick
-        self._tick = tick + 1
-        return victim
-
-    def invalidate(self, line: int) -> int:
-        """Drop ``line``; returns its prior state (I when absent)."""
-        i = self._slot.pop(line, -1)
-        if i < 0:
-            return MESI.I
-        self._lines[i] = _EMPTY
-        self._occ[line % self._num_sets] -= 1
-        self._len -= 1
-        return self._states[i]
-
-    # -- victim steering (memsys overflow pre-check) ---------------------
-
-    def find_unpinned_victim(
-        self, line: int, pinned: Callable[[int], bool]
-    ) -> Optional[int]:
-        """First unpinned resident line of ``line``'s set in LRU order."""
-        base = self._base.get(line % self._num_sets)
-        if base is None:
-            return None
-        guard = base + self._assoc
-        lines = self._lines
-        ranks = self._ranks
-        for k in sorted(range(base, guard), key=ranks.__getitem__):
-            cand = lines[k]
-            if cand != _EMPTY and not pinned(cand):
-                return cand
-        return None
-
-    def lru_line(self, line: int) -> int:
-        """Least-recently-used resident line of ``line``'s set."""
-        base = self._base.get(line % self._num_sets)
-        if base is None:
-            raise ProtocolInvariantError(
-                f"lru_line on empty set of line {line:#x}"
-            )
-        guard = base + self._assoc
-        lines = self._lines
-        ranks = self._ranks
-        chosen = -1
-        best = None
-        for k in range(base, guard):
-            if lines[k] != _EMPTY and (best is None or ranks[k] < best):
-                best = ranks[k]
-                chosen = k
-        if chosen < 0:
-            raise ProtocolInvariantError(
-                f"lru_line on empty set of line {line:#x}"
-            )
-        return lines[chosen]
-
-    # -- iteration / introspection ---------------------------------------
-
-    def resident_lines(self) -> List[int]:
-        return [line for line, _st in self.resident_states()]
-
-    def resident_states(self):
-        """(line, MESI state) pairs over resident lines.
-
-        Walks only the dirty sets (set-major, way-minor order); the
-        end-of-run validators sweep every resident line of every array,
-        so this must not touch the full geometry.
-        """
-        lines = self._lines
-        states = self._states
-        bases = self._base
-        assoc = self._assoc
-        out = []
-        for idx in self._dirty_sets:
-            base = bases[idx]
-            for k in range(base, base + assoc):
-                line = lines[k]
-                if line != _EMPTY:
-                    out.append((line, states[k]))
-        return out
-
-    def set_occupancy(self, line: int) -> int:
-        """Ways in use in the set that ``line`` maps to."""
-        return self._occ[line % self._num_sets]
-
-    def check_invariants(self) -> None:
-        """Structural self-check used by tests and debug runs.
-
-        O(touched sets + resident lines), not O(capacity): only dirty
-        sets are walked, and the global ``sum(_occ) == len`` check
-        catches any clean set whose occupancy count went non-zero
-        without being marked dirty.
-        """
-        lines = self._lines
-        bases = self._base
-        assoc = self._assoc
-        slot = self._slot
-        seen = 0
-        for idx in self._dirty_sets:
-            base = bases[idx]
-            occupied = 0
-            for k in range(base, base + assoc):
-                line = lines[k]
-                if line == _EMPTY:
-                    continue
-                occupied += 1
-                if line % self._num_sets != idx:
-                    raise ProtocolInvariantError(
-                        f"line {line:#x} filed in wrong set {idx}"
-                    )
-                if self._states[k] == MESI.I:
-                    raise ProtocolInvariantError(
-                        f"line {line:#x} resident in state I"
-                    )
-                if slot.get(line) != k:
-                    raise ProtocolInvariantError(
-                        f"line {line:#x} slot index out of sync"
-                    )
-            if occupied != self._occ[idx]:
-                raise ProtocolInvariantError(
-                    f"set {idx} occupancy {self._occ[idx]} vs "
-                    f"{occupied} filled ways"
-                )
-            if not self._dirty[idx]:
-                raise ProtocolInvariantError(
-                    f"set {idx} in dirty list but not marked dirty"
-                )
-            seen += occupied
-        if seen != self._len:
-            raise ProtocolInvariantError(
-                f"{self._len} counted lines vs {seen} filled ways"
-            )
-        if sum(self._occ) != self._len:
-            raise ProtocolInvariantError(
-                "occupancy counts out of sync with resident total"
-            )
-        if len(slot) != self._len:
-            raise ProtocolInvariantError(
-                f"slot index holds {len(slot)} lines vs {self._len} resident"
-            )
-        if len(lines) != len(bases) * self._stride:
-            raise ProtocolInvariantError(
-                f"arena holds {len(lines)} slots vs "
-                f"{len(bases)} allocated sets"
-            )
-
-
-class DictCacheArray:
-    """Dict-of-lists backend (``backend="reference"``, the default).
-
-    Lookup is a dict probe (O(1)); each set keeps its lines in LRU
-    order (most recent last).  The LRU shuffle is ``list.remove`` +
-    ``append`` over at most ``assoc`` entries — all C-level, which is
-    why this measures faster than the packed layout on eviction-light
-    cells.  Also the differential-testing reference for
-    :class:`PackedCacheArray`.
-    """
+class CacheArray:
+    """Dict-of-LRU-lists tag/state array (see the module docstring)."""
 
     __slots__ = (
         "params",
@@ -615,22 +205,3 @@ class DictCacheArray:
             raise ProtocolInvariantError(
                 f"{len(self._state)} states vs {seen} set entries"
             )
-
-
-#: Backend registry for the factory (and the equivalence suite).
-BACKENDS = {
-    "packed": PackedCacheArray,
-    "reference": DictCacheArray,
-}
-
-
-def CacheArray(params: CacheParams):  # noqa: N802 - factory keeps the old name
-    """Build the cache-array backend selected by ``params.backend``."""
-    try:
-        cls = BACKENDS[params.backend]
-    except KeyError:
-        raise ProtocolInvariantError(
-            f"unknown cache backend {params.backend!r}; "
-            f"expected one of {sorted(BACKENDS)}"
-        ) from None
-    return cls(params)

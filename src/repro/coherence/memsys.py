@@ -844,8 +844,6 @@ class MemorySystem:
         """
         mem = registry.scope("mem")
         mem.set("memory_words", len(self.memory))
-        # len(array) is O(1) on both backends; resident_lines() would
-        # materialize a list per array on the packed one.
         mem.set("llc_lines", len(self.llc))
         for i, l1 in enumerate(self.l1s):
             mem.set(f"l1.{i}.lines", len(l1))

@@ -39,13 +39,6 @@ class CacheParams:
     assoc: int
     hit_latency: int
     line_size: int = LINE_SIZE
-    #: Tag/state array implementation: "reference" (the dict-of-LRU-
-    #: lists model — the default: measured faster under CPython on
-    #: eviction-light cells, see docs/PERFORMANCE.md PR 8) or "packed"
-    #: (flat arena way slots + rank LRU, selectable for differential
-    #: testing and eviction-heavy experiments).  See
-    #: repro.coherence.cachearray.
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.assoc <= 0:
@@ -54,11 +47,6 @@ class CacheParams:
             raise ValueError(
                 f"cache of {self.size_bytes} B is not divisible into "
                 f"{self.assoc}-way sets of {self.line_size} B lines"
-            )
-        if self.backend not in ("packed", "reference"):
-            raise ValueError(
-                f"unknown cache backend {self.backend!r}; "
-                "expected 'packed' or 'reference'"
             )
 
     @property
@@ -174,24 +162,6 @@ class SystemParams:
             raise ValueError(
                 "private middle cache must be at least L1-sized (inclusive)"
             )
-
-    def with_cache_backend(self, backend: str) -> "SystemParams":
-        """Copy with every cache level's array backend replaced.
-
-        The equivalence suite runs identical workloads on
-        ``with_cache_backend("packed")`` vs the reference default and
-        asserts bit-identical results.
-        """
-        return replace(
-            self,
-            l1=replace(self.l1, backend=backend),
-            l2private=(
-                replace(self.l2private, backend=backend)
-                if self.l2private is not None
-                else None
-            ),
-            llc=replace(self.llc, backend=backend),
-        )
 
 
 def typical_params(**overrides) -> SystemParams:

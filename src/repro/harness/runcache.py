@@ -149,13 +149,31 @@ class RunCache:
     ) -> None:
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        self._write_entry(path, stats, meta)
+
+    def _write_entry(
+        self, path: str, stats: RunStats, meta: Optional[Dict]
+    ) -> None:
+        """Write one entry atomically: temp file, then ``os.replace``.
+
+        If serialization or the write raises, the temp file is unlinked
+        and the error re-raised, so a failed put leaves no orphan and
+        the key still misses.
+        """
         # pid disambiguates processes; the class-level counter
         # disambiguates threads within one process, so two concurrent
         # same-key puts never interleave writes into one temp file.
         tmp = f"{path}.tmp.{os.getpid()}.{next(RunCache._tmp_seq)}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(run_stats_to_dict(stats, meta), fh, sort_keys=True)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(run_stats_to_dict(stats, meta), fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         self.stores += 1
 
     # -- cell-level convenience ----------------------------------------

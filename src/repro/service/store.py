@@ -21,14 +21,12 @@ accounting, unique temp files) are inherited unchanged.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Dict, Optional
 
 from repro.common.stats import RunStats
 from repro.harness.runcache import RunCache
-from repro.harness.export import run_stats_to_dict
 
 
 class ShardedStore(RunCache):
@@ -69,14 +67,7 @@ class ShardedStore(RunCache):
             if shard_dir not in self._made_dirs:
                 os.makedirs(shard_dir, exist_ok=True)
                 self._made_dirs.add(shard_dir)
-            tmp = (
-                f"{path}.tmp.{os.getpid()}.{next(RunCache._tmp_seq)}"
-            )
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(run_stats_to_dict(stats, meta), fh,
-                          sort_keys=True)
-            os.replace(tmp, path)
-            self.stores += 1
+            self._write_entry(path, stats, meta)
 
     def contains(self, key: str) -> bool:
         """Existence probe without parsing (no hit/miss accounting)."""

@@ -22,7 +22,7 @@ the event being processed is exposed as :attr:`SimEngine.now_vtime`.
 Two storage tiers share that order (the hot-path layout):
 
 * a **near-future bucket ring** (a calendar queue of
-  :data:`RING_SPAN` slots, overridable per engine) holds events whose
+  :data:`RING_SPAN` slots) holds events whose
   delay from ``now`` is under the span — the vast majority in a
   cycle-accurate CMP model (cache latencies, directory round trips,
   per-burst continuations, wake-ups).  Insertion is a plain
@@ -70,15 +70,15 @@ from repro.common.errors import EventBudgetError, SimulationError
 
 EventFn = Callable[[int], None]
 
-#: Default ring geometry: delays in ``[0, RING_SPAN)`` are bucketed;
-#: power of two so the slot index is a mask away.  64 is the measured
-#: end-to-end winner of the 64/128/256 sweep (benchmarks/
-#: bench_ring_span.py; numbers in docs/PERFORMANCE.md PR 8): although
+#: Ring geometry: delays in ``[0, RING_SPAN)`` are bucketed; power of
+#: two so the slot index is a mask away.  64 is the measured end-to-end
+#: winner of a 64/128/256 sweep (docs/PERFORMANCE.md PR 8): although
 #: ~80% of e2e events carry directory-round-trip delays past 64 cycles
 #: and route via the heap, heapq's C push/pop on the resulting small
 #: heap beats the wider ring's longer empty-slot scans — the "ring
 #: sized for the common case" worry measured as a non-problem.
 RING_SPAN = 64
+_MASK = RING_SPAN - 1
 
 #: Sentinel "infinitely far" time for empty-tier comparisons.
 _NEVER = float("inf")
@@ -125,8 +125,6 @@ class SimEngine:
         "_ring",
         "_ring_count",
         "_ring_next",
-        "_span",
-        "_mask",
         "_free",
         "_seq",
         "now",
@@ -140,19 +138,11 @@ class SimEngine:
         "heap_events",
     )
 
-    def __init__(
-        self, max_events: int = 200_000_000, ring_span: int = RING_SPAN
-    ) -> None:
-        if ring_span <= 0 or ring_span & (ring_span - 1):
-            raise SimulationError(
-                f"ring_span must be a positive power of two, got {ring_span}"
-            )
-        self._span = ring_span
-        self._mask = ring_span - 1
+    def __init__(self, max_events: int = 200_000_000) -> None:
         #: Long-delay tier of slab records [time, vtime, seq, token, fn].
         self._heap: List[list] = []
-        #: Near-future tier: ``ring_span`` buckets of slab records.
-        self._ring: List[list] = [[] for _ in range(ring_span)]
+        #: Near-future tier: ``RING_SPAN`` buckets of slab records.
+        self._ring: List[list] = [[] for _ in range(RING_SPAN)]
         self._ring_count = 0
         #: Earliest cycle holding a ring entry (``_NEVER`` when empty).
         self._ring_next = _NEVER
@@ -173,10 +163,6 @@ class SimEngine:
         #: Tier routing counters (profiling attribution).
         self.ring_events = 0
         self.heap_events = 0
-
-    @property
-    def ring_span(self) -> int:
-        return self._span
 
     def reset(self) -> None:
         """Return to the just-constructed state (machine-pool reuse).
@@ -222,8 +208,8 @@ class SimEngine:
             rec[4] = fn
         else:
             rec = [when, vtime, self._seq, token, fn]
-        if when - self.now < self._span:
-            self._ring[when & self._mask].append(rec)
+        if when - self.now < RING_SPAN:
+            self._ring[when & _MASK].append(rec)
             self._ring_count += 1
             self.ring_events += 1
             if when < self._ring_next:
@@ -262,8 +248,8 @@ class SimEngine:
             rec[4] = fn
         else:
             rec = [when, now, self._seq, token, fn]
-        if delay < self._span:
-            self._ring[when & self._mask].append(rec)
+        if delay < RING_SPAN:
+            self._ring[when & _MASK].append(rec)
             self._ring_count += 1
             self.ring_events += 1
             if when < self._ring_next:
@@ -298,8 +284,8 @@ class SimEngine:
             rec[4] = fn
         else:
             rec = [when, now, self._seq, _IMMORTAL, fn]
-        if delay < self._span:
-            self._ring[when & self._mask].append(rec)
+        if delay < RING_SPAN:
+            self._ring[when & _MASK].append(rec)
             self._ring_count += 1
             self.ring_events += 1
             if when < self._ring_next:
@@ -418,8 +404,8 @@ class SimEngine:
             self._ring_next = _NEVER
             return
         ring = self._ring
-        mask = self._mask
-        for d in range(self._span):
+        mask = _MASK
+        for d in range(RING_SPAN):
             t = start + d
             if ring[t & mask]:
                 self._ring_next = t
@@ -467,7 +453,7 @@ class SimEngine:
         heap = self._heap
         ring = self._ring
         free = self._free
-        mask = self._mask
+        mask = _MASK
         heappop = heapq.heappop
         budget = self._max_events
         processed = self.events_processed
@@ -611,7 +597,7 @@ class SimEngine:
                 t = t_ring
             else:
                 return False
-            bucket = self._ring[t & self._mask]
+            bucket = self._ring[t & _MASK]
             if heap and heap[0][0] == t:
                 self._merge_heap_into_bucket(t, bucket)
             if len(bucket) > 1:
@@ -650,5 +636,4 @@ class SimEngine:
         sim.set("ring_events", self.ring_events)
         sim.set("heap_events", self.heap_events)
         sim.set("heap_compactions", self.heap_compactions)
-        sim.set("ring_span", self._span)
         sim.set("slab_free_records", len(self._free))

@@ -47,7 +47,6 @@ class Machine:
         fault_plan=None,
         watchdog=None,
         coalesce: bool = True,
-        ring_span: Optional[int] = None,
     ) -> None:
         if len(programs) > params.num_cores:
             raise ConfigError(
@@ -70,11 +69,7 @@ class Machine:
             "system": spec.name,
             "fault_plan": fault_plan.name if fault_plan is not None else None,
         }
-        #: Near-future ring geometry override (power of two); None uses
-        #: the engine default.  Exists for the ring-span sweep bench.
-        self.engine = (
-            SimEngine() if ring_span is None else SimEngine(ring_span=ring_span)
-        )
+        self.engine = SimEngine()
         self.topology = MeshTopology(params.network)
         self.network = NetworkModel(self.topology, params.network)
         if params.network.model_contention:

@@ -58,12 +58,6 @@ class RunConfig:
     #: monkey-wires chaos hooks across components, so those runs build
     #: fresh machines.
     machine_pool: Optional[object] = None
-    #: Cache tag/state array backend for every level: ``None`` keeps
-    #: whatever ``params`` carries (the reference default), "packed" /
-    #: "reference" force it via
-    #: :meth:`~repro.common.params.SystemParams.with_cache_backend`.
-    #: The differential suite pins both backends bit-identical.
-    cache_backend: Optional[str] = None
 
 
 def run_workload(
@@ -87,8 +81,6 @@ def run_workload(
     else:
         build = workload.build(config.threads, config.scale, config.seed)
     params = config.params
-    if config.cache_backend is not None:
-        params = params.with_cache_backend(config.cache_backend)
     pool = config.machine_pool
     if config.fault_plan is not None or pool is False:
         pool = None

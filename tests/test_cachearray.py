@@ -1,18 +1,20 @@
 """Unit and property tests for the set-associative cache array."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ProtocolInvariantError
 from repro.common.params import CacheParams
-from repro.coherence.cachearray import CacheArray
+from repro.coherence.cachearray import CacheArray, EvictedLine
 from repro.coherence.states import MESI
 
 
-@pytest.fixture(params=["packed", "reference"])
-def arr(request) -> CacheArray:
-    # 4 sets, 2 ways; every test runs against both array backends.
-    return CacheArray(CacheParams(8 * 64, 2, 2, backend=request.param))
+@pytest.fixture
+def arr() -> CacheArray:
+    # 4 sets, 2 ways.
+    return CacheArray(CacheParams(8 * 64, 2, 2))
 
 
 class TestBasics:
@@ -103,6 +105,22 @@ class TestReplacement:
         arr.insert(4, MESI.S)
         arr.insert(8, MESI.S)
         assert arr.evictions == 1
+
+
+def test_eviction_order_exhaustive_small_set():
+    """Every insertion order over one 4-way set evicts in LRU order."""
+    for perm in itertools.permutations(range(5)):
+        arr = CacheArray(CacheParams(4 * 64, 4, 2))
+        lru = []  # list-LRU model: resident lines, oldest first
+        # The fifth distinct line and then line 7 each force an
+        # eviction decided purely by recency.
+        for line, state in [(ln, MESI.S) for ln in perm] + [(7, MESI.M)]:
+            expected = None
+            if len(lru) == 4:
+                expected = EvictedLine(lru.pop(0), MESI.S, False)
+            assert arr.insert(line, state) == expected
+            lru.append(line)
+        assert sorted(arr.resident_lines()) == sorted(lru)
 
 
 class TestInvariants:

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.common.params import small_cache_params, typical_params
+from repro.common.stats import RunStats
 from repro.harness.export import fingerprint
 from repro.harness.parallel import CellTask, resolve_jobs, run_cells
 from repro.harness.runcache import (
@@ -16,6 +17,7 @@ from repro.harness.runcache import (
     default_cache_dir,
 )
 from repro.harness.systems import get_system
+from repro.service.store import ShardedStore
 from repro.sim.runner import RunConfig, run_workload
 from repro.workloads.registry import get_workload
 
@@ -77,6 +79,14 @@ class TestCellKey:
         before = cell_key(**_cell())
         monkeypatch.setattr(rc, "CACHE_SCHEMA_VERSION", 9999)
         assert cell_key(**_cell()) != before
+
+    def test_typical_cell_key_is_pinned(self):
+        # Every params field is hashed, so adding, removing or renaming
+        # one silently invalidates every on-disk cache.  Update this pin
+        # only for a change that means to do that.
+        assert cell_key(**_cell()) == (
+            "b396add54ee798cceebc6e03acdd008cd13427a3cb21b2c5d8c3a3d4adcded10"
+        )
 
     def test_numeric_type_does_not_change_key(self):
         # scale=1 (int) and scale=1.0 (float) describe the same cell and
@@ -184,6 +194,25 @@ class TestRunCache:
     def test_default_dir_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_CACHE_DIR", "/tmp/somewhere")
         assert default_cache_dir() == "/tmp/somewhere"
+
+
+@pytest.mark.parametrize("store_cls", [RunCache, ShardedStore])
+def test_failed_put_leaves_no_temp_file(store_cls, tmp_path):
+    store = store_cls(str(tmp_path))
+    key = cell_key(**_cell())
+    stats = RunStats(execution_cycles=1, cores=[])
+    # json.dump raises part-way through writing the temp file.
+    with pytest.raises(TypeError):
+        store.put(key, stats, meta={"unserializable": object()})
+    leftovers = [
+        name
+        for _dir, _subdirs, names in os.walk(tmp_path)
+        for name in names
+        if ".tmp." in name
+    ]
+    assert leftovers == []
+    assert store.get(key) is None
+    assert store.stores == 0
 
 
 class TestCoerceCache:
