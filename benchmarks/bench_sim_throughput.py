@@ -16,6 +16,8 @@ from repro.workloads.registry import get_workload
 
 
 def test_engine_event_dispatch(benchmark):
+    """Raw engine cost: a chain of 10 k delay-1 events, one resident."""
+
     def dispatch_10k():
         engine = SimEngine()
         count = [0]
@@ -74,7 +76,7 @@ def _engine_counts(workload, config):
                       seed=config.seed)
     machine.run()
     eng = machine.engine
-    return eng.events_processed, eng.ring_events, eng.heap_events
+    return eng.events_processed, eng.heap_events
 
 
 def test_end_to_end_simulation_rate(benchmark):
@@ -88,10 +90,9 @@ def test_end_to_end_simulation_rate(benchmark):
 
     cycles = benchmark(one_run)
     assert cycles > 0
-    events, ring, heap = _engine_counts("vacation-", config)
+    events, heap = _engine_counts("vacation-", config)
     benchmark.extra_info["simulated_cycles"] = cycles
     benchmark.extra_info["events_processed"] = events
-    benchmark.extra_info["ring_events"] = ring
     benchmark.extra_info["heap_events"] = heap
     if benchmark.stats is not None:  # absent under --benchmark-disable
         benchmark.extra_info["simulated_cycles_per_second"] = round(

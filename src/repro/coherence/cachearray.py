@@ -19,16 +19,14 @@ O(resident lines): machine-pool reuse never pays for the LLC geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.common.errors import ProtocolInvariantError
 from repro.common.params import CacheParams
 from repro.coherence.states import MESI
 
 
-@dataclass(frozen=True)
-class EvictedLine:
+class EvictedLine(NamedTuple):
     """Result of inserting into a full set."""
 
     line: int
@@ -130,7 +128,12 @@ class CacheArray:
             self.touch(line)
             return None
         idx = line % self._num_sets
-        ways = self._sets.setdefault(idx, [])
+        ways = self._sets.get(idx)
+        if ways is None:
+            # First line of this set: it cannot evict anything.
+            self._sets[idx] = [line]
+            self._state[line] = state
+            return None
         victim: Optional[EvictedLine] = None
         if len(ways) >= self._assoc:
             chosen = None

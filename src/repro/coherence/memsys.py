@@ -53,8 +53,17 @@ GRANT = 0
 REJECT = 1
 OVERFLOW = 2
 
-#: Modes whose accesses are tracked in read/write sets (hot-path const).
-_TRACK_MODES = (TxMode.HTM, TxMode.TL, TxMode.STL)
+#: TxMode members as module constants: an enum attribute lookup costs
+#: several times a global read on the per-access hot path.
+_NONE = TxMode.NONE
+_HTM = TxMode.HTM
+_TL = TxMode.TL
+_STL = TxMode.STL
+_FALLBACK = TxMode.FALLBACK
+#: The irrevocable HTMLock modes (``TxMode.is_lock_mode``, inlined).
+_LOCK_MODES = (_TL, _STL)
+#: Modes whose accesses are tracked in read/write sets.
+_TRACK_MODES = (_HTM, _TL, _STL)
 
 
 class AccessResult:
@@ -189,13 +198,13 @@ class MemorySystem:
     def functional_load(self, core: int, addr: int) -> int:
         tx = self.tx_states[core]
         val = self.memory.get(addr, 0)
-        if tx.mode is TxMode.HTM:
+        if tx.mode is _HTM:
             val += tx.write_buffer.get(addr, 0)
         return val
 
     def functional_store(self, core: int, addr: int, delta: int) -> None:
         tx = self.tx_states[core]
-        if tx.mode is TxMode.HTM:
+        if tx.mode is _HTM:
             tx.buffer_store(addr, delta)
         else:
             # Lock modes (TL/STL/FALLBACK) and plain accesses write
@@ -305,7 +314,7 @@ class MemorySystem:
     def spill_to_signature(self, core: int, line: int) -> None:
         """HTMLock overflow (Fig. 5 ②): move a set entry to the LLC sigs."""
         tx = self.tx_states[core]
-        if not tx.mode.is_lock_mode:
+        if tx.mode not in _LOCK_MODES:
             raise ProtocolInvariantError(
                 f"core {core} spilling in mode {tx.mode}"
             )
@@ -361,7 +370,7 @@ class MemorySystem:
         # Identity checks instead of the in_transaction enum property:
         # this runs on every private-cache insert.
         mode = tx.mode
-        if mode is TxMode.NONE or mode is TxMode.FALLBACK:
+        if mode is _NONE or mode is _FALLBACK:
             return None
         rs, ws = tx.read_set, tx.write_set
         if not rs and not ws:
@@ -510,7 +519,7 @@ class MemorySystem:
             ):
                 victim = outer.find_unpinned_victim(line, pinned)
                 if victim is None:
-                    if tx.mode.is_lock_mode:
+                    if tx.mode in _LOCK_MODES:
                         # HTMLock mode survives overflow: spill the LRU
                         # set entry into the LLC signatures and continue.
                         spill_line = outer.lru_line(line)
@@ -559,7 +568,7 @@ class MemorySystem:
         # machinery (SelfAbort / RetryLater / WaitWakeup) must absorb it.
         if (
             self.chaos is not None
-            and tx.mode is TxMode.HTM
+            and tx.mode is _HTM
             and len(self.core_stats) > 1
             and self.chaos.storm_reject()
         ):
@@ -822,10 +831,10 @@ class MemorySystem:
             tx = self.tx_states[c]
             in_tx_set = line in tx.read_set or line in tx.write_set
             if in_tx_set:
-                if tx.mode.is_lock_mode:
+                if tx.mode in _LOCK_MODES:
                     self.spill_to_signature(c, line)
                     continue
-                if tx.mode is TxMode.HTM and not tx.aborted:
+                if tx.mode is _HTM and not tx.aborted:
                     self.abort_core(c, AbortReason.OVERFLOW, now)
                     continue  # abort path invalidated the written lines
             self._purge_private(c, line)

@@ -38,6 +38,15 @@ from repro.htm.isa import (
 )
 from repro.htm.txstate import TxMode, TxState
 
+#: TxMode members as module constants: an enum attribute lookup costs
+#: several times a global read on the per-access hot path.
+_HTM = TxMode.HTM
+_TL = TxMode.TL
+_STL = TxMode.STL
+_FALLBACK = TxMode.FALLBACK
+#: The irrevocable HTMLock modes (``TxMode.is_lock_mode``, inlined).
+_LOCK_MODES = (_TL, _STL)
+
 
 class CPU:
     """One in-order, single-issue core.
@@ -397,7 +406,7 @@ class CPU:
         self._tx_try(now)
 
     def _xbegin(self, now: int) -> None:
-        self.tx.begin(TxMode.HTM, now)
+        self.tx.begin(_HTM, now)
         self.stats.tx_attempts += 1
         self._attempt_t0 = now
         self.op_idx = 0
@@ -561,7 +570,7 @@ class CPU:
             self.done
             or tx.attempt_seq != attempt_seq
             or not tx.aborted
-            or tx.mode is not TxMode.HTM
+            or tx.mode is not _HTM
         ):
             return
         self._rollback(now)
@@ -569,7 +578,7 @@ class CPU:
     # -- faults ------------------------------------------------------------
 
     def _tx_fault(self, now: int, op) -> None:
-        if self.tx.mode is TxMode.HTM:
+        if self.tx.mode is _HTM:
             key = (self.seg_idx, self.op_idx)
             persistent = bool(op[1])
             if persistent or key not in self._faults_taken:
@@ -616,7 +625,7 @@ class CPU:
     # -- rejection handling (§III-A requester options) ----------------------
 
     def _on_reject(self, now: int, res: AccessResult) -> None:
-        if self.tx.mode.is_lock_mode:  # pragma: no cover
+        if self.tx.mode in _LOCK_MODES:  # pragma: no cover
             raise SimulationError("lock-mode transaction was rejected")
         self.rejects_this_txn += 1
         chaos = self._chaos
@@ -710,7 +719,7 @@ class CPU:
 
     def _on_overflow(self, now: int) -> None:
         tx = self.tx
-        if tx.mode.is_lock_mode:  # pragma: no cover - memsys spills inline
+        if tx.mode in _LOCK_MODES:  # pragma: no cover - memsys spills inline
             raise SimulationError("lock-mode overflow escaped the spill path")
         if self.spec.switching and not tx.switch_attempted:
             tx.switch_attempted = True
@@ -731,7 +740,7 @@ class CPU:
         deny_reason: AbortReason = AbortReason.OVERFLOW,
     ) -> None:
         tx = self.tx
-        stale = tx.attempt_seq != attempt_seq or tx.mode is not TxMode.HTM
+        stale = tx.attempt_seq != attempt_seq or tx.mode is not _HTM
         if tx.aborted or stale:
             # Killed while the application was in flight: give the slot
             # back if it was granted, then roll back as usual.
@@ -755,7 +764,7 @@ class CPU:
 
     def _local_abort(self, now: int, reason: AbortReason) -> None:
         tx = self.tx
-        if tx.mode is not TxMode.HTM:  # pragma: no cover
+        if tx.mode is not _HTM:  # pragma: no cover
             raise SimulationError(f"local abort in mode {tx.mode}")
         if not tx.aborted:
             tx.mark_aborted(reason)
@@ -825,7 +834,7 @@ class CPU:
             self._bill(TimeCat.WAITLOCK, now - wait_t0)
             # Classic fallback: the lock write kills every subscriber.
             self.machine.abort_all_htm(AbortReason.MUTEX, exclude=self.core)
-            self.tx.begin(TxMode.FALLBACK, now)
+            self.tx.begin(_FALLBACK, now)
             self.stats.tx_attempts += 1
             self._attempt_t0 = now
             self.op_idx = 0
@@ -840,7 +849,7 @@ class CPU:
 
     def _enter_tl(self, now: int, wait_t0: int) -> None:
         self._bill(TimeCat.WAITLOCK, now - wait_t0)
-        self.tx.begin(TxMode.TL, now)
+        self.tx.begin(_TL, now)
         self.stats.tx_attempts += 1
         self._attempt_t0 = now
         self.op_idx = 0
@@ -856,14 +865,14 @@ class CPU:
     def _tx_commit(self, now: int) -> None:
         tx = self.tx
         mode = tx.mode
-        if mode is TxMode.HTM:
+        if mode is _HTM:
             self.memsys.publish(tx)
             self.memsys.retire_tx(self.core)
             self.engine.schedule_after(
                 self.htm_params.commit_latency,
                 lambda t: self._commit_done(t, TimeCat.HTM, "htm"),
             )
-        elif mode is TxMode.STL:
+        elif mode is _STL:
             self.memsys.publish(tx)  # buffered while it was still HTM
             self.memsys.retire_tx(self.core)
             self.machine.hl_arbiter.release(self.core)
@@ -871,7 +880,7 @@ class CPU:
                 self.htm_params.commit_latency,
                 lambda t: self._commit_done(t, TimeCat.SWITCH_LOCK, "switched"),
             )
-        elif mode is TxMode.TL:
+        elif mode is _TL:
             self.memsys.retire_tx(self.core)
             self.machine.hl_arbiter.release(self.core)
             self.machine.fallback_lock.release(self.core, now)
@@ -879,7 +888,7 @@ class CPU:
                 self.htm_params.commit_latency,
                 lambda t: self._commit_done(t, TimeCat.LOCK, "lock"),
             )
-        elif mode is TxMode.FALLBACK:
+        elif mode is _FALLBACK:
             self.machine.fallback_lock.release(self.core, now)
             self.engine.schedule_after(
                 1, lambda t: self._commit_done(t, TimeCat.LOCK, "lock")

@@ -78,7 +78,6 @@ class MachinePool:
             # stay small; acquire() still runs the full reset()
             # contract before handing the machine out again.
             machine.engine.reset()
-            machine.engine.trim_slab()
             machine.memsys.reset([])
             machine.cpus = []
             free.append(machine)

@@ -157,7 +157,11 @@ class TestStepAndAccounting:
 
 
 class TestCalendarRingEdgeCases:
-    """Edge cases of the bucket-ring + heap two-tier scheduler."""
+    """Queue edge cases, first written for the old bucket-ring tier.
+
+    Every case still applies to the one-heap queue: same-cycle order,
+    lazy cancellation, budgets and truncated runs.
+    """
 
     def test_zero_delay_storm_drains_in_schedule_order(self):
         # Events that schedule more zero-delay events at the same cycle
@@ -181,8 +185,7 @@ class TestCalendarRingEdgeCases:
 
     def test_zero_delay_storm_from_heap_fast_path(self):
         # A lone heap event whose callback floods the current cycle
-        # with zero-delay ring events: the direct-fire path must leave
-        # _ring_next discoverable so the flood still drains at t.
+        # with zero-delay events: the flood must still drain at t.
         eng = SimEngine()
         seen = []
 
@@ -190,14 +193,14 @@ class TestCalendarRingEdgeCases:
             for i in range(5):
                 eng.schedule_after(0, lambda tt, i=i: seen.append((i, tt)))
 
-        eng.schedule_after(100, flood)  # heap tier (>= RING_SPAN)
+        eng.schedule_after(100, flood)
         eng.run()
         assert seen == [(i, 100) for i in range(5)]
 
     def test_cancel_bucketed_event_before_its_cycle(self):
         eng = SimEngine()
         seen = []
-        tok = eng.schedule_after(3, seen.append)  # ring tier
+        tok = eng.schedule_after(3, seen.append)
         eng.schedule_after(5, seen.append)
         assert eng.pending() == 2
         tok.cancel()
@@ -207,7 +210,7 @@ class TestCalendarRingEdgeCases:
 
     def test_cancel_bucketed_event_same_cycle_mid_drain(self):
         # First event at t cancels its same-cycle sibling: the corpse
-        # must be skipped even though it is already in the bucket.
+        # must be skipped even though it is already queued.
         eng = SimEngine()
         seen = []
         holder = {}
@@ -231,7 +234,7 @@ class TestCalendarRingEdgeCases:
         assert eng.pending() == 0
 
     def test_run_until_truncation_with_ring_events(self):
-        # Ring events beyond the cutoff survive a truncated run and a
+        # Events beyond the cutoff survive a truncated run and a
         # follow-up schedule_after anchors at the cutoff.
         eng = SimEngine()
         seen = []
@@ -266,7 +269,7 @@ class TestCalendarRingEdgeCases:
         eng = SimEngine(max_events=5)
 
         def chain(t):
-            eng.schedule_after_nocancel(100, chain)  # heap tier
+            eng.schedule_after_nocancel(100, chain)
 
         eng.schedule_after_nocancel(100, chain)
         with pytest.raises(EventBudgetError):
@@ -317,14 +320,21 @@ class TestCalendarRingEdgeCases:
         with pytest.raises(SimulationError):
             eng.schedule_after_virtual(2, lambda t: None, 3)
 
-    def test_ring_to_heap_boundary(self):
-        from repro.sim.engine import RING_SPAN
-
+    def test_heap_events_counts_every_scheduled_event(self):
+        # One heap holds every event: heap_events counts each schedule,
+        # cancelled ones included, and the ring tier counter stays 0.
         eng = SimEngine()
-        seen = []
-        eng.schedule_after(RING_SPAN - 1, seen.append)  # last ring slot
-        eng.schedule_after(RING_SPAN, seen.append)  # first heap delay
-        assert eng.ring_events == 1
-        assert eng.heap_events == 1
+        eng.schedule(5, lambda t: None)
+        eng.schedule_after(0, lambda t: None)
+        eng.schedule_after_nocancel(1, lambda t: None)
+        eng.schedule_after_virtual(300, lambda t: None, -2)
+        eng.schedule_after_virtual_nocancel(2, lambda t: None, 1)
+        eng.schedule_after(64, lambda t: None).cancel()
+        assert eng.heap_events == 6
+        assert eng.ring_events == 0
         eng.run()
-        assert seen == [RING_SPAN - 1, RING_SPAN]
+        assert eng.events_processed == 5
+        assert eng.heap_events == 6
+        assert eng.ring_events == 0
+        eng.reset()
+        assert eng.heap_events == 0

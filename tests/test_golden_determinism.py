@@ -7,7 +7,10 @@ Two guarantees are load-bearing for the whole harness:
    fingerprints below must reproduce forever.  Any intentional timing
    change to the simulator must update these pins (and bump
    ``CACHE_SCHEMA_VERSION`` in :mod:`repro.harness.runcache`).
-2. Executing a sweep through worker processes (``jobs > 1``) and
+2. The fused round-trip pricing in ``memsys.access`` and the
+   per-message ``control_latency`` / ``data_latency`` calls it stands
+   in for agree exactly: same cycles, fingerprint and NoC counters.
+3. Executing a sweep through worker processes (``jobs > 1``) and
    through the run cache must be *bit-identical* to the plain serial
    loop — parallelism and caching are pure plumbing.
 
@@ -18,9 +21,11 @@ that every recovery policy takes a different path.
 
 import pytest
 
+from repro.common.stats import RunStats
 from repro.harness.export import fingerprint
 from repro.harness.sweeps import Sweep
 from repro.harness.systems import TABLE_ORDER, get_system
+from repro.sim.machine import Machine
 from repro.sim.runner import RunConfig, run_workload
 from repro.workloads.registry import get_workload
 
@@ -36,6 +41,20 @@ GOLD = {
     "LockillerTM-RWL": (9722, "f30a29c49ce5a63b", 40, 6),
     "LockillerTM-RWIL": (9755, "1877f557f4e76393", 40, 5),
     "LockillerTM": (9755, "1877f557f4e76393", 40, 5),
+}
+
+#: system -> (events_processed, messages, flits, hops) for the same
+#: cell: drift-free counters of simulation work.
+GOLD_COUNTS = {
+    "CGL": (409, 618, 1838, 2068),
+    "Baseline": (804, 1121, 3265, 4400),
+    "LosaTM-SAFU": (440, 611, 1695, 2080),
+    "LockillerTM-RAI": (522, 721, 2005, 2534),
+    "LockillerTM-RRI": (436, 625, 1697, 2242),
+    "LockillerTM-RWI": (440, 613, 1697, 2086),
+    "LockillerTM-RWL": (442, 611, 1699, 2087),
+    "LockillerTM-RWIL": (440, 613, 1697, 2086),
+    "LockillerTM": (440, 613, 1697, 2086),
 }
 
 
@@ -63,6 +82,41 @@ class TestGoldenPins:
     def test_back_to_back_runs_identical(self):
         a, b = _run("LockillerTM"), _run("LockillerTM")
         assert fingerprint(a) == fingerprint(b)
+
+
+def _run_priced(system: str, per_message: bool):
+    """The pinned cell on a fresh machine, optionally per-message priced.
+
+    An identity chaos hook on the network turns off the fused pricing
+    in ``memsys.access`` (it needs ``chaos is None``) without changing
+    any latency, so every message goes through ``control_latency`` /
+    ``data_latency`` one call at a time.
+    """
+    cfg = RunConfig(spec=get_system(system), threads=4, scale=0.05, seed=3)
+    build = get_workload("intruder").build(4, 0.05, 3)
+    machine = Machine(cfg.params, cfg.spec, build.programs, seed=3)
+    if per_message:
+        machine.network.chaos = lambda lat: lat
+    cycles = machine.run()
+    assert build.verify(machine.memsys.memory) == []
+    net = machine.network
+    return (
+        cycles,
+        fingerprint(RunStats(execution_cycles=cycles, cores=machine.core_stats)),
+        machine.engine.events_processed,
+        net.messages_sent,
+        net.flits_sent,
+        net.hops_traversed,
+    )
+
+
+class TestPricingPaths:
+    @pytest.mark.parametrize("system", sorted(GOLD))
+    def test_fused_and_per_message_pricing_agree(self, system):
+        cycles, fp, _, _ = GOLD[system]
+        expected = (cycles, fp) + GOLD_COUNTS[system]
+        assert _run_priced(system, per_message=False) == expected
+        assert _run_priced(system, per_message=True) == expected
 
 
 @pytest.fixture(scope="module")
