@@ -25,6 +25,10 @@ from repro.common.errors import ProtocolInvariantError
 from repro.common.params import CacheParams
 from repro.coherence.states import MESI
 
+#: The invalid state as a module constant (a global read is cheaper
+#: than the class attribute lookup on every probe).
+_I = MESI.I
+
 
 class EvictedLine(NamedTuple):
     """Result of inserting into a full set."""
@@ -78,21 +82,10 @@ class CacheArray:
 
     def probe(self, line: int) -> int:
         """Current MESI state of ``line`` (I when absent). No LRU update."""
-        return self._state.get(line, MESI.I)
+        return self._state.get(line, _I)
 
     def contains(self, line: int) -> bool:
         return line in self._state
-
-    def hit_state(self, line: int, is_write: bool) -> int:
-        """Combined probe + LRU touch for the access fast path."""
-        st = self._state.get(line, MESI.I)
-        if st == MESI.I or (is_write and st == MESI.S):
-            return MESI.I
-        s = self._sets[line % self._num_sets]
-        if s[-1] != line:
-            s.remove(line)
-            s.append(line)
-        return st
 
     def touch(self, line: int) -> None:
         """Refresh LRU position after a hit."""
@@ -109,7 +102,7 @@ class CacheArray:
             raise ProtocolInvariantError(
                 f"state change on absent line {line:#x}"
             )
-        if state == MESI.I:
+        if state == _I:
             self.invalidate(line)
         else:
             self._state[line] = state
@@ -121,7 +114,7 @@ class CacheArray:
         pinned: Optional[Callable[[int], bool]] = None,
     ) -> Optional[EvictedLine]:
         """Insert ``line`` in ``state``; return the victim if one is evicted."""
-        if state == MESI.I:
+        if state == _I:
             raise ProtocolInvariantError("inserting a line in state I")
         if line in self._state:
             self._state[line] = state
@@ -157,8 +150,8 @@ class CacheArray:
 
     def invalidate(self, line: int) -> int:
         """Drop ``line``; returns its prior state (I when absent)."""
-        prior = self._state.pop(line, MESI.I)
-        if prior != MESI.I:
+        prior = self._state.pop(line, _I)
+        if prior != _I:
             self._sets[line % self._num_sets].remove(line)
         return prior
 

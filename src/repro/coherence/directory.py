@@ -128,15 +128,35 @@ class Directory:
 
         * at most one core in E/M per line, and then no sharers;
         * every L1 copy is recorded at the directory and vice versa.
+
+        Allocation-free: membership and integer tests only.  Two E/M
+        copies of one line cannot both match the directory's single
+        owner, so the owner check also enforces the single writer.
         """
+        held = [arr.resident_lines() for arr in l1_arrays]
+        n = len(held)
         for line, e in self._entries.items():
-            if e.owner >= 0 and e.sharers - {e.owner}:
-                raise ProtocolInvariantError(
-                    f"line {line:#x}: owner {e.owner} plus sharers "
-                    f"{sorted(e.sharers)}"
-                )
-        per_line_owners: Dict[int, List[int]] = {}
-        E, M = MESI.E, MESI.M
+            owner = e.owner
+            sharers = e.sharers
+            if owner >= 0:
+                if sharers and (len(sharers) > 1 or owner not in sharers):
+                    raise ProtocolInvariantError(
+                        f"line {line:#x}: owner {owner} plus sharers "
+                        f"{sorted(sharers)}"
+                    )
+                if owner >= n or line not in held[owner]:
+                    raise ProtocolInvariantError(
+                        f"directory owner {owner} of {line:#x} does not "
+                        "hold it"
+                    )
+            else:
+                for core in sharers:
+                    if core >= n or line not in held[core]:
+                        raise ProtocolInvariantError(
+                            f"directory sharer {core} of {line:#x} does "
+                            "not hold it"
+                        )
+        E, M, S = MESI.E, MESI.M, MESI.S
         entries = self._entries
         for core, arr in enumerate(l1_arrays):
             for line, st in arr.resident_states():
@@ -146,24 +166,18 @@ class Directory:
                         f"L1[{core}] holds untracked line {line:#x}"
                     )
                 if st == E or st == M:
-                    per_line_owners.setdefault(line, []).append(core)
                     if recorded.owner != core:
                         raise ProtocolInvariantError(
                             f"L1[{core}] has {line:#x} in "
                             f"{MESI.name(st)} but directory owner is "
                             f"{recorded.owner}"
                         )
-                elif st == MESI.S:
+                elif st == S:
                     if core not in recorded.sharers and recorded.owner != core:
                         raise ProtocolInvariantError(
                             f"L1[{core}] shares {line:#x} unknown to "
                             "directory"
                         )
-        for line, owners in per_line_owners.items():
-            if len(owners) > 1:
-                raise ProtocolInvariantError(
-                    f"SWMR violated on {line:#x}: owners {owners}"
-                )
 
     def lines(self) -> Iterable[int]:
         return self._entries.keys()

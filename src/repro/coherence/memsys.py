@@ -35,7 +35,7 @@ from repro.common.errors import ProtocolInvariantError
 from repro.common.params import SystemParams
 from repro.common.stats import AbortReason, CoreStats
 from repro.coherence.cachearray import CacheArray
-from repro.coherence.directory import Directory
+from repro.coherence.directory import DirEntry, Directory
 from repro.coherence.states import MESI
 from repro.core.conflict import (
     ConflictManager,
@@ -55,15 +55,18 @@ OVERFLOW = 2
 
 #: TxMode members as module constants: an enum attribute lookup costs
 #: several times a global read on the per-access hot path.
-_NONE = TxMode.NONE
 _HTM = TxMode.HTM
 _TL = TxMode.TL
 _STL = TxMode.STL
-_FALLBACK = TxMode.FALLBACK
 #: The irrevocable HTMLock modes (``TxMode.is_lock_mode``, inlined).
 _LOCK_MODES = (_TL, _STL)
 #: Modes whose accesses are tracked in read/write sets.
 _TRACK_MODES = (_HTM, _TL, _STL)
+#: MESI states as module constants, for the same reason.
+_I = MESI.I
+_S = MESI.S
+_E = MESI.E
+_M = MESI.M
 
 
 class AccessResult:
@@ -126,10 +129,22 @@ class MemorySystem:
             else None
         )
         self.llc = CacheArray(params.llc)
-        #: Hot-path constant: the L1 hit latency, lifted out of the
-        #: nested frozen-dataclass attribute chain.
-        self._l1_hit_latency = params.l1.hit_latency
+        #: Live view of the LLC's resident lines (``reset`` clears the
+        #: array in place): the miss path's presence test without a call.
+        self._llc_lines = self.llc.resident_lines()
+        #: The one result every L1 hit returns: callers read it and
+        #: never mutate it, so the hit path allocates nothing.
+        self._l1_hit = AccessResult(GRANT, params.l1.hit_latency, hit=True)
+        #: Ways of the outermost private level, which holds the
+        #: transactional lines (the overflow pre-check's set size).
+        self._outer_assoc = (
+            params.l1.assoc if params.l2private is None
+            else params.l2private.assoc
+        )
         self.directory = Directory()
+        #: The directory's own line -> DirEntry map (cleared in place by
+        #: ``Directory.reset``), probed inline on the miss path.
+        self._dir_entries: Dict[int, DirEntry] = self.directory._entries
         #: Committed functional memory image (word address -> value).
         self.memory: Dict[int, int] = {}
         #: line -> bitmask of cores holding it in a transactional read
@@ -364,22 +379,14 @@ class MemorySystem:
             self.tx_states[core], now
         )
 
-    def _pinned_pred(
-        self, core: int, tx: TxState
-    ) -> Optional[Callable[[int], bool]]:
-        # Identity checks instead of the in_transaction enum property:
-        # this runs on every private-cache insert.
-        mode = tx.mode
-        if mode is _NONE or mode is _FALLBACK:
-            return None
+    def _pinned_pred(self, core: int, tx: TxState) -> Callable[[int], bool]:
+        """``core``'s "line is in a tracked set" predicate.
+
+        The sets are cleared in place across transactions, so one
+        closure per TxState lifetime suffices; the identity check
+        invalidates the cache if the TxState is ever swapped out.
+        """
         rs, ws = tx.read_set, tx.write_set
-        if not rs and not ws:
-            # Nothing tracked yet: an always-false predicate selects the
-            # same LRU victim as no predicate, without the closure.
-            return None
-        # The sets are cleared in place across transactions, so one
-        # closure per TxState lifetime suffices; the identity check
-        # invalidates the cache if the TxState is ever swapped out.
         cached = self._pinned_preds.get(core)
         if cached is not None and cached[0] is rs:
             return cached[1]
@@ -462,34 +469,48 @@ class MemorySystem:
         tx = self.tx_states[core]
         l1 = self.l1s[core]
         stats = self.core_stats[core]
+        l2s = self.l2s
 
         # -- L1 hit with sufficient permission --------------------------
-        st = l1.hit_state(line, is_write)
-        if st != MESI.I:
-            if is_write and st == MESI.E:
-                l1.set_state(line, MESI.M)  # silent E->M upgrade
-                if self.l2s is not None:
-                    self.l2s[core].insert(line, MESI.M)  # keep inclusion
+        # One probe serves both the hit test and, on a miss, the
+        # two-level fill decision below.
+        st = l1.probe(line)
+        if st != _I and (st != _S or not is_write):
+            l1.touch(line)
+            if is_write and st == _E:
+                l1.set_state(line, _M)  # silent E->M upgrade
+                if l2s is not None:
+                    l2s[core].insert(line, _M)  # keep inclusion
             stats.l1_hits += 1
             if tx.mode in _TRACK_MODES:
-                self._track(core, line, is_write, tx)
-            return AccessResult(GRANT, self._l1_hit_latency, hit=True)
+                # Inline _track: add to the set and this core's mask bit.
+                if is_write:
+                    tx.write_set.add(line)
+                    holders = self.tx_writers
+                else:
+                    tx.read_set.add(line)
+                    holders = self.tx_readers
+                holders[line] = holders.get(line, 0) | (1 << core)
+            return self._l1_hit
 
         p = self.params
         stats.l1_misses += 1
 
         # -- Private middle cache (MESI-Three-Level-HTM mode) ------------
-        if self.l2s is not None:
-            l2 = self.l2s[core]
+        if l2s is None:
+            outer = l1
+            needs_insert = st == _I
+        else:
+            outer = l2 = l2s[core]
             st2 = l2.probe(line)
-            if st2 != MESI.I and (not is_write or st2 in (MESI.E, MESI.M)):
+            if st2 != _I and (not is_write or st2 in (_E, _M)):
                 l2.touch(line)
                 new_state = st2
-                if is_write and st2 == MESI.E:
-                    new_state = MESI.M
-                    l2.set_state(line, MESI.M)
+                if is_write and st2 == _E:
+                    new_state = _M
+                    l2.set_state(line, _M)
                 elif is_write:
-                    new_state = MESI.M
+                    new_state = _M
                 # Promote into the L1; its victim silently drops back
                 # (the copy remains in the inclusive middle cache).
                 l1.insert(line, new_state, pinned=None)
@@ -501,38 +522,46 @@ class MemorySystem:
                     p.l1.hit_latency + p.l2private.hit_latency,
                     hit=True,
                 )
+            needs_insert = st2 == _I
 
         # -- Overflow pre-check (Fig. 6): need a way, all ways pinned ----
         # Transactional data is maintained at the outermost private
         # level: the L1 in two-level mode, the middle cache in
         # three-level mode (which is exactly why the ARM protocol added
-        # it, §IV-A).
-        outer = l1 if self.l2s is None else self.l2s[core]
-        outer_params = p.l1 if self.l2s is None else p.l2private
-        needs_insert = outer.probe(line) == MESI.I
+        # it, §IV-A).  Pinning only matters to a transaction that has
+        # tracked lines, and only for a full set: nothing between here
+        # and the fill below adds a line to this core's caches, so a set
+        # with a free way never evicts and needs no predicate.  (With
+        # nothing tracked, no predicate selects the same LRU victim as
+        # an always-false one.)
         pinned = None
-        if needs_insert:
+        if (
+            needs_insert
+            and tx.mode in _TRACK_MODES
+            and (tx.read_set or tx.write_set)
+            and outer.set_occupancy(line) >= self._outer_assoc
+        ):
             pinned = self._pinned_pred(core, tx)
-            if (
-                pinned is not None
-                and outer.set_occupancy(line) >= outer_params.assoc
-            ):
-                victim = outer.find_unpinned_victim(line, pinned)
-                if victim is None:
-                    if tx.mode in _LOCK_MODES:
-                        # HTMLock mode survives overflow: spill the LRU
-                        # set entry into the LLC signatures and continue.
-                        spill_line = outer.lru_line(line)
-                        self.spill_to_signature(core, spill_line)
-                        # charge the notification to the LLC (Fig. 5 (2))
-                        extra = self.network.control_latency(
-                            self.tile_of_core(core),
-                            self.topology.home_tile(spill_line),
-                        )
-                        res = self.access(core, addr, is_write, now)
-                        res.latency += extra
-                        return res
-                    return AccessResult(OVERFLOW, p.l1.hit_latency)
+            if outer.find_unpinned_victim(line, pinned) is None:
+                if tx.mode in _LOCK_MODES:
+                    # HTMLock mode survives overflow: spill the LRU set
+                    # entry into the LLC signatures and continue.
+                    spill_line = outer.lru_line(line)
+                    self.spill_to_signature(core, spill_line)
+                    # charge the notification to the LLC (Fig. 5 (2))
+                    extra = self.network.control_latency(
+                        self._tile_of[core],
+                        self.topology.home_tile(spill_line),
+                    )
+                    res = self.access(core, addr, is_write, now)
+                    return AccessResult(
+                        res.status,
+                        res.latency + extra,
+                        res.hit,
+                        res.reject_holder,
+                        res.reject_by_lock,
+                    )
+                return AccessResult(OVERFLOW, p.l1.hit_latency)
 
         # -- Miss path: to the home directory ----------------------------
         # Fused round-trip pricing: with stateless pricing and no chaos
@@ -558,7 +587,10 @@ class MemorySystem:
             f_hops = hops_rh
         else:
             req_lat = p.l1.hit_latency + net.control_latency(my_tile, home)
-        entry = self.directory.entry(line)
+        entries = self._dir_entries
+        entry = entries.get(line)
+        if entry is None:
+            entry = entries[line] = DirEntry()
         arrive = now + req_lat
         start = arrive if arrive > entry.busy_until else entry.busy_until
 
@@ -644,7 +676,7 @@ class MemorySystem:
                 self.abort_core(vcore, reason, now)
 
         owner_before = entry.owner
-        llc_hit = self.llc.contains(line)
+        llc_hit = line in self._llc_lines
         data_lat = p.llc.hit_latency + (0 if llc_hit else p.memory.latency)
 
         if owner_before >= 0 and owner_before != core:
@@ -715,14 +747,14 @@ class MemorySystem:
 
         # Inclusive LLC fill (may back-invalidate on eviction).
         if not llc_hit:
-            llc_victim = self.llc.insert(line, MESI.M)
+            llc_victim = self.llc.insert(line, _M)
             if llc_victim is not None:
                 self._back_invalidate(llc_victim.line, now)
 
         # Private fill / upgrade + directory stable state.
         if needs_insert:
             if is_write:
-                new_state = MESI.M
+                new_state = _M
             else:
                 # Inline directory.has_other_copies on the held entry.
                 owner_now = entry.owner
@@ -731,31 +763,31 @@ class MemorySystem:
                 else:
                     sh = entry.sharers
                     other = bool(sh) and (core not in sh or len(sh) > 1)
-                new_state = MESI.S if other else MESI.E
+                new_state = _S if other else _E
             victim = outer.insert(line, new_state, pinned)
             if victim is not None:
                 if victim.was_pinned:
                     raise ProtocolInvariantError(
                         "pinned victim after overflow pre-check"
                     )
-                if self.l2s is not None and l1.probe(victim.line) != MESI.I:
+                if l2s is not None and l1.probe(victim.line) != _I:
                     l1.invalidate(victim.line)  # inclusion
                 self.directory.remove_copy(victim.line, core)
-            if self.l2s is not None:
+            if l2s is not None:
                 # Fill the L1 too; its victim stays in the middle cache.
                 l1.insert(line, new_state, pinned=None)
         else:
-            new_state = MESI.M if is_write else outer.probe(line)
+            new_state = _M if is_write else outer.probe(line)
             outer.set_state(line, new_state)
             outer.touch(line)
-            if self.l2s is not None:
-                if l1.probe(line) != MESI.I:
+            if l2s is not None:
+                if l1.probe(line) != _I:
                     l1.set_state(line, new_state)
                     l1.touch(line)
                 else:
                     l1.insert(line, new_state, pinned=None)
 
-        if is_write or new_state == MESI.E:
+        if is_write or new_state == _E:
             # Inline directory.set_exclusive on the held entry.
             entry.owner = core
             entry.sharers.clear()
@@ -771,7 +803,14 @@ class MemorySystem:
         # the requester's unblock arrives — i.e. the whole data path.
         entry.busy_until = start + data_lat
         if tx.mode in _TRACK_MODES and not tx.aborted:
-            self._track(core, line, is_write, tx)
+            # Inline _track (see the hit path).
+            if is_write:
+                tx.write_set.add(line)
+                holders = self.tx_writers
+            else:
+                tx.read_set.add(line)
+                holders = self.tx_readers
+            holders[line] = holders.get(line, 0) | (1 << core)
 
         if fused:
             net.messages_sent += f_msgs
@@ -779,18 +818,16 @@ class MemorySystem:
             net.hops_traversed += f_hops
         latency = (start - now) + data_lat
         if self.paranoid:
-            self.directory.check_swmr(
-                self.l2s if self.l2s is not None else self.l1s
-            )
+            self.directory.check_swmr(l2s if l2s is not None else self.l1s)
         return AccessResult(GRANT, latency)
 
     # ------------------------------------------------------------------
 
     def _purge_private(self, core: int, line: int) -> None:
         """Invalidate a line from every private level of ``core``."""
-        if self.l1s[core].probe(line) != MESI.I:
+        if self.l1s[core].probe(line) != _I:
             self.l1s[core].invalidate(line)
-        if self.l2s is not None and self.l2s[core].probe(line) != MESI.I:
+        if self.l2s is not None and self.l2s[core].probe(line) != _I:
             self.l2s[core].invalidate(line)
 
     def _demote_private(self, core: int, line: int) -> None:
@@ -803,15 +840,15 @@ class MemorySystem:
         S — subsequent local reads pay the L2 latency again.
         """
         if self.l2s is None:
-            if self.l1s[core].probe(line) != MESI.I:
-                self.l1s[core].set_state(line, MESI.S)
+            if self.l1s[core].probe(line) != _I:
+                self.l1s[core].set_state(line, _S)
             return
-        if self.l1s[core].probe(line) != MESI.I:
+        if self.l1s[core].probe(line) != _I:
             self.l1s[core].invalidate(line)
-        if self.l2s[core].probe(line) != MESI.I:
-            self.l2s[core].set_state(line, MESI.S)
+        if self.l2s[core].probe(line) != _I:
+            self.l2s[core].set_state(line, _S)
         else:  # pragma: no cover - inclusion guarantees presence
-            self.l2s[core].insert(line, MESI.S)
+            self.l2s[core].insert(line, _S)
 
     def _back_invalidate(self, line: int, now: int) -> None:
         """Inclusion victim: purge upstream copies; tx holders overflow."""
@@ -921,7 +958,7 @@ class MemorySystem:
                 except ProtocolInvariantError as exc:
                     problems.append(f"L2[{i}]: {exc}")
                 for line in list(self.l1s[i].resident_lines()):
-                    if l2.probe(line) == MESI.I:
+                    if l2.probe(line) == _I:
                         problems.append(
                             f"inclusion violated: L1[{i}] holds "
                             f"{line:#x} absent from its middle cache"

@@ -58,6 +58,9 @@ class ProfileReport:
     wall_seconds: float
     execution_cycles: int
     events_processed: int
+    #: Function calls cProfile recorded over the run (pstats
+    #: ``total_calls``); 0 in reports saved before it was recorded.
+    total_calls: int = 0
     #: subsystem -> {counter: value} pulled from publish_telemetry.
     subsystems: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Rendered pstats table (top-N rows).
@@ -68,6 +71,14 @@ class ProfileReport:
         if self.wall_seconds <= 0:
             return 0.0
         return self.events_processed / self.wall_seconds
+
+    @property
+    def calls_per_event(self) -> float:
+        """Interpreted calls per engine event: a drift-free cost
+        counter (it varies between Python versions, not between runs)."""
+        if self.events_processed <= 0:
+            return 0.0
+        return self.total_calls / self.events_processed
 
     @property
     def cycles_per_second(self) -> float:
@@ -84,7 +95,8 @@ class ProfileReport:
             f"{self.execution_cycles} simulated cycles "
             f"({self.cycles_per_second:,.0f}/s) | "
             f"{self.events_processed} events "
-            f"({self.events_per_second:,.0f}/s)"
+            f"({self.events_per_second:,.0f}/s) | "
+            f"{self.total_calls} calls ({self.calls_per_event:.1f}/event)"
         )
         lines = [head, "", "-- per-subsystem event counts --"]
         for name in sorted(self.subsystems):
@@ -120,9 +132,9 @@ def compare_reports(before: ProfileReport, after: ProfileReport) -> str:
     The before/after per-subsystem counter tables are joined on
     (subsystem, counter); rows show before, after and the delta, so a
     hot-path change reads as "dir round trips -38%, everything else
-    flat".  Wall-clock and throughput move in the header.  Comparing
-    runs of different cells is allowed (that is sometimes the point —
-    e.g. coalesce on/off) but flagged.
+    flat".  Wall-clock, throughput and calls per event move in the
+    header.  Comparing runs of different cells is allowed (that is
+    sometimes the point — e.g. coalesce on/off) but flagged.
     """
     lines = []
     cell_b = (before.workload, before.system, before.threads,
@@ -149,6 +161,11 @@ def compare_reports(before: ProfileReport, after: ProfileReport) -> str:
             f" | cycles/s {before.cycles_per_second:,.0f} -> "
             f"{after.cycles_per_second:,.0f}"
         )
+    lines.append(
+        f"calls/event: {before.calls_per_event:.1f} -> "
+        f"{after.calls_per_event:.1f} "
+        f"({_delta(before.calls_per_event, after.calls_per_event)})"
+    )
     lines += ["", "-- per-subsystem attribution diff --"]
     header = f"{'counter':<34s}{'before':>12s}{'after':>12s}{'delta':>12s}"
     lines.append(header)
@@ -160,14 +177,19 @@ def compare_reports(before: ProfileReport, after: ProfileReport) -> str:
         for key in keys:
             b = b_counters.get(key, 0)
             a = a_counters.get(key, 0)
-            if b == a:
-                delta = "="
-            elif b == 0:
-                delta = "new"
-            else:
-                delta = f"{100.0 * (a - b) / b:+.1f}%"
-            lines.append(f"{name + '.' + key:<34s}{b:>12}{a:>12}{delta:>12s}")
+            lines.append(
+                f"{name + '.' + key:<34s}{b:>12}{a:>12}{_delta(b, a):>12s}"
+            )
     return "\n".join(lines)
+
+
+def _delta(before: float, after: float) -> str:
+    """Relative change for the diff tables: ``=``, ``new`` or +-x.x%."""
+    if before == after:
+        return "="
+    if before == 0:
+        return "new"
+    return f"{100.0 * (after - before) / before:+.1f}%"
 
 
 def subsystem_breakdown(
@@ -263,6 +285,7 @@ def profile_run(
         wall_seconds=wall,
         execution_cycles=cycles,
         events_processed=machine.engine.events_processed,
+        total_calls=stats.total_calls,
         subsystems=subsystem_breakdown(registry.snapshot()),
         stats_text=stats_text,
     )

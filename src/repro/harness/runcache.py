@@ -165,8 +165,13 @@ class RunCache:
         # same-key puts never interleave writes into one temp file.
         tmp = f"{path}.tmp.{os.getpid()}.{next(RunCache._tmp_seq)}"
         try:
+            # One dumps + one write: json.dump streams through the
+            # pure-Python chunked encoder, dumps uses the C one.  The
+            # bytes are identical either way.
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(run_stats_to_dict(stats, meta), fh, sort_keys=True)
+                fh.write(
+                    json.dumps(run_stats_to_dict(stats, meta), sort_keys=True)
+                )
             os.replace(tmp, path)
         except BaseException:
             try:

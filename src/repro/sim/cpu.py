@@ -1,9 +1,10 @@
 """In-order core model executing micro-op programs.
 
-One :class:`CPU` per hardware thread.  Each instruction is an event:
-computes advance the clock by their cycle count, memory ops go through
-:class:`~repro.coherence.memsys.MemorySystem` and schedule their
-continuation after the returned latency.  Critical sections run under
+One :class:`CPU` per hardware thread.  Each memory op or fault is an
+event: it goes through :class:`~repro.coherence.memsys.MemorySystem`
+and schedules its continuation after the returned latency plus the
+compute cycles that precede the next one (compute runs are folded into
+that delay, see :class:`CPU`).  Critical sections run under
 one of four regimes, selected by the machine's :class:`SystemSpec`:
 
 * **CGL** — acquire the global lock, execute non-speculatively, release.
@@ -21,18 +22,17 @@ Execution-time billing follows the paper's categories; see
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.rng import SplitMix64, derive_seed
 from repro.common.stats import AbortReason, CoreStats, TimeCat
-from repro.coherence.memsys import GRANT, OVERFLOW, REJECT, AccessResult
+from repro.coherence.memsys import GRANT, REJECT, AccessResult
 from repro.core.policies import RequesterPolicy
 from repro.htm.isa import (
     OP_COMPUTE,
     OP_FAULT,
     OP_STORE,
-    Plain,
     Txn,
     segment_bursts,
 )
@@ -90,6 +90,10 @@ class CPU:
         self.attempts_this_txn = 0
         self.rejects_this_txn = 0
         self._attempt_t0 = 0
+        #: Start of the current plain span or CGL critical section.  A
+        #: CPU has one continuation chain in flight, so the steppers
+        #: read it here instead of carrying it in a per-event closure.
+        self._span_t0 = 0
         #: Fault injector (repro.resilience.faults.FaultInjector) or
         #: None; built by the Machine before CPUs are constructed.
         self._chaos = machine.injector
@@ -145,7 +149,8 @@ class CPU:
             self._plain_entry(now)
         else:
             self.op_idx = 0
-            self._plain_step(now, now)
+            self._span_t0 = now
+            self._plain_step(now)
 
     def _segment_done(self, now: int) -> None:
         self.seg_idx += 1
@@ -164,25 +169,22 @@ class CPU:
     # Plain (non-transactional) segments
     # ------------------------------------------------------------------
 
-    def _plain_step(self, now: int, span_t0: int) -> None:
+    def _plain_step(self, now: int) -> None:
         seg = self.program[self.seg_idx]
         ops = seg.ops
         if self.op_idx >= len(ops):
-            self._bill(TimeCat.NON_TRAN, now - span_t0)
+            self._bill(TimeCat.NON_TRAN, now - self._span_t0)
             self._segment_done(now)
             return
         op = ops[self.op_idx]
         kind = op[0]
         if kind == OP_COMPUTE:
             self.op_idx += 1
-            self.engine.schedule_after(
-                op[1], lambda t: self._plain_step(t, span_t0)
-            )
+            self.engine.schedule_after(op[1], self._plain_step)
         elif kind == OP_FAULT:
             self.op_idx += 1
             self.engine.schedule_after(
-                self.htm_params.trap_latency,
-                lambda t: self._plain_step(t, span_t0),
+                self.htm_params.trap_latency, self._plain_step
             )
         else:
             is_write = kind == OP_STORE
@@ -190,16 +192,12 @@ class CPU:
             if res.status == GRANT:
                 self._apply_functional(op, is_write)
                 self.op_idx += 1
-                self.engine.schedule_after(
-                    res.latency, lambda t: self._plain_step(t, span_t0)
-                )
+                self.engine.schedule_after(res.latency, self._plain_step)
             elif res.status == REJECT:
                 # Plain access bounced off an HTMLock-mode transaction:
                 # hardware retry after a pause.
                 delay = res.latency + self.htm_params.plain_retry_delay
-                self.engine.schedule_after(
-                    delay, lambda t: self._plain_step(t, span_t0)
-                )
+                self.engine.schedule_after(delay, self._plain_step)
             else:  # pragma: no cover - plain accesses cannot overflow
                 raise SimulationError("plain access reported overflow")
 
@@ -214,64 +212,62 @@ class CPU:
 
     def _plain_entry(self, now: int) -> None:
         self.op_idx = 0
+        self._span_t0 = now
         bursts = self._bursts[self.seg_idx]
         if bursts and bursts[0][0]:
             c, _steps, _op, c_last = bursts[0]
             self.engine.schedule_after_virtual_nocancel(
-                c, lambda t: self._plain_burst(t, now), c - c_last
+                c, self._plain_burst, c - c_last
             )
         else:
             # Leading memop (or empty segment): issue in this event,
             # exactly as per-op stepping does.
-            self._plain_burst(now, now)
+            self._plain_burst(now)
 
-    def _plain_advance(self, now: int, lat: int, span_t0: int) -> None:
-        """Schedule the next burst's terminal ``lat`` + computes away."""
+    def _plain_burst(self, now: int) -> None:
         bursts = self._bursts[self.seg_idx]
         idx = self.op_idx
-        if idx < len(bursts):
-            c, _steps, _op, c_last = bursts[idx]
-        else:
-            c = 0
-            c_last = 0
-        self.engine.schedule_after_virtual_nocancel(
-            lat + c,
-            lambda t: self._plain_burst(t, span_t0),
-            lat + c - c_last,
-        )
-
-    def _plain_burst(self, now: int, span_t0: int) -> None:
-        bursts = self._bursts[self.seg_idx]
-        if self.op_idx >= len(bursts):
-            self._bill(TimeCat.NON_TRAN, now - span_t0)
-            self._segment_done(now)
-            return
-        _c, _steps, op, _c_last = bursts[self.op_idx]
+        op = bursts[idx][2] if idx < len(bursts) else None
         if op is None:
-            # Trailing compute-only burst: its cycles elapsed getting
-            # here; the segment is done in this same event.
-            self.op_idx += 1
-            self._bill(TimeCat.NON_TRAN, now - span_t0)
+            # End of the segment, or a trailing compute-only burst whose
+            # cycles elapsed getting here: done in this same event.
+            self._bill(TimeCat.NON_TRAN, now - self._span_t0)
             self._segment_done(now)
             return
         kind = op[0]
         if kind == OP_FAULT:
-            self.op_idx += 1
-            self._plain_advance(now, self.htm_params.trap_latency, span_t0)
-            return
-        is_write = kind == OP_STORE
-        res = self.memsys.access(self.core, op[1], is_write, now)
-        if res.status == GRANT:
-            self._apply_functional(op, is_write)
-            self.op_idx += 1
-            self._plain_advance(now, res.latency, span_t0)
-        elif res.status == REJECT:
-            delay = res.latency + self.htm_params.plain_retry_delay
-            self.engine.schedule_after_nocancel(
-                delay, lambda t: self._plain_burst(t, span_t0)
-            )
-        else:  # pragma: no cover - plain accesses cannot overflow
-            raise SimulationError("plain access reported overflow")
+            lat = self.htm_params.trap_latency
+        else:
+            is_write = kind == OP_STORE
+            res = self.memsys.access(self.core, op[1], is_write, now)
+            status = res.status
+            if status == REJECT:
+                # Plain access bounced off an HTMLock-mode transaction:
+                # hardware retry after a pause.
+                self.engine.schedule_after_nocancel(
+                    res.latency + self.htm_params.plain_retry_delay,
+                    self._plain_burst,
+                )
+                return
+            if status != GRANT:  # pragma: no cover - cannot overflow
+                raise SimulationError("plain access reported overflow")
+            if is_write:
+                self.stats.stores += 1
+                self.memsys.functional_store(self.core, op[1], op[2])
+            else:
+                self.stats.loads += 1
+            lat = res.latency
+        # Schedule the next burst's terminal ``lat`` + computes away.
+        idx += 1
+        self.op_idx = idx
+        vlat = lat
+        if idx < len(bursts):
+            c, _steps, _op, c_last = bursts[idx]
+            lat += c
+            vlat = lat - c_last
+        self.engine.schedule_after_virtual_nocancel(
+            lat, self._plain_burst, vlat
+        )
 
     # ------------------------------------------------------------------
     # Critical-section entry
@@ -299,40 +295,43 @@ class CPU:
         self._bill(TimeCat.WAITLOCK, now - wait_t0)
         self.stats.tx_attempts += 1
         self.op_idx = 0
+        self._span_t0 = now
         if self.coalesce:
             bursts = self._bursts[self.seg_idx]
             if bursts and bursts[0][0]:
                 c, _steps, _op, c_last = bursts[0]
                 self.engine.schedule_after_virtual_nocancel(
-                    c, lambda t: self._cgl_burst(t, now), c - c_last
+                    c, self._cgl_burst, c - c_last
                 )
             else:
-                self._cgl_burst(now, now)
+                self._cgl_burst(now)
         else:
-            self._cgl_step(now, crit_t0=now)
+            self._cgl_step(now)
 
-    def _cgl_step(self, now: int, crit_t0: int) -> None:
+    def _cgl_release(self, now: int) -> None:
+        """End of the critical section: release the lock and bill it."""
+        crit = now - self._span_t0
+        self.machine.global_lock.release(self.core, now)
+        self._bill(TimeCat.LOCK, crit)
+        self.stats.commit_latency_hist.record(crit)
+        self.stats.commits_lock += 1
+        self._segment_done(now)
+
+    def _cgl_step(self, now: int) -> None:
         seg = self.program[self.seg_idx]
         ops = seg.ops
         if self.op_idx >= len(ops):
-            self.machine.global_lock.release(self.core, now)
-            self._bill(TimeCat.LOCK, now - crit_t0)
-            self.stats.commit_latency_hist.record(now - crit_t0)
-            self.stats.commits_lock += 1
-            self._segment_done(now)
+            self._cgl_release(now)
             return
         op = ops[self.op_idx]
         kind = op[0]
         if kind == OP_COMPUTE:
             self.op_idx += 1
-            self.engine.schedule_after(
-                op[1], lambda t: self._cgl_step(t, crit_t0)
-            )
+            self.engine.schedule_after(op[1], self._cgl_step)
         elif kind == OP_FAULT:
             self.op_idx += 1
             self.engine.schedule_after(
-                self.htm_params.trap_latency,
-                lambda t: self._cgl_step(t, crit_t0),
+                self.htm_params.trap_latency, self._cgl_step
             )
         else:
             is_write = kind == OP_STORE
@@ -341,51 +340,38 @@ class CPU:
                 raise SimulationError("CGL access was not granted")
             self._apply_functional(op, is_write)
             self.op_idx += 1
-            self.engine.schedule_after(
-                res.latency, lambda t: self._cgl_step(t, crit_t0)
-            )
+            self.engine.schedule_after(res.latency, self._cgl_step)
 
-    def _cgl_advance(self, now: int, lat: int, crit_t0: int) -> None:
+    def _cgl_burst(self, now: int) -> None:
         bursts = self._bursts[self.seg_idx]
         idx = self.op_idx
-        if idx < len(bursts):
-            c, _steps, _op, c_last = bursts[idx]
-        else:
-            c = 0
-            c_last = 0
-        self.engine.schedule_after_virtual_nocancel(
-            lat + c,
-            lambda t: self._cgl_burst(t, crit_t0),
-            lat + c - c_last,
-        )
-
-    def _cgl_burst(self, now: int, crit_t0: int) -> None:
-        bursts = self._bursts[self.seg_idx]
-        at_end = self.op_idx >= len(bursts)
-        if not at_end:
-            _c, _steps, op, _c_last = bursts[self.op_idx]
-            if op is None:
-                self.op_idx += 1
-                at_end = True
-        if at_end:
-            self.machine.global_lock.release(self.core, now)
-            self._bill(TimeCat.LOCK, now - crit_t0)
-            self.stats.commit_latency_hist.record(now - crit_t0)
-            self.stats.commits_lock += 1
-            self._segment_done(now)
+        op = bursts[idx][2] if idx < len(bursts) else None
+        if op is None:
+            # End of the section, or a trailing compute-only burst.
+            self._cgl_release(now)
             return
         kind = op[0]
         if kind == OP_FAULT:
-            self.op_idx += 1
-            self._cgl_advance(now, self.htm_params.trap_latency, crit_t0)
-            return
-        is_write = kind == OP_STORE
-        res = self.memsys.access(self.core, op[1], is_write, now)
-        if res.status != GRANT:  # pragma: no cover - no HTM holders
-            raise SimulationError("CGL access was not granted")
-        self._apply_functional(op, is_write)
-        self.op_idx += 1
-        self._cgl_advance(now, res.latency, crit_t0)
+            lat = self.htm_params.trap_latency
+        else:
+            is_write = kind == OP_STORE
+            res = self.memsys.access(self.core, op[1], is_write, now)
+            if res.status != GRANT:  # pragma: no cover - no HTM holders
+                raise SimulationError("CGL access was not granted")
+            if is_write:
+                self.stats.stores += 1
+                self.memsys.functional_store(self.core, op[1], op[2])
+            else:
+                self.stats.loads += 1
+            lat = res.latency
+        idx += 1
+        self.op_idx = idx
+        vlat = lat
+        if idx < len(bursts):
+            c, _steps, _op, c_last = bursts[idx]
+            lat += c
+            vlat = lat - c_last
+        self.engine.schedule_after_virtual_nocancel(lat, self._cgl_burst, vlat)
 
     # -- HTM attempt (Listing 1 loop) -------------------------------------
 
@@ -512,7 +498,11 @@ class CPU:
         is_write = kind == OP_STORE
         res = self.memsys.access(self.core, op[1], is_write, now)
         if res.status == GRANT:
-            self._apply_functional(op, is_write)
+            if is_write:
+                self.stats.stores += 1
+                self.memsys.functional_store(self.core, op[1], op[2])
+            else:
+                self.stats.loads += 1
             self.op_idx += 1
             tx.insts_in_attempt += 1
             self._advance_burst(now, res.latency)

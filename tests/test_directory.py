@@ -123,5 +123,50 @@ class TestSwmrCheck:
         with pytest.raises(ProtocolInvariantError):
             directory.check_swmr(self._l1s())
 
+    def test_owner_plus_foreign_sharer_raises_even_when_held(self, directory):
+        # Both copies exist at the L1s, so only the entry check fires.
+        l1s = self._l1s()
+        l1s[0].insert(1, MESI.M)
+        l1s[1].insert(1, MESI.S)
+        e = directory.entry(1)
+        e.owner = 0
+        e.sharers = {0, 1}
+        with pytest.raises(
+            ProtocolInvariantError, match=r"owner 0 plus sharers \[0, 1\]"
+        ):
+            directory.check_swmr(l1s)
+
+    def test_owner_listed_as_its_own_sharer_passes(self, directory):
+        l1s = self._l1s()
+        l1s[0].insert(1, MESI.M)
+        e = directory.entry(1)
+        e.owner = 0
+        e.sharers = {0}
+        directory.check_swmr(l1s)
+
+    def test_stale_sharer_detected(self, directory):
+        # The directory lists core 1 as a sharer it no longer holds.
+        l1s = self._l1s()
+        l1s[0].insert(2, MESI.S)
+        directory.add_sharer(2, 0)
+        directory.add_sharer(2, 1)
+        with pytest.raises(
+            ProtocolInvariantError, match="sharer 1 of 0x2 does not hold"
+        ):
+            directory.check_swmr(l1s)
+
+    def test_stale_owner_detected(self, directory):
+        l1s = self._l1s()
+        directory.set_exclusive(3, 1)
+        with pytest.raises(
+            ProtocolInvariantError, match="owner 1 of 0x3 does not hold"
+        ):
+            directory.check_swmr(l1s)
+
+    def test_owner_beyond_checked_arrays_detected(self, directory):
+        directory.set_exclusive(3, 5)
+        with pytest.raises(ProtocolInvariantError, match="owner 5"):
+            directory.check_swmr(self._l1s())
+
     def test_busy_until_default_zero(self, directory):
         assert directory.entry(5).busy_until == 0

@@ -306,6 +306,39 @@ class TestOverflowAndSignatures:
         assert 0 not in tx.write_set
         assert 8 in tx.write_set
 
+    def test_spill_result_carries_notification_latency(self):
+        def tl_machine():
+            m = make_machine(
+                [[] for _ in range(4)],
+                system="LockillerTM",
+                params=tiny_params(),
+            )
+            m.cpus[0].tx.begin(TxMode.TL, 0)
+            m.memsys.access(0, line_addr(0), True, 0)
+            m.memsys.access(0, line_addr(4), True, 0)
+            return m
+
+        # Reference: spill by hand, then issue the access into the
+        # freed way; the spill path must add only the LLC notification.
+        ref = tl_machine()
+        ref.memsys.spill_to_signature(0, 0)
+        plain = ref.memsys.access(0, line_addr(8), True, 0)
+        extra = ref.network.control_latency(
+            ref.tile_of_core(0), ref.topology.home_tile(0)
+        )
+        assert extra > 0
+        m = tl_machine()
+        ms = m.memsys
+        res = ms.access(0, line_addr(8), True, 0)
+        assert ms.signature_spills == 1
+        assert res.status == GRANT and not res.hit
+        assert res.latency == plain.latency + extra
+        # The shared L1-hit result was not touched by the spill path.
+        hit = ms.access(0, line_addr(8), True, 10)
+        assert hit.hit and hit.latency == m.params.l1.hit_latency
+        assert ms.access(0, line_addr(4), False, 20) is hit
+        assert hit.latency == m.params.l1.hit_latency
+
     def test_signature_hit_rejects_external_request(self):
         m = make_machine(
             [[] for _ in range(4)], system="LockillerTM", params=tiny_params()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.params import small_cache_params, typical_params
 from repro.common.stats import RunStats
-from repro.harness.export import fingerprint
+from repro.harness.export import fingerprint, run_stats_to_dict
 from repro.harness.parallel import CellTask, resolve_jobs, run_cells
 from repro.harness.runcache import (
     RunCache,
@@ -201,7 +201,7 @@ def test_failed_put_leaves_no_temp_file(store_cls, tmp_path):
     store = store_cls(str(tmp_path))
     key = cell_key(**_cell())
     stats = RunStats(execution_cycles=1, cores=[])
-    # json.dump raises part-way through writing the temp file.
+    # Serialization raises after the temp file was created.
     with pytest.raises(TypeError):
         store.put(key, stats, meta={"unserializable": object()})
     leftovers = [
@@ -213,6 +213,31 @@ def test_failed_put_leaves_no_temp_file(store_cls, tmp_path):
     assert leftovers == []
     assert store.get(key) is None
     assert store.stores == 0
+
+
+@pytest.mark.parametrize("store_cls", [RunCache, ShardedStore])
+def test_entry_bytes_are_sorted_json_dumps(store_cls, tmp_path):
+    """An entry is exactly ``json.dumps(..., sort_keys=True)``.
+
+    That is also what the streaming ``json.dump`` wrote, so entries
+    written before and after the switch are byte-identical.
+    """
+    import io
+
+    cell = _cell()
+    stats = _stats(cell)
+    meta = {"workload": cell["workload"], "threads": cell["threads"]}
+    store = store_cls(str(tmp_path))
+    key = cell_key(**cell)
+    store.put(key, stats, meta=meta)
+    with open(store.path_for(key), encoding="utf-8") as fh:
+        written = fh.read()
+    payload = run_stats_to_dict(stats, meta)
+    assert written == json.dumps(payload, sort_keys=True)
+    streamed = io.StringIO()
+    json.dump(payload, streamed, sort_keys=True)
+    assert written == streamed.getvalue()
+    assert fingerprint(store.get(key)) == fingerprint(stats)
 
 
 class TestCoerceCache:

@@ -99,19 +99,6 @@ class CacheArrayModel(RuleBasedStateMachine):
             ways.remove(existing)
             ways.append(existing)
 
-    @rule(line=LINES, is_write=st.booleans())
-    def hit_state(self, line, is_write):
-        got = self.arr.hit_state(line, is_write)
-        existing = self._find(line)
-        if existing is None or (is_write and existing[1] == MESI.S):
-            # A miss (or an upgrade miss) leaves the LRU order alone.
-            assert got == MESI.I
-        else:
-            assert got == existing[1]
-            ways = self._ways(line)
-            ways.remove(existing)
-            ways.append(existing)
-
     @rule(line=LINES, state=STATES)
     def set_state_if_present(self, line, state):
         existing = self._find(line)
