@@ -4,7 +4,7 @@ Adds the performance tooling entry point::
 
     python -m repro profile <workload> [--system S] [--threads N]
         [--scale F] [--seed N] [--top N] [--sort cumulative|tottime]
-        [--no-coalesce] [--save out.json]
+        [--save out.json]
     python -m repro profile --compare before.json after.json
 
 the sweep-service commands (:mod:`repro.service.cli`)::
@@ -54,11 +54,6 @@ def _profile_main(argv: List[str]) -> int:
         choices=["cumulative", "tottime", "ncalls"],
     )
     parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="profile the reference per-op interpreter instead",
-    )
-    parser.add_argument(
         "--save",
         metavar="PATH",
         help="also write the report as JSON (input for --compare)",
@@ -83,7 +78,6 @@ def _profile_main(argv: List[str]) -> int:
         seed=args.seed,
         top_n=args.top,
         sort=args.sort,
-        coalesce=not args.no_coalesce,
     )
     print(report.render())
     if args.save:

@@ -69,8 +69,8 @@ class InstsBasedPriority(PriorityProvider):
     kind = PriorityKind.INSTS
 
     def _speculative_priority(self, tx: TxState, now: int) -> int:
-        # insts_at folds in lazily-billed coalesced compute bursts, so
-        # the value matches per-op stepping cycle for cycle.
+        # insts_at folds in the lazily-billed computes of a burst in
+        # flight, so the value matches the one-op layout.
         return tx.insts_at(now)
 
 

@@ -134,7 +134,7 @@ def compare_reports(before: ProfileReport, after: ProfileReport) -> str:
     hot-path change reads as "dir round trips -38%, everything else
     flat".  Wall-clock, throughput and calls per event move in the
     header.  Comparing runs of different cells is allowed (that is
-    sometimes the point — e.g. coalesce on/off) but flagged.
+    sometimes the point, e.g. two systems on one workload) but flagged.
     """
     lines = []
     cell_b = (before.workload, before.system, before.threads,
@@ -237,7 +237,6 @@ def profile_run(
     params: Optional[SystemParams] = None,
     top_n: int = 20,
     sort: str = "cumulative",
-    coalesce: bool = True,
 ) -> ProfileReport:
     """Profile one (workload, system) cell and attribute its events.
 
@@ -254,9 +253,7 @@ def profile_run(
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    machine = Machine(
-        params, spec, build.programs, seed=seed, coalesce=coalesce
-    )
+    machine = Machine(params, spec, build.programs, seed=seed)
     cycles = machine.run()
     profiler.disable()
     wall = time.perf_counter() - t0

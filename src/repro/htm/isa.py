@@ -32,7 +32,7 @@ Opcodes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import List, Sequence, Tuple
 
@@ -153,7 +153,7 @@ Program = List[Segment]
 #:   ``steps`` is empty): the interval between the last elided
 #:   continuation's allocation and the burst event's fire time, i.e. the
 #:   ``fire - vdelay`` gap the CPU passes to the engine so same-cycle
-#:   ordering matches the uncoalesced event chain bit-for-bit.
+#:   ordering matches the one-op layout's event chain (:func:`op_layout`).
 Burst = Tuple[int, Tuple[Tuple[int, int], ...], "Op | None", int]
 
 
@@ -164,7 +164,7 @@ def coalesce_ops(ops: Sequence[Op]) -> Tuple[Burst, ...]:
     at most one terminal memop/fault.  The CPU model schedules one
     continuation per burst instead of one per op; ``steps`` preserves
     every elided boundary so instruction retirement (priority input) and
-    abort/replay points are bit-identical to uncoalesced stepping.
+    abort/replay points are bit-identical to the one-op layout.
     """
     bursts: List[Burst] = []
     c = 0
@@ -194,6 +194,28 @@ def segment_bursts(segment: Segment) -> Tuple[Burst, ...]:
         cached = coalesce_ops(segment.ops)
         segment._bursts = cached
     return cached
+
+
+def op_layout(programs: Sequence[Sequence[Segment]]) -> List[List[Segment]]:
+    """Fresh copies of ``programs`` in the one-op-per-burst layout.
+
+    Each copied segment's burst cache (read by :func:`segment_bursts`)
+    is preset to one burst per op, compute ops included, so the CPU
+    schedules one event per op: the schedule :func:`coalesce_ops`
+    elides.  Running a program in both layouts and comparing the
+    results checks the elision (tests, :mod:`repro.sim.fuzz`).  The
+    inputs are left alone; workload builds share their segments, which
+    already carry the coalesced layout.
+    """
+    copies: List[List[Segment]] = []
+    for program in programs:
+        segments = []
+        for seg in program:
+            seg = replace(seg)
+            seg._bursts = tuple((0, (), op, 0) for op in seg.ops)
+            segments.append(seg)
+        copies.append(segments)
+    return copies
 
 
 def program_stats(program: Sequence[Segment]) -> dict:

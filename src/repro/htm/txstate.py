@@ -70,10 +70,16 @@ class TxState:
         "last_write_count",
         "pending_anchor",
         "pending_steps",
+        "pending_alloc",
+        "engine",
     )
 
-    def __init__(self, core: int) -> None:
+    def __init__(self, core: int, engine=None) -> None:
         self.core = core
+        #: The event engine whose ``now_vtime`` orders a same-cycle
+        #: query against an elided compute boundary (see
+        #: :meth:`insts_at`); only read while a burst is pending.
+        self.engine = engine
         self.mode = TxMode.NONE
         self.read_set: Set[int] = set()
         self.write_set: Set[int] = set()
@@ -89,14 +95,16 @@ class TxState:
         self.switched = False
         #: Write-set size captured at abort time (rollback cost model).
         self.last_write_count = 0
-        #: Lazily-billed compute burst in flight (coalesced stepping):
-        #: the burst's elided computes retire at ``pending_anchor +
-        #: offset + n`` for each ``(offset, n)`` step but are only folded
-        #: into :attr:`insts_in_attempt` when the burst event fires.
-        #: ``None`` anchor means no burst in flight (uncoalesced mode
-        #: never sets one, keeping :meth:`insts_at` a plain field read).
+        #: Lazily-billed compute burst in flight: the burst's elided
+        #: computes retire at ``pending_anchor + offset`` for each
+        #: ``(offset, n)`` step but are only folded into
+        #: :attr:`insts_in_attempt` when the burst event fires.  The
+        #: first step was allocated at ``pending_alloc``, each later one
+        #: at its predecessor's boundary.  ``None`` anchor means no
+        #: burst in flight, keeping :meth:`insts_at` a plain field read.
         self.pending_anchor = None
         self.pending_steps = ()
+        self.pending_alloc = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -140,20 +148,27 @@ class TxState:
     def insts_at(self, now: int) -> int:
         """Instructions retired by cycle ``now`` in the current attempt.
 
-        With a coalesced compute burst in flight this adds the elided
-        computes that would already have been billed by ``now`` under
-        uncoalesced stepping: per-op execution bills a compute's ``n``
-        instructions when the op's event *fires* (at ``anchor + off``),
-        before sleeping ``n`` cycles — so the insts-based conflict
-        priority sees exactly the values it would have seen per-op.
+        With a compute burst in flight this adds the elided computes
+        the one-op layout would already have billed: that layout bills
+        a compute's ``n`` instructions when the op's event *fires* (at
+        ``anchor + off``), before sleeping ``n`` cycles.  A boundary at
+        ``now`` counts only if its event would have fired before the
+        current one, i.e. was allocated at a virtual time below the
+        engine's ``now_vtime`` (the rule
+        :meth:`~repro.sim.cpu.CPU.note_external_abort` uses), so the
+        insts-based conflict priority sees exactly the one-op values.
         """
         anchor = self.pending_anchor
         total = self.insts_in_attempt
         if anchor is None:
             return total
+        valloc = self.pending_alloc
         for off, n in self.pending_steps:
-            if anchor + off <= now:
-                total += n
+            b = anchor + off
+            if b > now or (b == now and valloc >= self.engine.now_vtime):
+                break
+            total += n
+            valloc = b
         return total
 
     def mark_aborted(self, reason) -> None:

@@ -40,6 +40,7 @@ from repro.htm.txstate import TxMode, TxState
 
 #: TxMode members as module constants: an enum attribute lookup costs
 #: several times a global read on the per-access hot path.
+_NONE = TxMode.NONE
 _HTM = TxMode.HTM
 _TL = TxMode.TL
 _STL = TxMode.STL
@@ -51,20 +52,34 @@ _LOCK_MODES = (_TL, _STL)
 class CPU:
     """One in-order, single-issue core.
 
-    Two stepping strategies share all control-flow machinery (entry,
-    retry, abort, fallback, commit):
+    A segment runs as a sequence of bursts
+    (:func:`~repro.htm.isa.segment_bursts`): each burst is a run of
+    OP_COMPUTE folded into the delay of one continuation, which then
+    issues the burst's terminal op.  Two steppers walk the bursts and
+    share the control flow around them (entry, retry, abort, fallback,
+    commit): :meth:`_span_step` runs plain segments and CGL sections,
+    :meth:`_tx_step` runs transactions in every mode.
 
-    * **per-op** (``coalesce=False``) — one engine event per micro-op,
-      the reference semantics;
-    * **burst** (``coalesce=True``, default) — runs of OP_COMPUTE are
-      folded into the delay of the following memop's continuation
-      (:func:`~repro.htm.isa.segment_bursts`), cutting event volume
-      roughly in half on compute-heavy programs.  Bit-identity with
-      per-op stepping is preserved by (a) passing the elided chain's
-      last allocation point as the event's virtual time (engine
-      ``vtime`` ordering), (b) billing elided instructions lazily via
-      ``TxState.insts_at``, and (c) re-materializing the elided abort
-      observation boundary in :meth:`note_external_abort`.
+    Same-cycle order against other cores' events is fixed by the
+    virtual time (engine ``vtime``) each continuation carries:
+
+    * an elided compute chain passes the time its last compute would
+      have been scheduled at, so the continuation orders where the
+      one-op layout's last compute event does;
+    * a plain/CGL memop or fault with no compute after it orders its
+      continuation at *completion* (``vdelay = lat``);
+    * a transactional op orders its continuation at *issue*, and so
+      does an OP_COMPUTE terminal in either stepper (it only appears in
+      the one-op-per-burst layout, see
+      :func:`~repro.htm.isa.op_layout`).
+
+    Elided computes of a transaction are billed lazily: they retire at
+    their boundaries for the insts-based priority
+    (``TxState.insts_at``), and an external abort re-creates the
+    boundary the one-op layout would have observed it at
+    (:meth:`note_external_abort`).  The one-op layout, run through the
+    same steppers, is the oracle for all of this
+    (``tests/test_burst_equivalence.py``, ``repro.sim.fuzz``).
     """
 
     def __init__(self, core: int, tile: int, machine, program, seed: int) -> None:
@@ -77,10 +92,11 @@ class CPU:
         self.htm_params = machine.params.htm
         self.program = program
         self.stats: CoreStats = machine.core_stats[core]
-        self.tx = TxState(core)
+        self.tx = TxState(core, self.engine)
         self.rng = SplitMix64(derive_seed(seed, "cpu", core))
 
         self.seg_idx = 0
+        #: Index of the current burst in ``_bursts[seg_idx]``.
         self.op_idx = 0
         self.done = False
         self.finish_time: Optional[int] = None
@@ -103,29 +119,19 @@ class CPU:
         #: Fault ops already taken once (page mapped after first trip).
         self._faults_taken: Set[Tuple[int, int]] = set()
 
-        #: Burst-coalesced stepping (see class docstring).  ``op_idx``
-        #: indexes bursts instead of ops in this mode.
-        self.coalesce: bool = machine.coalesce
-        if self.coalesce:
-            self._bursts = [segment_bursts(seg) for seg in program]
-            self._step_fn = self._tx_step_burst
-        else:
-            self._bursts = None
-            self._step_fn = self._tx_step
-        #: Cancellable token of the in-flight burst continuation (only
-        #: set while elided compute boundaries exist to checkpoint).
+        self._bursts = [segment_bursts(seg) for seg in program]
+        #: Cancellable token of the in-flight transactional continuation
+        #: (only set while elided compute boundaries exist to checkpoint).
         self._burst_token = None
-        #: Time the in-flight burst's chain was allocated (the vtime of
-        #: its first elided boundary).
-        self._burst_alloc = 0
 
     # ------------------------------------------------------------------
     # Billing helpers
     # ------------------------------------------------------------------
 
     def _bill(self, cat: TimeCat, cycles: int) -> None:
+        # CoreStats.add_time without its call: empty slices are skipped.
         if cycles > 0:
-            self.stats.add_time(cat, cycles)
+            self.stats.time[cat] += cycles
 
     # ------------------------------------------------------------------
     # Top-level program driver
@@ -145,12 +151,9 @@ class CPU:
         seg = self.program[self.seg_idx]
         if isinstance(seg, Txn):
             self._txn_entry(now)
-        elif self.coalesce:
-            self._plain_entry(now)
         else:
-            self.op_idx = 0
             self._span_t0 = now
-            self._plain_step(now)
+            self._start_segment(now)
 
     def _segment_done(self, now: int) -> None:
         self.seg_idx += 1
@@ -165,108 +168,85 @@ class CPU:
                 return
         self._advance(now)
 
-    # ------------------------------------------------------------------
-    # Plain (non-transactional) segments
-    # ------------------------------------------------------------------
+    def _start_segment(self, now: int) -> None:
+        """Run the current segment's first burst from ``now``.
 
-    def _plain_step(self, now: int) -> None:
-        seg = self.program[self.seg_idx]
-        ops = seg.ops
-        if self.op_idx >= len(ops):
-            self._bill(TimeCat.NON_TRAN, now - self._span_t0)
-            self._segment_done(now)
-            return
-        op = ops[self.op_idx]
-        kind = op[0]
-        if kind == OP_COMPUTE:
-            self.op_idx += 1
-            self.engine.schedule_after(op[1], self._plain_step)
-        elif kind == OP_FAULT:
-            self.op_idx += 1
-            self.engine.schedule_after(
-                self.htm_params.trap_latency, self._plain_step
-            )
-        else:
-            is_write = kind == OP_STORE
-            res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status == GRANT:
-                self._apply_functional(op, is_write)
-                self.op_idx += 1
-                self.engine.schedule_after(res.latency, self._plain_step)
-            elif res.status == REJECT:
-                # Plain access bounced off an HTMLock-mode transaction:
-                # hardware retry after a pause.
-                delay = res.latency + self.htm_params.plain_retry_delay
-                self.engine.schedule_after(delay, self._plain_step)
-            else:  # pragma: no cover - plain accesses cannot overflow
-                raise SimulationError("plain access reported overflow")
-
-    def _apply_functional(self, op, is_write: bool) -> None:
-        if is_write:
-            self.stats.stores += 1
-            self.memsys.functional_store(self.core, op[1], op[2])
-        else:
-            self.stats.loads += 1
-
-    # -- coalesced plain stepping ------------------------------------------
-
-    def _plain_entry(self, now: int) -> None:
+        Leading computes become one scheduled continuation; a leading
+        memop, or an empty segment, issues in this same event, as the
+        one-op layout does.  Inside a transaction (classic fallback) the
+        continuation goes through :meth:`_advance_burst`, which bills
+        the elided computes lazily.
+        """
         self.op_idx = 0
-        self._span_t0 = now
         bursts = self._bursts[self.seg_idx]
+        in_tx = self.tx.mode is not _NONE
         if bursts and bursts[0][0]:
-            c, _steps, _op, c_last = bursts[0]
-            self.engine.schedule_after_virtual_nocancel(
-                c, self._plain_burst, c - c_last
-            )
+            if in_tx:
+                self._advance_burst(now, 0)
+            else:
+                c, _steps, _op, c_last = bursts[0]
+                self.engine.schedule_after_virtual_nocancel(
+                    c, self._span_step, c - c_last
+                )
+        elif in_tx:
+            self._tx_step(now)
         else:
-            # Leading memop (or empty segment): issue in this event,
-            # exactly as per-op stepping does.
-            self._plain_burst(now)
+            self._span_step(now)
 
-    def _plain_burst(self, now: int) -> None:
+    # ------------------------------------------------------------------
+    # Plain segments and CGL critical sections
+    # ------------------------------------------------------------------
+
+    def _span_step(self, now: int) -> None:
+        """Issue burst ``op_idx`` of a plain segment or CGL section."""
         bursts = self._bursts[self.seg_idx]
         idx = self.op_idx
         op = bursts[idx][2] if idx < len(bursts) else None
         if op is None:
             # End of the segment, or a trailing compute-only burst whose
             # cycles elapsed getting here: done in this same event.
-            self._bill(TimeCat.NON_TRAN, now - self._span_t0)
-            self._segment_done(now)
+            if isinstance(self.program[self.seg_idx], Txn):
+                self._cgl_release(now)
+            else:
+                self._bill(TimeCat.NON_TRAN, now - self._span_t0)
+                self._segment_done(now)
             return
         kind = op[0]
         if kind == OP_FAULT:
-            lat = self.htm_params.trap_latency
+            lat = vlat = self.htm_params.trap_latency
+        elif kind == OP_COMPUTE:
+            lat = op[1]
+            vlat = 0
         else:
             is_write = kind == OP_STORE
             res = self.memsys.access(self.core, op[1], is_write, now)
             status = res.status
-            if status == REJECT:
+            if status == REJECT and not self.spec.is_cgl:
                 # Plain access bounced off an HTMLock-mode transaction:
                 # hardware retry after a pause.
                 self.engine.schedule_after_nocancel(
                     res.latency + self.htm_params.plain_retry_delay,
-                    self._plain_burst,
+                    self._span_step,
                 )
                 return
-            if status != GRANT:  # pragma: no cover - cannot overflow
-                raise SimulationError("plain access reported overflow")
+            if status != GRANT:  # pragma: no cover - CGL has no holders
+                raise SimulationError("plain or CGL access was not granted")
             if is_write:
                 self.stats.stores += 1
                 self.memsys.functional_store(self.core, op[1], op[2])
             else:
                 self.stats.loads += 1
-            lat = res.latency
+            lat = vlat = res.latency
         # Schedule the next burst's terminal ``lat`` + computes away.
         idx += 1
         self.op_idx = idx
-        vlat = lat
         if idx < len(bursts):
             c, _steps, _op, c_last = bursts[idx]
-            lat += c
-            vlat = lat - c_last
+            if c:
+                lat += c
+                vlat = lat - c_last
         self.engine.schedule_after_virtual_nocancel(
-            lat, self._plain_burst, vlat
+            lat, self._span_step, vlat
         )
 
     # ------------------------------------------------------------------
@@ -294,19 +274,8 @@ class CPU:
     def _cgl_locked(self, now: int, wait_t0: int) -> None:
         self._bill(TimeCat.WAITLOCK, now - wait_t0)
         self.stats.tx_attempts += 1
-        self.op_idx = 0
         self._span_t0 = now
-        if self.coalesce:
-            bursts = self._bursts[self.seg_idx]
-            if bursts and bursts[0][0]:
-                c, _steps, _op, c_last = bursts[0]
-                self.engine.schedule_after_virtual_nocancel(
-                    c, self._cgl_burst, c - c_last
-                )
-            else:
-                self._cgl_burst(now)
-        else:
-            self._cgl_step(now)
+        self._start_segment(now)
 
     def _cgl_release(self, now: int) -> None:
         """End of the critical section: release the lock and bill it."""
@@ -316,62 +285,6 @@ class CPU:
         self.stats.commit_latency_hist.record(crit)
         self.stats.commits_lock += 1
         self._segment_done(now)
-
-    def _cgl_step(self, now: int) -> None:
-        seg = self.program[self.seg_idx]
-        ops = seg.ops
-        if self.op_idx >= len(ops):
-            self._cgl_release(now)
-            return
-        op = ops[self.op_idx]
-        kind = op[0]
-        if kind == OP_COMPUTE:
-            self.op_idx += 1
-            self.engine.schedule_after(op[1], self._cgl_step)
-        elif kind == OP_FAULT:
-            self.op_idx += 1
-            self.engine.schedule_after(
-                self.htm_params.trap_latency, self._cgl_step
-            )
-        else:
-            is_write = kind == OP_STORE
-            res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status != GRANT:  # pragma: no cover - no HTM holders
-                raise SimulationError("CGL access was not granted")
-            self._apply_functional(op, is_write)
-            self.op_idx += 1
-            self.engine.schedule_after(res.latency, self._cgl_step)
-
-    def _cgl_burst(self, now: int) -> None:
-        bursts = self._bursts[self.seg_idx]
-        idx = self.op_idx
-        op = bursts[idx][2] if idx < len(bursts) else None
-        if op is None:
-            # End of the section, or a trailing compute-only burst.
-            self._cgl_release(now)
-            return
-        kind = op[0]
-        if kind == OP_FAULT:
-            lat = self.htm_params.trap_latency
-        else:
-            is_write = kind == OP_STORE
-            res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status != GRANT:  # pragma: no cover - no HTM holders
-                raise SimulationError("CGL access was not granted")
-            if is_write:
-                self.stats.stores += 1
-                self.memsys.functional_store(self.core, op[1], op[2])
-            else:
-                self.stats.loads += 1
-            lat = res.latency
-        idx += 1
-        self.op_idx = idx
-        vlat = lat
-        if idx < len(bursts):
-            c, _steps, _op, c_last = bursts[idx]
-            lat += c
-            vlat = lat - c_last
-        self.engine.schedule_after_virtual_nocancel(lat, self._cgl_burst, vlat)
 
     # -- HTM attempt (Listing 1 loop) -------------------------------------
 
@@ -396,57 +309,17 @@ class CPU:
         self.stats.tx_attempts += 1
         self._attempt_t0 = now
         self.op_idx = 0
-        if self.coalesce:
-            self._advance_burst(now, self.htm_params.xbegin_latency)
-        else:
-            self.engine.schedule_after(
-                self.htm_params.xbegin_latency, self._tx_step
-            )
-
-    def _tx_step(self, now: int) -> None:
-        if self.done:
-            return
-        tx = self.tx
-        if tx.aborted:
-            self._rollback(now)
-            return
-        seg = self.program[self.seg_idx]
-        ops = seg.ops
-        if self.op_idx >= len(ops):
-            self._tx_commit(now)
-            return
-        op = ops[self.op_idx]
-        kind = op[0]
-        if kind == OP_COMPUTE:
-            self.op_idx += 1
-            tx.insts_in_attempt += op[1]
-            self.engine.schedule_after(op[1], self._tx_step)
-        elif kind == OP_FAULT:
-            self._tx_fault(now, op)
-        else:
-            is_write = kind == OP_STORE
-            res = self.memsys.access(self.core, op[1], is_write, now)
-            if res.status == GRANT:
-                self._apply_functional(op, is_write)
-                self.op_idx += 1
-                tx.insts_in_attempt += 1
-                self.engine.schedule_after(res.latency, self._tx_step)
-            elif res.status == REJECT:
-                self._on_reject(now, res)
-            else:
-                self._on_overflow(now)
-
-    # -- coalesced transactional stepping ----------------------------------
+        self._advance_burst(now, self.htm_params.xbegin_latency)
 
     def _advance_burst(self, now: int, lat: int) -> None:
         """Schedule the continuation issuing burst ``op_idx``'s terminal.
 
-        ``lat`` is the memory/begin latency preceding the burst; the
-        burst's elided computes extend the delay.  When boundaries are
-        elided the entry is cancellable (an external abort may need to
-        checkpoint at one of them) and the burst is exposed on the
-        TxState for lazy instruction billing; otherwise the event is
-        identical to per-op stepping and takes the no-allocation path.
+        ``lat`` is the latency of the op (or begin) before the burst;
+        the burst's elided computes extend the delay.  When boundaries
+        are elided the entry is cancellable (an external abort may need
+        to checkpoint at one of them) and the burst is exposed on the
+        TxState for lazy instruction billing; otherwise the continuation
+        orders at issue and takes the no-allocation path.
         """
         bursts = self._bursts[self.seg_idx]
         idx = self.op_idx
@@ -459,14 +332,15 @@ class CPU:
             tx = self.tx
             tx.pending_anchor = now + lat
             tx.pending_steps = steps
-            self._burst_alloc = now
+            tx.pending_alloc = now
             self._burst_token = self.engine.schedule_after_virtual(
-                lat + c, self._tx_step_burst, lat + c - c_last
+                lat + c, self._tx_step, lat + c - c_last
             )
         else:
-            self.engine.schedule_after_nocancel(lat, self._tx_step_burst)
+            self.engine.schedule_after_nocancel(lat, self._tx_step)
 
-    def _tx_step_burst(self, now: int) -> None:
+    def _tx_step(self, now: int) -> None:
+        """Issue burst ``op_idx`` of the current transaction."""
         if self.done:
             return
         tx = self.tx
@@ -485,7 +359,7 @@ class CPU:
         if self.op_idx >= len(bursts):
             self._tx_commit(now)
             return
-        _c, _steps, op, _c_last = bursts[self.op_idx]
+        op = bursts[self.op_idx][2]
         if op is None:
             # Trailing compute-only burst: commit in this same event.
             self.op_idx += 1
@@ -494,6 +368,12 @@ class CPU:
         kind = op[0]
         if kind == OP_FAULT:
             self._tx_fault(now, op)
+            return
+        if kind == OP_COMPUTE:
+            # One-op layout: the compute retires at issue.
+            self.op_idx += 1
+            tx.insts_in_attempt += op[1]
+            self._advance_burst(now, op[1])
             return
         is_write = kind == OP_STORE
         res = self.memsys.access(self.core, op[1], is_write, now)
@@ -514,23 +394,23 @@ class CPU:
     def note_external_abort(self, now: int) -> None:
         """Re-create the abort observation point a burst elided.
 
-        Per-op, an externally-aborted transaction notices its abort
-        flag at its next scheduled event.  With the burst's per-compute
-        continuations elided, find the first boundary the per-op chain
-        would still have fired at (strictly after ``now``, or at ``now``
-        if the boundary's virtual allocation time says it would have
-        fired after the aborting event) and schedule the rollback
+        In the one-op layout an externally-aborted transaction notices
+        its abort flag at its next scheduled event.  With the burst's
+        per-compute continuations elided, find the first boundary that
+        event would still have fired at (strictly after ``now``, or at
+        ``now`` if the boundary's virtual allocation time says it would
+        have fired after the aborting event) and schedule the rollback
         checkpoint there, carrying the boundary's original virtual time
         so same-cycle ordering of the rollback — billing, backoff RNG
-        draw, retry scheduling — is bit-identical to per-op stepping.
+        draw, retry scheduling — matches the one-op layout.
         """
         tx = self.tx
         anchor = tx.pending_anchor
         if anchor is None:
             # Parked, blocked on arbitration, or the continuation is an
-            # ordinary event: the legacy observation paths cover it.
+            # ordinary event: the regular observation paths cover it.
             return
-        vprev = self._burst_alloc
+        vprev = tx.pending_alloc
         target = None
         for off, _n in tx.pending_steps:
             b = anchor + off
@@ -598,19 +478,11 @@ class CPU:
                 return
             self.op_idx += 1
             self.tx.insts_in_attempt += 1
-            if self.coalesce:
-                self._advance_burst(now, 1)
-            else:
-                self.engine.schedule_after(1, self._tx_step)
+            self._advance_burst(now, 1)
         else:
             # Lock modes are non-speculative: take the trap and continue.
             self.op_idx += 1
-            if self.coalesce:
-                self._advance_burst(now, self.htm_params.trap_latency)
-            else:
-                self.engine.schedule_after(
-                    self.htm_params.trap_latency, self._tx_step
-                )
+            self._advance_burst(now, self.htm_params.trap_latency)
 
     # -- rejection handling (§III-A requester options) ----------------------
 
@@ -639,7 +511,7 @@ class CPU:
                 # learns it was rejected and re-issues the access after
                 # a hardware timeout.
                 self.engine.schedule_after(
-                    res.latency + chaos.plan.nack_loss_delay, self._step_fn
+                    res.latency + chaos.plan.nack_loss_delay, self._tx_step
                 )
                 return
         policy = self.spec.requester_policy
@@ -658,7 +530,7 @@ class CPU:
                 + self.htm_params.retry_delay
                 + self.rng.below(self.htm_params.retry_delay)
             )
-            self.engine.schedule_after(delay, self._step_fn)
+            self.engine.schedule_after(delay, self._tx_step)
         else:  # WAIT_WAKEUP
             self._park(now, res.reject_holder)
 
@@ -692,13 +564,13 @@ class CPU:
         self._parked = None
         if timeout:
             self.stats.wakeup_timeouts += 1
-        self._step_fn(now)  # re-issues the same op (or handles abort)
+        self._tx_step(now)  # re-issues the same op (or handles abort)
 
     def force_unpark(self, now: int) -> None:
         """External abort while parked: resume so the abort is processed."""
         if self._parked is not None:
             self._parked = None
-            self.engine.schedule_after(1, self._step_fn)
+            self.engine.schedule_after(1, self._tx_step)
 
     @property
     def is_parked(self) -> bool:
@@ -742,7 +614,7 @@ class CPU:
         if granted:
             self.stats.switch_successes += 1
             tx.switch_to_stl()
-            self._step_fn(now)  # re-issue the blocked op in STL mode
+            self._tx_step(now)  # re-issue the blocked op in STL mode
         else:
             if deny_reason is AbortReason.FAULT:
                 # The exception will be taken on the retry/fallback path;
@@ -827,15 +699,7 @@ class CPU:
             self.tx.begin(_FALLBACK, now)
             self.stats.tx_attempts += 1
             self._attempt_t0 = now
-            self.op_idx = 0
-            if self.coalesce:
-                bursts = self._bursts[self.seg_idx]
-                if bursts and bursts[0][0]:
-                    self._advance_burst(now, 0)
-                else:
-                    self._tx_step_burst(now)
-            else:
-                self._tx_step(now)
+            self._start_segment(now)
 
     def _enter_tl(self, now: int, wait_t0: int) -> None:
         self._bill(TimeCat.WAITLOCK, now - wait_t0)
@@ -843,12 +707,7 @@ class CPU:
         self.stats.tx_attempts += 1
         self._attempt_t0 = now
         self.op_idx = 0
-        if self.coalesce:
-            self._advance_burst(now, self.htm_params.xbegin_latency)
-        else:
-            self.engine.schedule_after(
-                self.htm_params.xbegin_latency, self._tx_step
-            )
+        self._advance_burst(now, self.htm_params.xbegin_latency)
 
     # -- commit ---------------------------------------------------------------
 

@@ -11,10 +11,10 @@ Events are totally ordered by ``(time, vtime, seq)``:
   remaining ties by call order.
 
 ``vtime`` exists for **compute-burst coalescing** (repro.sim.cpu): when
-a chain of per-op continuations is folded into one event, the surviving
-event passes the time its *last elided predecessor* would have been
-scheduled at as ``vtime``.  Same-cycle ordering against other cores'
-events then matches the uncoalesced event chain exactly, because for
+a chain of one-per-op continuations is folded into one event, the
+surviving event passes the time its *last elided predecessor* would have
+been scheduled at as ``vtime``.  Same-cycle ordering against other
+cores' events then matches the one-event-per-op chain, because for
 ordinary events sorting by (vtime, seq) *is* sorting by seq (alloc time
 is monotone in seq).  Callbacks receive the current time; the vtime of
 the event being processed is exposed as :attr:`SimEngine.now_vtime`.

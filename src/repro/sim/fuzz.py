@@ -4,8 +4,11 @@ Complements the hypothesis property tests: generates seedable random
 multi-threaded programs over a small hot address space (worst case for
 the conflict machinery), runs them on a set of systems — optionally with
 tiny caches to force overflows and paranoid SWMR checking — and verifies
-the functional expectation on every run.  Any counterexample is reported
-with its exact (seed, case) coordinates for replay.
+the functional expectation on every run.  Every clean (no fault plan)
+run is repeated in the one-op-per-burst layout
+(:func:`~repro.htm.isa.op_layout`) and must match the coalesced run
+exactly.  Any counterexample is reported with its exact (seed, case)
+coordinates for replay.
 
 Used by ``python -m repro.harness.cli fuzz`` and the stress test in
 ``tests/test_fuzz.py``.
@@ -21,7 +24,16 @@ import numpy as np
 from repro.common.params import CacheParams, SystemParams
 from repro.common.rng import substream
 from repro.harness.systems import get_system
-from repro.htm.isa import Plain, Segment, Txn, compute, fault, load, store
+from repro.htm.isa import (
+    Plain,
+    Segment,
+    Txn,
+    compute,
+    fault,
+    load,
+    op_layout,
+    store,
+)
 from repro.sim.machine import Machine
 from repro.workloads.base import expected_final_memory
 
@@ -166,6 +178,44 @@ def _build_machine(
     return machine
 
 
+def core_fingerprint(cs) -> tuple:
+    """Everything architecturally visible about one core's run."""
+    return (
+        {c.name: v for c, v in cs.time.items()},
+        {r.name: v for r, v in cs.aborts.items()},
+        cs.commits_htm,
+        cs.commits_lock,
+        cs.commits_switched,
+        cs.tx_attempts,
+        cs.fallback_entries,
+        cs.switch_attempts,
+        cs.switch_successes,
+        cs.rejects_received,
+        cs.rejects_issued,
+        cs.wakeups_sent,
+        cs.wakeup_timeouts,
+        cs.loads,
+        cs.stores,
+        cs.l1_hits,
+        cs.l1_misses,
+        cs.l2_hits,
+        (
+            dict(cs.commit_latency_hist.buckets),
+            cs.commit_latency_hist.count,
+            cs.commit_latency_hist.total,
+        ),
+    )
+
+
+def run_fingerprint(machine: Machine, cycles: int) -> tuple:
+    """Cycles, per-core statistics and memory image of a finished run."""
+    return (
+        cycles,
+        [core_fingerprint(cs) for cs in machine.core_stats],
+        sorted(machine.memsys.memory.items()),
+    )
+
+
 def _check_run(machine: Machine, expected, n_txns: int) -> List[str]:
     """Functional-oracle checks; returns failure details (empty = ok)."""
     details: List[str] = []
@@ -218,7 +268,9 @@ def run_fuzz(
     """Fuzz campaign: ``cases`` random programs x ``systems`` x ``plans``.
 
     ``plans`` is a sequence of fault plans (``None`` = clean run); the
-    functional oracle must hold under every one of them.
+    functional oracle must hold under every one of them.  A clean run
+    is repeated in the one-op layout and reports ``layout mismatch``
+    when the two runs differ in any cycle, statistic or memory word.
     """
     report = FuzzReport(cases=cases, runs=0)
     for case in range(cases):
@@ -247,12 +299,27 @@ def run_fuzz(
                         progs, system, seed, case, paranoid, params,
                         plan, watchdog,
                     )
-                    machine.run()
+                    cycles = machine.run()
                 except Exception as exc:  # noqa: BLE001 - report, don't crash
                     fail(f"crash: {exc!r}")
                     continue
                 for detail in _check_run(machine, expected, n_txns):
                     fail(detail)
+                if plan is not None:
+                    continue
+                try:
+                    oracle = _build_machine(
+                        op_layout(progs), system, seed, case, paranoid,
+                        params, plan, watchdog,
+                    )
+                    oracle_cycles = oracle.run()
+                except Exception as exc:  # noqa: BLE001 - report, don't crash
+                    fail(f"crash in the one-op layout: {exc!r}")
+                    continue
+                if run_fingerprint(machine, cycles) != run_fingerprint(
+                    oracle, oracle_cycles
+                ):
+                    fail("layout mismatch")
     return report
 
 

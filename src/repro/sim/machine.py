@@ -46,7 +46,6 @@ class Machine:
         seed: int = 0,
         fault_plan=None,
         watchdog=None,
-        coalesce: bool = True,
     ) -> None:
         if len(programs) > params.num_cores:
             raise ConfigError(
@@ -55,10 +54,6 @@ class Machine:
         self.params = params
         self.spec = spec
         self.seed = seed
-        #: Compute-burst coalescing for the CPU stepping loops; results
-        #: are bit-identical either way (the equivalence tests pin it) —
-        #: False restores the reference one-event-per-op interpreter.
-        self.coalesce = coalesce
         #: Forward-progress watchdog config (repro.resilience.watchdog.
         #: WatchdogConfig or None); armed in run().
         self.watchdog = watchdog
@@ -126,7 +121,6 @@ class Machine:
         programs: List[list],
         seed: int = 0,
         watchdog=None,
-        coalesce: bool = True,
     ) -> None:
         """Rewire this machine for a fresh run (machine-pool reuse).
 
@@ -144,7 +138,6 @@ class Machine:
                 f"{len(programs)} threads > {self.params.num_cores} cores"
             )
         self.seed = seed
-        self.coalesce = coalesce
         self.watchdog = watchdog
         self.replay_info = {
             "seed": seed,
@@ -193,8 +186,8 @@ class Machine:
         self.wakeups.discard_waiter(core)
         cpu.force_unpark(now)
         # If not parked, the CPU's in-flight continuation observes the
-        # abort flag at its next event; a coalesced compute burst may
-        # need that observation point re-materialized.
+        # abort flag at its next event; a compute burst may need an
+        # elided observation point re-created.
         cpu.note_external_abort(now)
 
     def abort_all_htm(self, reason: AbortReason, exclude: int) -> None:

@@ -47,26 +47,16 @@ class MachinePool:
         programs: List[list],
         seed: int = 0,
         watchdog=None,
-        coalesce: bool = True,
     ) -> Machine:
         """A machine ready to run ``programs`` — reused when possible."""
         free = self._free.get((spec, params))
         if free:
             machine = free.pop()
-            machine.reset(
-                programs, seed=seed, watchdog=watchdog, coalesce=coalesce
-            )
+            machine.reset(programs, seed=seed, watchdog=watchdog)
             self.reuses += 1
             return machine
         self.builds += 1
-        return Machine(
-            params,
-            spec,
-            programs,
-            seed=seed,
-            watchdog=watchdog,
-            coalesce=coalesce,
-        )
+        return Machine(params, spec, programs, seed=seed, watchdog=watchdog)
 
     def release(self, machine: Machine) -> None:
         """Return a machine whose run completed cleanly."""

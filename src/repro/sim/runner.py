@@ -35,10 +35,6 @@ class RunConfig:
     #: forward-progress watchdog.  Both default off (zero overhead).
     fault_plan: Optional[object] = None
     watchdog: Optional[object] = None
-    #: Compute-burst coalescing in the CPU model (bit-identical results;
-    #: False selects the reference per-op interpreter, mainly for the
-    #: equivalence tests and interpreter debugging).
-    coalesce: bool = True
     #: Optional observability session (repro.telemetry.Telemetry).
     #: None (the default) leaves the machine completely unwrapped —
     #: telemetry-off runs are bit-identical to the seed goldens.
@@ -95,7 +91,6 @@ def run_workload(
             build.programs,
             seed=config.seed,
             watchdog=config.watchdog,
-            coalesce=config.coalesce,
         )
     else:
         machine = Machine(
@@ -105,7 +100,6 @@ def run_workload(
             seed=config.seed,
             fault_plan=config.fault_plan,
             watchdog=config.watchdog,
-            coalesce=config.coalesce,
         )
     telemetry = config.telemetry
     if telemetry is not None:

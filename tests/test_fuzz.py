@@ -66,3 +66,32 @@ class TestFuzzRuns:
     def test_seed_sweep_on_full_stack(self, seed):
         report = run_fuzz(cases=6, seed=seed, systems=("LockillerTM",))
         assert report.ok, report.render()
+
+
+#: The seed-0 campaign's one known layout mismatch, kept as a strict
+#: xfail in tests/test_burst_equivalence.py
+#: (test_equal_vtime_tie_matches_op_layout).
+KNOWN_LAYOUT_GAPS = [(98, "LockillerTM-RWL", "layout mismatch")]
+
+
+class TestLayoutOracle:
+    def test_seed0_cases_match_op_layout(self):
+        """Every clean run also runs in the one-op layout and must match."""
+        report = run_fuzz(cases=200, seed=0)
+        assert report.runs == 200 * len(DEFAULT_SYSTEMS)
+        got = [(f.case, f.system, f.detail) for f in report.failures]
+        assert got == KNOWN_LAYOUT_GAPS, report.render()
+
+    def test_fault_plans_skip_the_layout_run(self, monkeypatch):
+        from repro.resilience.faults import default_campaign
+        import repro.sim.fuzz as fuzz
+
+        calls = []
+        real = fuzz.op_layout
+        monkeypatch.setattr(
+            fuzz, "op_layout", lambda p: calls.append(1) or real(p)
+        )
+        plans = (None, default_campaign()[0])
+        report = run_fuzz(cases=2, seed=5, systems=("Baseline",), plans=plans)
+        assert report.ok, report.render()
+        assert len(calls) == 2  # one per clean run
