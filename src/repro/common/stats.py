@@ -115,10 +115,10 @@ class CoreStats:
     """Per-core counters accumulated during one simulation run."""
 
     time: Dict[TimeCat, int] = field(
-        default_factory=lambda: {c: 0 for c in TimeCat}
+        default_factory=lambda: dict.fromkeys(TIME_CATS, 0)
     )
     aborts: Dict[AbortReason, int] = field(
-        default_factory=lambda: {r: 0 for r in AbortReason}
+        default_factory=lambda: dict.fromkeys(ABORT_REASONS, 0)
     )
     commits_htm: int = 0
     commits_lock: int = 0

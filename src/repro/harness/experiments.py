@@ -36,6 +36,7 @@ from repro.harness.reporting import (
     format_series,
     format_table,
 )
+from repro.harness.runcache import cell_key, cell_keyer, cell_meta
 from repro.harness.systems import TABLE_ORDER, get_system
 from repro.sim.runner import RunConfig, run_workload
 from repro.workloads.registry import PAPER_ORDER, get_workload
@@ -105,22 +106,19 @@ class ExperimentContext:
         if hit is not None:
             return hit
         p = params or self.params
+        spec = get_system(system)
         if self.disk_cache is not None:
-            hit = self.disk_cache.get_cell(
-                workload,
-                get_system(system),
-                p,
-                threads,
-                self.scale,
-                self.seed,
+            disk_key = cell_key(
+                workload, spec, p, threads, self.scale, self.seed
             )
+            hit = self.disk_cache.get(disk_key)
             if hit is not None:
                 self._cache[key] = hit
                 return hit
         stats = run_workload(
             get_workload(workload),
             RunConfig(
-                spec=get_system(system),
+                spec=spec,
                 threads=threads,
                 scale=self.scale,
                 seed=self.seed,
@@ -129,15 +127,9 @@ class ExperimentContext:
         )
         self._cache[key] = stats
         if self.disk_cache is not None:
-            self.disk_cache.put_cell(
-                workload,
-                get_system(system),
-                p,
-                threads,
-                self.scale,
-                self.seed,
-                stats,
-            )
+            self.disk_cache.put(disk_key, stats, meta=cell_meta(
+                workload, spec, threads, self.scale, self.seed
+            ))
         return stats
 
     def prewarm(
@@ -156,8 +148,10 @@ class ExperimentContext:
         from repro.harness.parallel import CellTask, run_cells
 
         p = params or self.params
+        key_of = cell_keyer()
         tasks: List[CellTask] = []
         keys: List[tuple] = []
+        disk_keys: List[Optional[str]] = []
         seen = set()
         for wl, system, th in cells:
             key = self._key(wl, system, th, params_tag)
@@ -165,10 +159,10 @@ class ExperimentContext:
                 continue
             seen.add(key)
             spec = get_system(system)
+            disk_key = None
             if self.disk_cache is not None:
-                hit = self.disk_cache.get_cell(
-                    wl, spec, p, th, self.scale, self.seed
-                )
+                disk_key = key_of(wl, spec, p, th, self.scale, self.seed)
+                hit = self.disk_cache.get(disk_key)
                 if hit is not None:
                     self._cache[key] = hit
                     continue
@@ -176,20 +170,16 @@ class ExperimentContext:
                 CellTask(len(tasks), wl, spec, th, self.scale, self.seed, p)
             )
             keys.append(key)
+            disk_keys.append(disk_key)
         results = run_cells(tasks, jobs=self.jobs)
-        for task, key in zip(tasks, keys):
+        for task, key, disk_key in zip(tasks, keys, disk_keys):
             stats = results[task.index]
             self._cache[key] = stats
             if self.disk_cache is not None:
-                self.disk_cache.put_cell(
-                    task.workload,
-                    task.spec,
-                    p,
-                    task.threads,
-                    self.scale,
+                self.disk_cache.put(disk_key, stats, meta=cell_meta(
+                    task.workload, task.spec, task.threads, self.scale,
                     self.seed,
-                    stats,
-                )
+                ))
         return len(tasks)
 
     def speedup_vs_cgl(

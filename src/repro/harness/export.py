@@ -12,15 +12,47 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Optional
 
-from repro.common.stats import AbortReason, CoreStats, RunStats, TimeCat
+from repro.common.stats import (
+    ABORT_REASONS,
+    TIME_CATS,
+    CoreStats,
+    LatencyHistogram,
+    RunStats,
+)
 
 SCHEMA_VERSION = 1
+
+#: Member <-> wire-value tables.  A dict lookup is several times cheaper
+#: than ``member.value`` or calling the enum class, and a stored entry
+#: decodes up to 14 categories per core.
+_TIME_VALUE = {c: c.value for c in TIME_CATS}
+_ABORT_VALUE = {r: r.value for r in ABORT_REASONS}
+_TIME_BY_VALUE = {v: c for c, v in _TIME_VALUE.items()}
+_ABORT_BY_VALUE = {v: r for r, v in _ABORT_VALUE.items()}
+
+_COUNTER_FIELDS = (
+    "commits_htm",
+    "commits_lock",
+    "commits_switched",
+    "tx_attempts",
+    "fallback_entries",
+    "switch_attempts",
+    "switch_successes",
+    "rejects_received",
+    "rejects_issued",
+    "wakeups_sent",
+    "wakeup_timeouts",
+    "loads",
+    "stores",
+    "l1_hits",
+    "l1_misses",
+)
 
 
 def core_stats_to_dict(cs: CoreStats) -> Dict:
     return {
-        "time": {c.value: v for c, v in cs.time.items()},
-        "aborts": {r.value: v for r, v in cs.aborts.items()},
+        "time": {_TIME_VALUE[c]: v for c, v in cs.time.items()},
+        "aborts": {_ABORT_VALUE[r]: v for r, v in cs.aborts.items()},
         "commits_htm": cs.commits_htm,
         "commits_lock": cs.commits_lock,
         "commits_switched": cs.commits_switched,
@@ -41,34 +73,28 @@ def core_stats_to_dict(cs: CoreStats) -> Dict:
     }
 
 
-def core_stats_from_dict(data: Mapping) -> CoreStats:
-    cs = CoreStats()
-    for key, value in data["time"].items():
-        cs.time[TimeCat(key)] = value
-    for key, value in data["aborts"].items():
-        cs.aborts[AbortReason(key)] = value
-    for field in (
-        "commits_htm",
-        "commits_lock",
-        "commits_switched",
-        "tx_attempts",
-        "fallback_entries",
-        "switch_attempts",
-        "switch_successes",
-        "rejects_received",
-        "rejects_issued",
-        "wakeups_sent",
-        "wakeup_timeouts",
-        "loads",
-        "stores",
-        "l1_hits",
-        "l1_misses",
-    ):
-        setattr(cs, field, data[field])
-    cs.l2_hits = data.get("l2_hits", 0)
-    if "commit_latency_hist" in data:
-        from repro.common.stats import LatencyHistogram
+def _decode_counts(raw: Mapping, by_value: Dict, members: List) -> Dict:
+    """Category counts keyed by member, in enum order, zero-filled.
 
+    An unknown category raises ``ValueError``, as calling the enum did.
+    """
+    out = dict.fromkeys(members, 0)
+    for key, value in raw.items():
+        member = by_value.get(key)
+        if member is None:
+            raise ValueError(f"unknown stats category {key!r}")
+        out[member] = value
+    return out
+
+
+def core_stats_from_dict(data: Mapping) -> CoreStats:
+    cs = CoreStats(
+        time=_decode_counts(data["time"], _TIME_BY_VALUE, TIME_CATS),
+        aborts=_decode_counts(data["aborts"], _ABORT_BY_VALUE, ABORT_REASONS),
+        l2_hits=data.get("l2_hits", 0),
+        **{name: data[name] for name in _COUNTER_FIELDS},
+    )
+    if "commit_latency_hist" in data:
         cs.commit_latency_hist = LatencyHistogram.from_dict(
             data["commit_latency_hist"]
         )
@@ -115,9 +141,12 @@ def fingerprint(stats: RunStats) -> str:
     payload = json.dumps(
         {
             "cycles": stats.execution_cycles,
-            "time": {c.value: v for c, v in stats.time_breakdown().items()},
+            "time": {
+                _TIME_VALUE[c]: v for c, v in stats.time_breakdown().items()
+            },
             "aborts": {
-                r.value: v for r, v in stats.abort_breakdown().items()
+                _ABORT_VALUE[r]: v
+                for r, v in stats.abort_breakdown().items()
             },
             "commits": stats.commits,
             "attempts": stats.tx_attempts,

@@ -17,7 +17,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.common.params import SystemParams, typical_params
 from repro.common.stats import RunStats
 from repro.harness.parallel import CellTask, run_cells
-from repro.harness.runcache import coerce_cache
+from repro.harness.runcache import (
+    cell_key,
+    cell_keyer,
+    cell_meta,
+    coerce_cache,
+)
 from repro.harness.systems import get_system
 
 #: z for a ~95% two-sided normal interval.
@@ -80,15 +85,18 @@ def _seed_tasks(
 def _run_tasks(tasks: List[CellTask], jobs, cache) -> List[RunStats]:
     """Cache-aware task execution preserving task-index order."""
     rc = coerce_cache(cache)
+    key_of = cell_keyer()
     size = max((t.index for t in tasks), default=-1) + 1
     out: List[Optional[RunStats]] = [None] * size
+    keys: Dict[int, str] = {}
     missing: List[CellTask] = []
     for t in tasks:
-        hit = (
-            rc.get_cell(t.workload, t.spec, t.params, t.threads, t.scale, t.seed)
-            if rc is not None
-            else None
-        )
+        hit = None
+        if rc is not None:
+            keys[t.index] = key_of(
+                t.workload, t.spec, t.params, t.threads, t.scale, t.seed
+            )
+            hit = rc.get(keys[t.index])
         if hit is not None:
             out[t.index] = hit
         else:
@@ -96,14 +104,16 @@ def _run_tasks(tasks: List[CellTask], jobs, cache) -> List[RunStats]:
 
     def on_done(task: CellTask, stats: RunStats) -> None:
         if rc is not None:
-            rc.put_cell(
-                task.workload,
-                task.spec,
-                task.params,
-                task.threads,
-                task.scale,
-                task.seed,
+            rc.put(
+                keys[task.index],
                 stats,
+                meta=cell_meta(
+                    task.workload,
+                    task.spec,
+                    task.threads,
+                    task.scale,
+                    task.seed,
+                ),
             )
 
     executed = run_cells(missing, jobs=jobs, on_done=on_done)
@@ -151,7 +161,6 @@ def trace_seed(
     entry if the campaign didn't cache).  Returns artifact paths keyed
     ``result`` / ``metrics`` / ``trace``.
     """
-    from repro.harness.runcache import cell_key, coerce_cache
     from repro.sim.runner import RunConfig, run_workload
     from repro.telemetry import Telemetry
     from repro.telemetry.sinks import artifact_path
@@ -173,7 +182,7 @@ def trace_seed(
         ),
     )
     key = cell_key(workload, spec, p, threads, scale, seed)
-    rc.put_cell(workload, spec, p, threads, scale, seed, stats)
+    rc.put(key, stats, meta=cell_meta(workload, spec, threads, scale, seed))
     out = {"result": rc.path_for(key)}
     label = f"{workload}/{system}/t{threads}/s{seed}"
     out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))

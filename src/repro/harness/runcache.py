@@ -31,7 +31,7 @@ import itertools
 import json
 import os
 from enum import Enum
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.params import SystemParams
 from repro.common.stats import RunStats
@@ -83,27 +83,77 @@ def cell_key(
     seed: int,
 ) -> str:
     """Content hash identifying one simulation cell."""
-    # Normalize the numeric cell coordinates so equal values hash
-    # equally regardless of Python type: ``scale=1`` (int) and
-    # ``scale=1.0`` (float) describe the same cell, but ``json.dumps``
-    # renders them differently ("1" vs "1.0").  Coercing here keeps all
-    # existing float-scale keys unchanged (json renders ``float(0.05)``
-    # exactly as before), so no CACHE_SCHEMA_VERSION bump is needed.
-    payload = json.dumps(
-        {
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "result_schema": SCHEMA_VERSION,
-            "workload": workload,
-            "spec": _canonical(spec),
-            "params": _canonical(params),
-            "threads": int(threads),
-            "scale": float(scale),
-            "seed": int(seed),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    return _digest(
+        workload, _fragment(spec), _fragment(params), threads, scale, seed
+    )
+
+
+def cell_keyer() -> Callable[..., str]:
+    """A :func:`cell_key` that encodes each spec and params object once.
+
+    Use one per grid expansion: every cell of a grid shares a handful of
+    spec and params objects, and canonicalizing and encoding them is
+    most of a key's cost.  The memo is keyed by object identity, holds
+    each object so its id cannot be reused, and dies with the returned
+    function.  It is not keyed by value: ``==``-equal params whose
+    fields hold ``1``, ``1.0`` or ``True`` encode differently, so they
+    have different keys.
+    """
+    memo: Dict[int, tuple] = {}
+
+    def fragment(obj) -> str:
+        entry = memo.get(id(obj))
+        if entry is None:
+            entry = memo[id(obj)] = (obj, _fragment(obj))
+        return entry[1]
+
+    def key(workload, spec, params, threads, scale, seed) -> str:
+        return _digest(
+            workload, fragment(spec), fragment(params), threads, scale, seed
+        )
+
+    return key
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _fragment(obj) -> str:
+    """The key payload's encoding of one spec or params object."""
+    return _json(_canonical(obj))
+
+
+def _digest(workload, spec_json: str, params_json: str, threads, scale,
+            seed) -> str:
+    # The payload equals ``_json`` of the cell's description dict,
+    # written out in sorted key order so the pre-encoded spec and params
+    # splice in as they are.  The numeric coordinates are coerced so
+    # equal values hash equally whatever their Python type: ``scale=1``
+    # and ``scale=1.0`` are one cell, though json renders "1" vs "1.0".
+    payload = (
+        f'{{"cache_schema":{_json(CACHE_SCHEMA_VERSION)},'
+        f'"params":{params_json},'
+        f'"result_schema":{_json(SCHEMA_VERSION)},'
+        f'"scale":{_json(float(scale))},'
+        f'"seed":{_json(int(seed))},'
+        f'"spec":{spec_json},'
+        f'"threads":{_json(int(threads))},'
+        f'"workload":{_json(workload)}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cell_meta(workload: str, spec: SystemSpec, threads: int,
+              scale: float, seed: int) -> Dict:
+    """The ``meta`` block the harness stores beside a cell's result."""
+    return {
+        "workload": workload,
+        "system": spec.name,
+        "threads": threads,
+        "scale": scale,
+        "seed": seed,
+    }
 
 
 class RunCache:
@@ -180,41 +230,6 @@ class RunCache:
                 pass
             raise
         self.stores += 1
-
-    # -- cell-level convenience ----------------------------------------
-
-    def get_cell(
-        self,
-        workload: str,
-        spec: SystemSpec,
-        params: SystemParams,
-        threads: int,
-        scale: float,
-        seed: int,
-    ) -> Optional[RunStats]:
-        return self.get(cell_key(workload, spec, params, threads, scale, seed))
-
-    def put_cell(
-        self,
-        workload: str,
-        spec: SystemSpec,
-        params: SystemParams,
-        threads: int,
-        scale: float,
-        seed: int,
-        stats: RunStats,
-    ) -> None:
-        self.put(
-            cell_key(workload, spec, params, threads, scale, seed),
-            stats,
-            meta={
-                "workload": workload,
-                "system": spec.name,
-                "threads": threads,
-                "scale": scale,
-                "seed": seed,
-            },
-        )
 
 
 def coerce_cache(cache) -> Optional[RunCache]:

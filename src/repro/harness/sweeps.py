@@ -106,19 +106,21 @@ class Sweep:
         ``jobs > 1``).
         """
         from repro.harness.parallel import CellTask, run_cells
-        from repro.harness.runcache import coerce_cache
+        from repro.harness.runcache import cell_keyer, cell_meta, coerce_cache
 
         rc = coerce_cache(cache)
+        key_of = cell_keyer()
         points = list(self.points())
         total = len(points)
         stats_list: List[Optional[RunStats]] = [None] * total
+        keys: List[Optional[str]] = [None] * total
         tasks: List[CellTask] = []
         done_count = 0
         for i, point in enumerate(points):
             spec = self.spec_resolver(point.system)
             params = self.params_by_tag[point.params_tag]
             if rc is not None:
-                hit = rc.get_cell(
+                keys[i] = key_of(
                     point.workload,
                     spec,
                     params,
@@ -126,6 +128,7 @@ class Sweep:
                     self.scale,
                     point.seed,
                 )
+                hit = rc.get(keys[i])
                 if hit is not None:
                     stats_list[i] = hit
                     done_count += 1
@@ -147,14 +150,16 @@ class Sweep:
         def on_done(task: CellTask, stats: RunStats) -> None:
             nonlocal done_count
             if rc is not None:
-                rc.put_cell(
-                    task.workload,
-                    task.spec,
-                    task.params,
-                    task.threads,
-                    task.scale,
-                    task.seed,
+                rc.put(
+                    keys[task.index],
                     stats,
+                    meta=cell_meta(
+                        task.workload,
+                        task.spec,
+                        task.threads,
+                        task.scale,
+                        task.seed,
+                    ),
                 )
             done_count += 1
             if progress is not None:

@@ -244,7 +244,7 @@ def run_sweep_resilient(
     shared across campaigns.  Fault-injected cells bypass the cache
     entirely: a chaos run is not the cell's true result.
     """
-    from repro.harness.runcache import coerce_cache
+    from repro.harness.runcache import cell_keyer, cell_meta, coerce_cache
     from repro.harness.sweeps import SweepRecord, SweepResults
     from repro.sim.runner import RunConfig, run_workload
     from repro.workloads.registry import get_workload
@@ -254,6 +254,7 @@ def run_sweep_resilient(
         SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
     )
     rc = coerce_cache(cache) if fault_plan is None else None
+    key_of = cell_keyer()
     records: List[SweepRecord] = []
     report = ResilientSweepReport(results=None)
     total = sweep.size()
@@ -266,14 +267,16 @@ def run_sweep_resilient(
                 progress(point, i + 1, total)
             continue
         if rc is not None:
-            hit = rc.get_cell(
+            spec = sweep.spec_resolver(point.system)
+            key = key_of(
                 point.workload,
-                sweep.spec_resolver(point.system),
+                spec,
                 sweep.params_by_tag[point.params_tag],
                 point.threads,
                 sweep.scale,
                 point.seed,
             )
+            hit = rc.get(key)
             if hit is not None:
                 records.append(SweepRecord(point, hit))
                 report.resumed += 1
@@ -315,15 +318,10 @@ def run_sweep_resilient(
                 ckpt.put(label, stats, meta=replay)
                 ckpt.save()
             if rc is not None:
-                rc.put_cell(
-                    point.workload,
-                    sweep.spec_resolver(point.system),
-                    sweep.params_by_tag[point.params_tag],
-                    point.threads,
-                    sweep.scale,
+                rc.put(key, stats, meta=cell_meta(
+                    point.workload, spec, point.threads, sweep.scale,
                     point.seed,
-                    stats,
-                )
+                ))
         else:
             report.quarantined.append(quarantined)
             if ckpt is not None:
@@ -356,7 +354,7 @@ def resilient_seed_runs(
     run cache; fault-injected runs bypass it.
     """
     from repro.common.params import typical_params
-    from repro.harness.runcache import coerce_cache
+    from repro.harness.runcache import cell_keyer, cell_meta, coerce_cache
     from repro.harness.systems import get_system
     from repro.sim.runner import RunConfig, run_workload
     from repro.workloads.registry import get_workload
@@ -366,6 +364,7 @@ def resilient_seed_runs(
         SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
     )
     rc = coerce_cache(cache) if fault_plan is None else None
+    key_of = cell_keyer()
     run_params = params or typical_params()
     runs: List[RunStats] = []
     quarantined: List[QuarantineRecord] = []
@@ -375,9 +374,9 @@ def resilient_seed_runs(
             runs.append(ckpt.get(label))
             continue
         if rc is not None:
-            hit = rc.get_cell(
-                workload, get_system(system), run_params, threads, scale, seed
-            )
+            spec = get_system(system)
+            key = key_of(workload, spec, run_params, threads, scale, seed)
+            hit = rc.get(key)
             if hit is not None:
                 runs.append(hit)
                 if ckpt is not None:
@@ -414,15 +413,9 @@ def resilient_seed_runs(
                 ckpt.put(label, stats, meta=replay)
                 ckpt.save()
             if rc is not None:
-                rc.put_cell(
-                    workload,
-                    get_system(system),
-                    run_params,
-                    threads,
-                    scale,
-                    seed,
-                    stats,
-                )
+                rc.put(key, stats, meta=cell_meta(
+                    workload, spec, threads, scale, seed
+                ))
         else:
             quarantined.append(record)
             if ckpt is not None:

@@ -31,7 +31,7 @@ from repro.common.params import (
     typical_params,
 )
 from repro.core.policies import SystemSpec
-from repro.harness.runcache import cell_key
+from repro.harness.runcache import cell_keyer
 from repro.harness.systems import resolve_system
 from repro.workloads.registry import get_workload
 
@@ -125,6 +125,7 @@ class CampaignSpec:
         """Expand to cells in exactly ``Sweep.points`` order."""
         specs = {s: resolve_system(s) for s in self.systems}
         params = {t: PARAMS_TAGS[t]() for t in self.params_tags}
+        key_of = cell_keyer()
         out: List[CellSpec] = []
         for i, (wl, system, th, seed, tag) in enumerate(
             itertools.product(
@@ -147,7 +148,7 @@ class CampaignSpec:
                     params_tag=tag,
                     spec=spec,
                     params=p,
-                    key=cell_key(wl, spec, p, th, self.scale, seed),
+                    key=key_of(wl, spec, p, th, self.scale, seed),
                 )
             )
         return out

@@ -15,9 +15,11 @@ campaign and letting schedule-time dedup serve every already-computed
 cell from the cache.  That is what makes SIGTERM drain cheap: the
 journal plus the store *is* the checkpoint.
 
-Progress streams as a JSONL event feed: every event is appended to
-``<state_dir>/events/<job_id>.jsonl`` and to an in-memory list that
-HTTP stream watchers tail via an :class:`asyncio.Condition`.
+Progress streams as a JSONL event feed: every event is encoded once,
+appended to ``<state_dir>/events/<job_id>.jsonl`` through one handle
+per live job (flushed per event, closed at a terminal state or on
+service stop) and kept as that encoded line in memory, where HTTP
+stream watchers tail it via an :class:`asyncio.Condition`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import asyncio
 import json
 import os
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import BinaryIO, Dict, List, Optional
 
 from repro.common.stats import RunStats
 from repro.service.campaigns import CampaignSpec, CellSpec
@@ -67,6 +69,8 @@ class Job:
         self.error: Optional[str] = None
         self.cells: List[CellSpec] = campaign.cells()
         self.results: List[Optional[RunStats]] = [None] * len(self.cells)
+        #: Per-cell ``export.fingerprint``, set when the cell is delivered.
+        self.fingerprints: List[Optional[str]] = [None] * len(self.cells)
         #: Per-cell failure messages (index -> error string).
         self.failures: Dict[int, str] = {}
         # Counters (the status payload's vocabulary).
@@ -76,9 +80,10 @@ class Job:
         self.cells_scheduled = 0
         self.cells_done = 0
         self.cells_failed = 0
-        # Event feed.
-        self.events: List[Dict] = []
+        # Event feed: each event's JSONL line, encoded once.
+        self.event_lines: List[bytes] = []
         self._event_seq = 0
+        self._events_fh: Optional[BinaryIO] = None
         self._watchers = asyncio.Condition()
 
     # -- paths ---------------------------------------------------------
@@ -135,16 +140,27 @@ class Job:
 
     # -- events --------------------------------------------------------
 
-    def emit(self, event_type: str, **fields) -> Dict:
+    def emit(self, event_type: str, **fields) -> None:
         """Append one event to the feed (memory + JSONL file)."""
         self._event_seq += 1
         event = {"seq": self._event_seq, "event": event_type,
                  "job_id": self.job_id, **fields}
-        self.events.append(event)
-        os.makedirs(os.path.dirname(self.events_path), exist_ok=True)
-        with open(self.events_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-        return event
+        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+        self.event_lines.append(line)
+        fh = self._events_fh
+        if fh is None:
+            os.makedirs(os.path.dirname(self.events_path), exist_ok=True)
+            fh = self._events_fh = open(self.events_path, "ab")
+        fh.write(line)
+        fh.flush()
+        if self.state.terminal:
+            self.close_events()
+
+    def close_events(self) -> None:
+        """Close the feed's file handle; a later event reopens it."""
+        if self._events_fh is not None:
+            self._events_fh.close()
+            self._events_fh = None
 
     async def notify_watchers(self) -> None:
         async with self._watchers:
@@ -154,9 +170,10 @@ class Job:
         """Block until the feed has grown past ``cursor`` (or job ends)."""
         async with self._watchers:
             await self._watchers.wait_for(
-                lambda: len(self.events) > cursor or self.state.terminal
+                lambda: len(self.event_lines) > cursor
+                or self.state.terminal
             )
-        return len(self.events)
+        return len(self.event_lines)
 
     # -- status --------------------------------------------------------
 

@@ -100,6 +100,9 @@ class ReproService:
         self.workers = resolve_jobs(config.jobs)
         self.draining = False
         self.cells_executed = 0
+        #: Executed results whose store write raised (delivered anyway).
+        self.store_put_failures = 0
+        self.last_store_error: Optional[str] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._inflight: Dict[str, _InFlight] = {}
@@ -181,6 +184,7 @@ class ReproService:
             for cell in job.cells:
                 self.queue.push(job.tenant, job.job_id, cell.index)
             job.emit("resumed", cells_total=job.cells_total)
+            job.close_events()
 
     async def serve_until_stopped(self) -> None:
         await self._stopped.wait()
@@ -205,6 +209,7 @@ class ReproService:
                 job.save_journal()
                 job.emit("drained", resumable=True)
                 await job.notify_watchers()
+            job.close_events()
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
         if self._server is not None:
@@ -244,6 +249,10 @@ class ReproService:
         job.emit("submitted", tenant=tenant,
                  cells_total=job.cells_total,
                  campaign_digest=campaign.digest())
+        # A queued job holds no feed handle until the scheduler reaches
+        # it, so open handles grow with the cells in progress, not with
+        # the queue.
+        job.close_events()
         for cell in job.cells:
             self.queue.push(tenant, job_id, cell.index)
         self._wake.set()
@@ -294,7 +303,8 @@ class ReproService:
                     continue
                 hit = self.store.get(cell.key)
                 if hit is not None:
-                    await self._deliver(job, index, hit, "cache")
+                    await self._deliver(job, index, hit, fingerprint(hit),
+                                        "cache")
                     continue
                 self._start_cell(loop, tenant, job, cell)
 
@@ -332,8 +342,26 @@ class ReproService:
         self._executing -= 1
         self.queue.mark_finished(inflight.owner_tenant)
         self._inflight.pop(cell.key, None)
+        fp = None
         if stats is not None:
             self.cells_executed += 1
+            self._persist(cell, stats)
+            fp = fingerprint(stats)
+        for i, (job_id, index) in enumerate(inflight.subscribers):
+            job = self.jobs.get(job_id)
+            if job is None or job.state.terminal:
+                continue
+            if stats is not None:
+                source = "executed" if i == 0 else "deduped"
+                await self._deliver(job, index, stats, fp, source)
+            else:
+                await self._fail_cell(job, index, error)
+        self._wake.set()
+
+    def _persist(self, cell: CellSpec, stats) -> None:
+        """Store an executed result.  A failed write costs only reuse:
+        the result is still valid, so it is counted, not raised."""
+        try:
             self.store.put(cell.key, stats, meta={
                 "workload": cell.workload,
                 "system": cell.system,
@@ -341,26 +369,20 @@ class ReproService:
                 "scale": cell.scale,
                 "seed": cell.seed,
             })
-        for i, (job_id, index) in enumerate(inflight.subscribers):
-            job = self.jobs.get(job_id)
-            if job is None or job.state.terminal:
-                continue
-            if stats is not None:
-                source = "executed" if i == 0 else "deduped"
-                await self._deliver(job, index, stats, source)
-            else:
-                await self._fail_cell(job, index, error)
-        self._wake.set()
+        except Exception as exc:  # noqa: BLE001 - deliver regardless
+            self.store_put_failures += 1
+            self.last_store_error = f"{type(exc).__name__}: {exc}"
 
-    async def _deliver(self, job: Job, index: int, stats,
+    async def _deliver(self, job: Job, index: int, stats, fp: str,
                        source: str) -> None:
         job.results[index] = stats
+        job.fingerprints[index] = fp
         job.cells_done += 1
         if source == "cache":
             job.cells_from_cache += 1
         job.emit("cell_done", index=index, source=source,
                  label=job.cells[index].label(),
-                 fingerprint=fingerprint(stats),
+                 fingerprint=fp,
                  done=job.cells_done, total=job.cells_total)
         await self._maybe_finish(job)
         await job.notify_watchers()
@@ -401,6 +423,8 @@ class ReproService:
                 "hits": self.store.hits,
                 "misses": self.store.misses,
                 "stores": self.store.stores,
+                "put_failures": self.store_put_failures,
+                "last_put_error": self.last_store_error,
             },
             "jobs": {
                 state.value: sum(
@@ -425,7 +449,7 @@ class ReproService:
             }
             if stats is not None:
                 entry["state"] = "done"
-                entry["fingerprint"] = fingerprint(stats)
+                entry["fingerprint"] = job.fingerprints[cell.index]
                 if not lite:
                     entry["stats"] = run_stats_to_dict(stats)
             elif cell.index in job.failures:
@@ -597,9 +621,8 @@ class ReproService:
             b"Connection: close\r\n\r\n"
         )
         while True:
-            while cursor < len(job.events):
-                line = json.dumps(job.events[cursor], sort_keys=True)
-                writer.write(line.encode("utf-8") + b"\n")
+            while cursor < len(job.event_lines):
+                writer.write(job.event_lines[cursor])
                 cursor += 1
             await writer.drain()
             if not follow or job.state.terminal:

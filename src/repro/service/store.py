@@ -36,7 +36,6 @@ class ShardedStore(RunCache):
         super().__init__(root)
         self._shard_locks: Dict[str, threading.Lock] = {}
         self._shard_locks_guard = threading.Lock()
-        self._made_dirs: set = set()
 
     def path_for(self, key: str) -> str:
         return os.path.join(
@@ -62,11 +61,10 @@ class ShardedStore(RunCache):
         self, key: str, stats: RunStats, meta: Optional[Dict] = None
     ) -> None:
         path = self.path_for(key)
-        shard_dir = os.path.dirname(path)
         with self._shard_lock(key):
-            if shard_dir not in self._made_dirs:
-                os.makedirs(shard_dir, exist_ok=True)
-                self._made_dirs.add(shard_dir)
+            # Made on every put (one stat when it exists): a shard
+            # pruned from disk since the last put must come back.
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             self._write_entry(path, stats, meta)
 
     def contains(self, key: str) -> bool:

@@ -104,9 +104,9 @@ class TestRunCache:
         cell = _cell()
         stats = _stats(cell)
         cache = RunCache(str(tmp_path))
-        assert cache.get_cell(**cell) is None
-        cache.put_cell(**cell, stats=stats)
-        loaded = cache.get_cell(**cell)
+        assert cache.get(cell_key(**cell)) is None
+        cache.put(cell_key(**cell), stats)
+        loaded = cache.get(cell_key(**cell))
         assert loaded is not None
         assert fingerprint(loaded) == fingerprint(stats)
         assert loaded.execution_cycles == stats.execution_cycles
@@ -115,30 +115,30 @@ class TestRunCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cell = _cell()
         cache = RunCache(str(tmp_path))
-        cache.put_cell(**cell, stats=_stats(cell))
+        cache.put(cell_key(**cell), _stats(cell))
         path = cache.path_for(cell_key(**cell))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{ not json")
-        assert cache.get_cell(**cell) is None
+        assert cache.get(cell_key(**cell)) is None
 
     def test_corrupt_entry_unlinked_and_repaired(self, tmp_path):
         """Corrupt entries are evicted so the next run re-stores cleanly."""
         cell = _cell()
         stats = _stats(cell)
         cache = RunCache(str(tmp_path))
-        cache.put_cell(**cell, stats=stats)
+        cache.put(cell_key(**cell), stats)
         path = cache.path_for(cell_key(**cell))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{ not json")
 
         # Corrupt read: a miss, and the poisoned file is gone.
-        assert cache.get_cell(**cell) is None
+        assert cache.get(cell_key(**cell)) is None
         assert not os.path.exists(path)
         assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
 
         # Repair: the re-store lands and the next get is a clean hit.
-        cache.put_cell(**cell, stats=stats)
-        loaded = cache.get_cell(**cell)
+        cache.put(cell_key(**cell), stats)
+        loaded = cache.get(cell_key(**cell))
         assert loaded is not None
         assert fingerprint(loaded) == fingerprint(stats)
         assert (cache.hits, cache.misses, cache.stores) == (1, 1, 2)
@@ -155,7 +155,7 @@ class TestRunCache:
         def writer():
             try:
                 for _ in range(5):
-                    cache.put_cell(**cell, stats=stats)
+                    cache.put(cell_key(**cell), stats)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -165,7 +165,7 @@ class TestRunCache:
         for t in threads:
             t.join()
         assert not errors
-        loaded = cache.get_cell(**cell)
+        loaded = cache.get(cell_key(**cell))
         assert loaded is not None
         assert fingerprint(loaded) == fingerprint(stats)
         # No stray temp files survive the races.
@@ -175,14 +175,14 @@ class TestRunCache:
     def test_stale_schema_entry_is_a_miss(self, tmp_path):
         cell = _cell()
         cache = RunCache(str(tmp_path))
-        cache.put_cell(**cell, stats=_stats(cell))
+        cache.put(cell_key(**cell), _stats(cell))
         path = cache.path_for(cell_key(**cell))
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         data["schema"] = -1
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        assert cache.get_cell(**cell) is None
+        assert cache.get(cell_key(**cell)) is None
 
     def test_sharded_layout(self, tmp_path):
         key = cell_key(**_cell())

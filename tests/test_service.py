@@ -187,6 +187,18 @@ class TestShardedStore:
         assert not errors
         assert all(store.get(k) is not None for k in keys)
 
+    def test_put_recovers_a_pruned_shard(self, tmp_path):
+        """A shard directory removed after a put is re-created by the next
+        put (a memo of made directories used to make it raise forever)."""
+        import shutil
+
+        store = ShardedStore(str(tmp_path))
+        key = "ab12" + "0" * 60
+        store.put(key, self._stats())
+        shutil.rmtree(tmp_path / "ab")
+        store.put(key, self._stats())
+        assert store.get(key).execution_cycles == 123
+
 
 class TestServiceHTTP:
     def test_healthz_and_stats(self, service):
@@ -296,6 +308,45 @@ class TestServiceDeterminism:
         with open(feed, encoding="utf-8") as fh:
             on_disk = [json.loads(line) for line in fh]
         assert on_disk == events
+
+
+ONE_CELL = {
+    "kind": "sweep",
+    "workloads": ["ssca2"],
+    "systems": ["LockillerTM"],
+    "threads": [1],
+    "seeds": [1],
+    "scale": 0.01,
+}
+
+
+class TestStoreWriteFailure:
+    def test_failed_put_still_delivers_and_next_job_runs(self, service):
+        """A store write that raises costs reuse, not the job: the result
+        is delivered, the failure is counted, the scheduler keeps going."""
+        svc = service.service
+
+        def failing_put(key, stats, meta=None):
+            raise OSError(28, "No space left on device")
+
+        svc.store.put = failing_put
+        client = client_of(service)
+        first = client.submit(ONE_CELL)
+        final = client.wait(first["job_id"], timeout=60)
+        assert final["state"] == "done"
+        assert final["progress"]["cells_scheduled"] == 1
+        second = client.submit(dict(ONE_CELL, seeds=[2]))
+        assert client.wait(second["job_id"], timeout=60)["state"] == "done"
+
+        store = client.stats()["store"]
+        assert store["put_failures"] == 2
+        assert store["stores"] == 0
+        assert "No space left" in store["last_put_error"]
+        # The delivered result is the real one.
+        cell = client.results(first["job_id"])["cells"][0]
+        spec = CampaignSpec.from_dict(ONE_CELL)
+        serial = spec.to_sweep().run().records[0].stats
+        assert cell["fingerprint"] == fingerprint(serial)
 
 
 class TestDrainResume:

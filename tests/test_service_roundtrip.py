@@ -1,0 +1,320 @@
+"""Drift-free pins on the warm service round trip.
+
+Each test counts calls or compares bytes, never times: keys are
+canonicalized once per spec/params object per campaign expansion,
+results reuse the fingerprint computed at delivery, and the bytes a
+stored entry or an event feed holds match the pinned older encoders.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import cProfile
+import dataclasses
+import hashlib
+import json
+import os
+import pstats
+
+import pytest
+
+import repro.service.server as server_mod
+from repro.common.params import typical_params
+from repro.common.stats import ABORT_REASONS, TIME_CATS
+from repro.harness import runcache
+from repro.harness.export import (
+    SCHEMA_VERSION,
+    fingerprint,
+    run_stats_from_dict,
+    run_stats_to_dict,
+)
+from repro.harness.runcache import (
+    CACHE_SCHEMA_VERSION,
+    _canonical,
+    cell_key,
+    cell_keyer,
+)
+from repro.harness.sweeps import Sweep
+from repro.harness.systems import get_system
+from repro.service import CampaignSpec, ServiceClient
+from repro.service.campaigns import PARAMS_TAGS
+from repro.service.jobs import Job, JobState
+from repro.service.server import ReproService, ServiceConfig, ServiceThread
+
+#: The warm campaign of the ``service-campaigns`` benchmark workload.
+WARM = {
+    "kind": "sweep",
+    "workloads": ["genome", "intruder", "kmeans+", "ssca2", "vacation-",
+                  "yada"],
+    "systems": ["CGL", "Baseline", "LosaTM-SAFU", "LockillerTM"],
+    "threads": [4, 8],
+    "seeds": [42],
+    "scale": 0.05,
+}
+
+
+def reference_cell_key(workload, spec, params, threads, scale, seed):
+    """The key as the original single ``json.dumps`` computed it."""
+    payload = json.dumps(
+        {
+            "cache_schema": CACHE_SCHEMA_VERSION,
+            "result_schema": SCHEMA_VERSION,
+            "workload": workload,
+            "spec": _canonical(spec),
+            "params": _canonical(params),
+            "threads": int(threads),
+            "scale": float(scale),
+            "seed": int(seed),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestKeyOnce:
+    def test_warm_campaign_canonicalizes_each_object_once(self):
+        spec = CampaignSpec.from_dict(WARM)
+        prof = cProfile.Profile()
+        prof.enable()
+        cells = spec.cells()
+        prof.disable()
+        primitive = {
+            func: cc
+            for (path, _line, func), (cc, *_rest) in (
+                pstats.Stats(prof).stats.items()
+            )
+            if path == runcache.__file__
+        }
+        assert len(cells) == 48
+        # 4 systems + 1 params tag, each once; the recursion into their
+        # fields is not a primitive call.
+        assert primitive["_canonical"] == 5
+
+    def test_mixed_campaign_keys_match_fresh_cell_key(self):
+        campaigns = [
+            dict(WARM, params_tags=["typical", "small", "large"],
+                 threads=[1, 4], seeds=[1, 2], scale=scale)
+            for scale in (1, 0.25)
+        ]
+        for data in campaigns:
+            cells = CampaignSpec.from_dict(data).cells()
+            assert len(cells) == 6 * 4 * 2 * 2 * 3
+            for cell in cells:
+                args = (cell.workload, get_system(cell.system),
+                        PARAMS_TAGS[cell.params_tag](), cell.threads,
+                        data["scale"], cell.seed)
+                assert cell.key == cell_key(*args)
+                assert cell.key == reference_cell_key(*args)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            ("ssca2", 2, 0.05, 1),
+            ("kmeans+", 8, 1, 7),
+            ("café \"quoted\"", True, 1e-7, 2**40),
+            ("ssca2", 2.0, float("inf"), 3.0),
+        ],
+    )
+    def test_spliced_payload_equals_one_json_dumps(self, coords):
+        workload, threads, scale, seed = coords
+        spec, params = get_system("LockillerTM"), typical_params()
+        args = (workload, spec, params, threads, scale, seed)
+        assert cell_key(*args) == reference_cell_key(*args)
+        assert cell_keyer()(*args) == reference_cell_key(*args)
+
+    def test_keyer_memo_is_by_identity_not_value(self):
+        """``==``-equal params that encode differently keep their keys."""
+        p = typical_params()
+        as_float = dataclasses.replace(p, num_cores=float(p.num_cores))
+        assert as_float == p
+        spec = get_system("CGL")
+        key_of = cell_keyer()
+        a = key_of("ssca2", spec, p, 2, 0.05, 1)
+        b = key_of("ssca2", spec, as_float, 2, 0.05, 1)
+        assert a == cell_key("ssca2", spec, p, 2, 0.05, 1)
+        assert b == cell_key("ssca2", spec, as_float, 2, 0.05, 1)
+        assert a != b
+
+
+class TestDecodeTables:
+    def test_missing_category_zero_fills_in_enum_order(self):
+        stats = Sweep(
+            workloads=["ssca2"], systems=["LockillerTM"], threads=(2,),
+            seeds=(1,), scale=0.05,
+            params_by_tag={"typical": typical_params()},
+        ).run().records[0].stats
+        doc = json.loads(json.dumps(run_stats_to_dict(stats)))
+        for core in doc["cores"]:
+            del core["aborts"]["explicit"]
+            core["aborts"] = dict(reversed(list(core["aborts"].items())))
+        decoded = run_stats_from_dict(doc)
+        for cs, orig in zip(decoded.cores, stats.cores):
+            assert list(cs.aborts) == ABORT_REASONS
+            assert list(cs.time) == TIME_CATS
+            assert cs.aborts[ABORT_REASONS[-1]] == 0
+            assert cs.time == orig.time
+        assert fingerprint(decoded) == fingerprint(stats)
+
+    def test_unknown_category_reads_as_corrupt_entry(self, tmp_path):
+        cache = runcache.RunCache(str(tmp_path))
+        key = "cd" * 32
+        stats = Sweep(
+            workloads=["ssca2"], systems=["CGL"], threads=(1,),
+            seeds=(1,), scale=0.01,
+            params_by_tag={"typical": typical_params()},
+        ).run().records[0].stats
+        cache.put(key, stats)
+        path = cache.path_for(key)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["cores"][0]["time"]["napping"] = 5
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert cache.get(key) is None
+        assert not os.path.exists(path)
+        assert cache.misses == 1
+
+
+class TestBytesPinned:
+    def test_sweep_cache_entries_match_pinned_bytes(self, tmp_path):
+        """Entry bytes (stats and meta) as the encoder before the decode
+        tables and ``cell_meta`` wrote them."""
+        root = tmp_path / "rc"
+        Sweep(
+            workloads=["ssca2"], systems=["CGL", "LockillerTM"],
+            threads=(2,), seeds=(1,), scale=0.05,
+            params_by_tag={"typical": typical_params()},
+        ).run(cache=str(root))
+        digests = {
+            name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+            for path in root.iterdir()
+            for name in os.listdir(path)
+        }
+        assert digests == {
+            "b396add54ee798cceebc6e03acdd008cd13427a3cb21b2c5d8c3a3d4"
+            "adcded10.json":
+                "179b62dfaf10ab5fa61cce39455e5986e412fa1f49a569b8fcc952a"
+                "d85ab9bba",
+            "f60e4c52628204fbc0379df8f3400b6cfe04d313b54e1cbae508acc3"
+            "b6407234.json":
+                "d2c35e2d7bb4626eba3a94143a51e44f7073e895db913ad4518549d"
+                "0b3a36ef7",
+        }
+
+    def test_event_feed_matches_pinned_bytes(self, tmp_path):
+        campaign = CampaignSpec.from_dict({
+            "workloads": ["ssca2"], "systems": ["CGL"], "threads": [2],
+            "seeds": [1], "scale": 0.05,
+        })
+        job = Job("j00001-abcdef", "ténant", campaign,
+                  str(tmp_path), submit_seq=1)
+        job.emit("submitted", tenant=job.tenant, cells_total=1,
+                 campaign_digest=campaign.digest())
+        job.emit("cell_done", index=0, source="cache",
+                 label=job.cells[0].label(),
+                 fingerprint="0123456789abcdef", done=1, total=1)
+        job.state = JobState.DONE
+        job.emit("job_done", progress=job.progress())
+        assert job._events_fh is None  # closed at the terminal state
+        with open(job.events_path, "rb") as fh:
+            written = fh.read()
+        assert written == b"".join(job.event_lines)
+        assert written == (
+            b'{"campaign_digest": "3fccdb30096aeda9", "cells_total": 1, '
+            b'"event": "submitted", "job_id": "j00001-abcdef", "seq": 1, '
+            b'"tenant": "t\\u00e9nant"}\n'
+            b'{"done": 1, "event": "cell_done", "fingerprint": '
+            b'"0123456789abcdef", "index": 0, "job_id": "j00001-abcdef", '
+            b'"label": "ssca2/CGL/t2/s1/typical", "seq": 2, '
+            b'"source": "cache", "total": 1}\n'
+            b'{"event": "job_done", "job_id": "j00001-abcdef", '
+            b'"progress": {"cells_deduped": 0, "cells_done": 0, '
+            b'"cells_failed": 0, "cells_from_cache": 0, '
+            b'"cells_scheduled": 0, "cells_total": 1}, "seq": 3}\n'
+        )
+
+
+class TestFingerprintOnce:
+    def test_results_reuse_the_delivered_fingerprint(self, tmp_path,
+                                                     monkeypatch):
+        campaign = {
+            "kind": "sweep", "workloads": ["ssca2"],
+            "systems": ["CGL", "LockillerTM"], "threads": [1],
+            "seeds": [1], "scale": 0.01,
+        }
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            job_id = client.submit(campaign)["job_id"]
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            calls = []
+
+            def counting(stats):
+                calls.append(1)
+                return fingerprint(stats)
+
+            monkeypatch.setattr(server_mod, "fingerprint", counting)
+            results = client.results(job_id)
+            lite = client.results(job_id, lite=True)
+            events = list(client.stream(job_id, follow=False))
+        assert calls == []
+        done = {e["index"]: e["fingerprint"] for e in events
+                if e["event"] == "cell_done"}
+        for cell, lite_cell in zip(results["cells"], lite["cells"]):
+            assert cell["fingerprint"] == lite_cell["fingerprint"]
+            assert cell["fingerprint"] == done[cell["index"]]
+            assert cell["fingerprint"] == fingerprint(
+                run_stats_from_dict(cell["stats"])
+            )
+
+
+def _open_event_feeds(state_dir):
+    fd_dir = "/proc/self/fd"
+    events = os.path.join(os.path.realpath(state_dir), "events")
+    found = []
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:
+            continue  # closed between listdir and readlink
+        if target.startswith(events):
+            found.append(target)
+    return found
+
+
+class TestEventHandles:
+    def test_queued_job_holds_no_feed_handle(self, tmp_path):
+        async def submit_without_scheduler():
+            svc = ReproService(ServiceConfig(state_dir=str(tmp_path)))
+            svc._wake = asyncio.Event()  # never started: stays queued
+            return svc.submit("a", CampaignSpec.from_dict(WARM))
+
+        job = asyncio.run(submit_without_scheduler())
+        assert job.state is JobState.QUEUED
+        assert job._events_fh is None
+        with open(job.events_path, "rb") as fh:
+            assert fh.read() == b"".join(job.event_lines)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_no_feed_left_open_after_jobs_end_and_drain(self, tmp_path):
+        state_dir = str(tmp_path / "svc")
+        campaign = {
+            "kind": "sweep", "workloads": ["ssca2"], "systems": ["CGL"],
+            "threads": [1], "seeds": [1], "scale": 0.01,
+        }
+        with ServiceThread(ServiceConfig(state_dir=state_dir, jobs=1)) as h:
+            client = ServiceClient(h.host, h.port)
+            job_id = client.submit(campaign)["job_id"]
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            assert _open_event_feeds(state_dir) == []
+            # Three slower cells on one worker: the stop below drains
+            # the job mid-campaign, leaving it live.
+            live_id = client.submit(dict(
+                campaign, threads=[2], seeds=[2, 3, 4], scale=0.1,
+            ))["job_id"]
+        with open(os.path.join(state_dir, "jobs", f"{live_id}.json")) as fh:
+            assert json.load(fh)["state"] == "queued"
+        assert _open_event_feeds(state_dir) == []
