@@ -31,16 +31,19 @@ import itertools
 import json
 import os
 from enum import Enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, TypeVar
 
 from repro.common.params import SystemParams
 from repro.common.stats import RunStats
 from repro.core.policies import SystemSpec
 from repro.harness.export import (
     SCHEMA_VERSION,
+    fingerprint,
     run_stats_from_dict,
     run_stats_to_dict,
 )
+
+T = TypeVar("T")
 
 #: Bump to invalidate every cached result (e.g. after a simulator change
 #: that intentionally alters timing).  The export schema version is also
@@ -156,6 +159,33 @@ def cell_meta(workload: str, spec: SystemSpec, threads: int,
     }
 
 
+class StoredResult(NamedTuple):
+    """One cell's result as the service holds and serves it.
+
+    Immutable, so one record can be shared by every job that delivers
+    the cell.  ``stats_json`` is ``json.dumps(run_stats_to_dict(stats),
+    sort_keys=True)`` of the decoded stats, the text the results body
+    carries for the cell.
+    """
+
+    fingerprint: str
+    stats_json: str
+    execution_cycles: int
+
+    @classmethod
+    def of(cls, stats: RunStats) -> "StoredResult":
+        return cls(
+            fingerprint(stats),
+            json.dumps(run_stats_to_dict(stats), sort_keys=True),
+            stats.execution_cycles,
+        )
+
+
+def decode_entry(data: bytes) -> RunStats:
+    """The stats an entry's bytes hold; raises if they are not one."""
+    return run_stats_from_dict(json.loads(data.decode("utf-8")))
+
+
 class RunCache:
     """File-per-cell result cache with hit/miss accounting."""
 
@@ -169,16 +199,25 @@ class RunCache:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> Optional[RunStats]:
+        """The entry's stats, decoded afresh: the caller owns them."""
+        return self._read(key, decode_entry)
+
+    def _read(self, key: str, decode: Callable[[bytes], T]) -> Optional[T]:
+        """Read the entry for ``key`` and return ``decode`` of its bytes.
+
+        Counts one hit or one miss.  Bytes that ``decode`` rejects are a
+        corrupt entry: a miss, and the file is unlinked.
+        """
         path = self.path_for(key)
         try:
-            fh = open(path, "r", encoding="utf-8")
+            fh = open(path, "rb")
         except OSError:
             # No entry on disk: a plain miss.
             self.misses += 1
             return None
         try:
             with fh:
-                stats = run_stats_from_dict(json.load(fh))
+                value = decode(fh.read())
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupt or stale-schema entry: a miss, and the file can
             # never become a hit again — unlink it so the next run
@@ -190,7 +229,7 @@ class RunCache:
             self.misses += 1
             return None
         self.hits += 1
-        return stats
+        return value
 
     _tmp_seq = itertools.count()
 

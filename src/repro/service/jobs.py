@@ -30,7 +30,7 @@ import os
 from enum import Enum
 from typing import BinaryIO, Dict, List, Optional
 
-from repro.common.stats import RunStats
+from repro.harness.runcache import StoredResult
 from repro.service.campaigns import CampaignSpec, CellSpec
 
 JOURNAL_SCHEMA = "repro-service-job/1"
@@ -68,9 +68,10 @@ class Job:
         self.state = JobState.QUEUED
         self.error: Optional[str] = None
         self.cells: List[CellSpec] = campaign.cells()
-        self.results: List[Optional[RunStats]] = [None] * len(self.cells)
-        #: Per-cell ``export.fingerprint``, set when the cell is delivered.
-        self.fingerprints: List[Optional[str]] = [None] * len(self.cells)
+        #: Per-cell record, set when the cell is delivered.
+        self.results: List[Optional[StoredResult]] = (
+            [None] * len(self.cells)
+        )
         #: Per-cell failure messages (index -> error string).
         self.failures: Dict[int, str] = {}
         # Counters (the status payload's vocabulary).

@@ -40,13 +40,14 @@ import signal
 import threading
 import uuid
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import ConfigError
-from repro.harness.export import fingerprint, run_stats_to_dict
 from repro.harness.parallel import CellTask, execute_cell, resolve_jobs
+from repro.harness.runcache import StoredResult
 from repro.service.campaigns import CampaignSpec, CellSpec
 from repro.service.jobs import Job, JobState
 from repro.service.quotas import FairQueue, QuotaExceeded, TenantQuota
@@ -55,6 +56,8 @@ from repro.service.store import ShardedStore
 API_VERSION = "v1"
 DEFAULT_TENANT = "default"
 TENANT_HEADER = "x-repro-tenant"
+#: How ``json.dumps`` encodes a results cell's ``"stats": None``.
+_STATS_PLACEHOLDER = '"stats": null'
 
 
 @dataclass
@@ -303,15 +306,12 @@ class ReproService:
                     continue
                 hit = self.store.get(cell.key)
                 if hit is not None:
-                    await self._deliver(job, index, hit, fingerprint(hit),
-                                        "cache")
+                    await self._deliver(job, index, hit, "cache")
                     continue
                 self._start_cell(loop, tenant, job, cell)
 
     def _start_cell(self, loop, tenant: str, job: Job,
                     cell: CellSpec) -> None:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         inflight = _InFlight(cell, tenant, job.job_id, cell.index)
         self._inflight[cell.key] = inflight
         self._executing += 1
@@ -326,12 +326,36 @@ class ReproService:
             cell.index, cell.workload, cell.spec, cell.threads,
             cell.scale, cell.seed, cell.params,
         )
-        fut = loop.run_in_executor(self._pool, execute_cell, task)
-        runner = asyncio.ensure_future(self._run_cell(inflight, fut))
+        pool, fut = self._submit_task(loop, task)
+        runner = asyncio.ensure_future(self._run_cell(inflight, pool, fut))
         self._cell_tasks.add(runner)
         runner.add_done_callback(self._cell_tasks.discard)
 
-    async def _run_cell(self, inflight: _InFlight, fut) -> None:
+    def _submit_task(self, loop, task: CellTask):
+        """Hand ``task`` to the pool; return the pool and the future.
+
+        A worker that died while idle leaves the pool broken, and the
+        submit then raises at once.  Nothing was lost yet, so the
+        broken pool is replaced and the task goes to the fresh one.
+        """
+        if self._pool is not None:
+            try:
+                return self._pool, loop.run_in_executor(
+                    self._pool, execute_cell, task)
+            except BrokenProcessPool:
+                self._drop_pool(self._pool)
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool, loop.run_in_executor(
+            self._pool, execute_cell, task)
+
+    def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Forget a broken pool; the next cold cell starts a fresh one."""
+        pool.shutdown(wait=False, cancel_futures=True)
+        if self._pool is pool:
+            self._pool = None
+
+    async def _run_cell(self, inflight: _InFlight,
+                        pool: ProcessPoolExecutor, fut) -> None:
         cell = inflight.cell
         error: Optional[str] = None
         stats = None
@@ -339,21 +363,25 @@ class ReproService:
             _, stats = await fut
         except Exception as exc:  # noqa: BLE001 - fail the cell, not us
             error = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, BrokenProcessPool):
+                # A worker died mid-run: this execution is lost, and so
+                # is every other one on the pool.
+                self._drop_pool(pool)
         self._executing -= 1
         self.queue.mark_finished(inflight.owner_tenant)
         self._inflight.pop(cell.key, None)
-        fp = None
+        record = None
         if stats is not None:
             self.cells_executed += 1
             self._persist(cell, stats)
-            fp = fingerprint(stats)
+            record = StoredResult.of(stats)
         for i, (job_id, index) in enumerate(inflight.subscribers):
             job = self.jobs.get(job_id)
             if job is None or job.state.terminal:
                 continue
-            if stats is not None:
+            if record is not None:
                 source = "executed" if i == 0 else "deduped"
-                await self._deliver(job, index, stats, fp, source)
+                await self._deliver(job, index, record, source)
             else:
                 await self._fail_cell(job, index, error)
         self._wake.set()
@@ -373,16 +401,15 @@ class ReproService:
             self.store_put_failures += 1
             self.last_store_error = f"{type(exc).__name__}: {exc}"
 
-    async def _deliver(self, job: Job, index: int, stats, fp: str,
+    async def _deliver(self, job: Job, index: int, record: StoredResult,
                        source: str) -> None:
-        job.results[index] = stats
-        job.fingerprints[index] = fp
+        job.results[index] = record
         job.cells_done += 1
         if source == "cache":
             job.cells_from_cache += 1
         job.emit("cell_done", index=index, source=source,
                  label=job.cells[index].label(),
-                 fingerprint=fp,
+                 fingerprint=record.fingerprint,
                  done=job.cells_done, total=job.cells_total)
         await self._maybe_finish(job)
         await job.notify_watchers()
@@ -438,34 +465,42 @@ class ReproService:
             },
         }
 
-    def results_dict(self, job: Job, lite: bool = False) -> Dict:
+    def results_body(self, job: Job, lite: bool = False) -> bytes:
+        """The results route's JSON body.
+
+        The bytes equal ``json.dumps(doc, sort_keys=True)`` of the
+        results document, but each done cell's stats are spliced in as
+        its record's ``stats_json`` instead of being encoded again.
+        """
         cells = []
+        spliced: List[str] = []
         for cell in job.cells:
-            stats = job.results[cell.index]
+            record = job.results[cell.index]
             entry: Dict = {
                 "index": cell.index,
                 "label": cell.label(),
                 "key": cell.key,
             }
-            if stats is not None:
+            if record is not None:
                 entry["state"] = "done"
-                entry["fingerprint"] = job.fingerprints[cell.index]
+                entry["fingerprint"] = record.fingerprint
                 if not lite:
-                    entry["stats"] = run_stats_to_dict(stats)
+                    entry["stats"] = None
+                    spliced.append(record.stats_json)
             elif cell.index in job.failures:
                 entry["state"] = "failed"
                 entry["error"] = job.failures[cell.index]
             else:
                 entry["state"] = "pending"
             cells.append(entry)
-        out = dict(job.status_dict())
+        out = job.status_dict()
         out["cells"] = cells
         if job.campaign.kind == "multiseed" and job.state is JobState.DONE:
             from repro.harness.multiseed import summarize_values
 
             values = [
-                float(s.execution_cycles)
-                for s in job.results if s is not None
+                float(r.execution_cycles)
+                for r in job.results if r is not None
             ]
             summary = summarize_values(values)
             out["summary"] = {
@@ -477,7 +512,14 @@ class ReproService:
                 "n": summary.n,
                 "ci95_half_width": summary.ci95_half_width,
             }
-        return out
+        # Only cell entries have a "stats" key, and a string value
+        # cannot hold an unescaped quote, so the placeholder's encoding
+        # occurs once per spliced cell, in cell order.
+        parts = json.dumps(out, sort_keys=True).split(_STATS_PLACEHOLDER)
+        pieces = [parts[0]]
+        for stats_json, rest in zip(spliced, parts[1:]):
+            pieces += ('"stats": ', stats_json, rest)
+        return "".join(pieces).encode("utf-8")
 
     # -- HTTP layer ----------------------------------------------------
 
@@ -562,8 +604,8 @@ class ReproService:
                 return _write_response(writer, 200, job.status_dict())
             if method == "GET" and tail == ["results"]:
                 lite = query.get("lite", ["0"])[0] not in ("0", "")
-                return _write_response(
-                    writer, 200, self.results_dict(job, lite=lite)
+                return _write_body(
+                    writer, 200, self.results_body(job, lite=lite)
                 )
             if method == "GET" and tail == ["events"]:
                 return await self._http_events(job, query, writer)
@@ -634,10 +676,16 @@ def _write_response(writer: asyncio.StreamWriter, status: int,
                     payload: Dict,
                     extra_headers: Optional[Dict[str, str]] = None
                     ) -> None:
+    _write_body(writer, status,
+                json.dumps(payload, sort_keys=True).encode("utf-8"),
+                extra_headers)
+
+
+def _write_body(writer: asyncio.StreamWriter, status: int, body: bytes,
+                extra_headers: Optional[Dict[str, str]] = None) -> None:
     reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                404: "Not Found", 429: "Too Many Requests",
                500: "Internal Server Error", 503: "Service Unavailable"}
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = [
         f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
         "Content-Type: application/json",

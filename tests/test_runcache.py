@@ -237,7 +237,12 @@ def test_entry_bytes_are_sorted_json_dumps(store_cls, tmp_path):
     streamed = io.StringIO()
     json.dump(payload, streamed, sort_keys=True)
     assert written == streamed.getvalue()
-    assert fingerprint(store.get(key)) == fingerprint(stats)
+    got = store.get(key)
+    if store_cls is ShardedStore:  # the service's store returns records
+        got = got.fingerprint
+    else:
+        got = fingerprint(got)
+    assert got == fingerprint(stats)
 
 
 class TestCoerceCache:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
 import time
 
@@ -347,6 +348,50 @@ class TestStoreWriteFailure:
         spec = CampaignSpec.from_dict(ONE_CELL)
         serial = spec.to_sweep().run().records[0].stats
         assert cell["fingerprint"] == fingerprint(serial)
+
+
+class TestBrokenPool:
+    #: About 1.5 s of simulation: ample time to kill its worker mid-run.
+    SLOW = {"kind": "sweep", "workloads": ["labyrinth"],
+            "systems": ["LockillerTM"], "threads": [8], "seeds": [1],
+            "scale": 1.0}
+
+    @staticmethod
+    def _kill_workers(svc) -> None:
+        pool = svc._pool
+        for pid in list(pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken:  # the pool notices its dead worker
+            assert time.monotonic() < deadline, "pool never broke"
+            time.sleep(0.01)
+
+    def test_killed_worker_fails_its_cell_and_service_recovers(
+            self, tmp_path):
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            svc = handle.service
+            client = client_of(handle)
+            lost = client.submit(self.SLOW)["job_id"]
+            for event in client.stream(lost, follow=True):
+                if event["event"] == "cell_scheduled":
+                    break
+            # Mid-run: the cell's execution is lost with its worker.
+            self._kill_workers(svc)
+            assert client.wait(lost, timeout=60)["state"] == "failed"
+            error = client.results(lost)["cells"][0]["error"]
+            assert error.startswith("BrokenProcessPool")
+            # A later cold campaign runs on a fresh pool.
+            later = client.submit(ONE_CELL)["job_id"]
+            assert client.wait(later, timeout=60)["state"] == "done"
+            # Idle: the next submit finds the pool broken and replaces
+            # it, so no execution is lost and the campaign completes.
+            self._kill_workers(svc)
+            idle = client.submit(dict(ONE_CELL, seeds=[2]))["job_id"]
+            assert client.wait(idle, timeout=60)["state"] == "done"
+            assert not svc._scheduler_task.done()
+            assert client.stats()["cells_executed"] == 2
 
 
 class TestDrainResume:

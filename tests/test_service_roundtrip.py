@@ -2,8 +2,10 @@
 
 Each test counts calls or compares bytes, never times: keys are
 canonicalized once per spec/params object per campaign expansion,
-results reuse the fingerprint computed at delivery, and the bytes a
-stored entry or an event feed holds match the pinned older encoders.
+results reuse the fingerprint computed at delivery, the bytes a stored
+entry, an event feed or a results body holds match the pinned older
+encoders, and the store's record memo trusts only the bytes it just
+read.
 """
 
 from __future__ import annotations
@@ -12,15 +14,17 @@ import asyncio
 import cProfile
 import dataclasses
 import hashlib
+import http.client
 import json
 import os
 import pstats
+import sys
+import threading
 
 import pytest
 
-import repro.service.server as server_mod
 from repro.common.params import typical_params
-from repro.common.stats import ABORT_REASONS, TIME_CATS
+from repro.common.stats import ABORT_REASONS, TIME_CATS, RunStats
 from repro.harness import runcache
 from repro.harness.export import (
     SCHEMA_VERSION,
@@ -30,13 +34,15 @@ from repro.harness.export import (
 )
 from repro.harness.runcache import (
     CACHE_SCHEMA_VERSION,
+    StoredResult,
     _canonical,
     cell_key,
     cell_keyer,
 )
 from repro.harness.sweeps import Sweep
 from repro.harness.systems import get_system
-from repro.service import CampaignSpec, ServiceClient
+from repro.service import CampaignSpec, ServiceClient, ShardedStore
+from repro.service import store as store_mod
 from repro.service.campaigns import PARAMS_TAGS
 from repro.service.jobs import Job, JobState
 from repro.service.server import ReproService, ServiceConfig, ServiceThread
@@ -234,6 +240,201 @@ class TestBytesPinned:
             b'"cells_scheduled": 0, "cells_total": 1}, "seq": 3}\n'
         )
 
+    def test_results_body_matches_pinned_bytes(self, tmp_path):
+        """Full and lite results bodies as the dict-then-dumps encoder
+        wrote them, job ids masked.
+
+        The pinned job holds an executed cell (LockillerTM) and a cell
+        served from the store (CGL, stored by the first job).  Both
+        commit-latency histograms hold buckets on either side of 10, so
+        a body that sorted the bucket keys as strings would differ.
+        """
+        stored = {
+            "kind": "sweep", "workloads": ["intruder"], "systems": ["CGL"],
+            "threads": [2], "seeds": [1], "scale": 0.02,
+        }
+        pinned = dict(stored, systems=["CGL", "LockillerTM"])
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            first = client.submit(stored)["job_id"]
+            assert client.wait(first, timeout=120)["state"] == "done"
+            job_id = client.submit(pinned)["job_id"]
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            full = _raw_get(handle, f"/v1/jobs/{job_id}/results")
+            lite = _raw_get(handle, f"/v1/jobs/{job_id}/results?lite=1")
+        sources = [e["source"] for e in _feed(tmp_path / "svc", job_id)
+                   if e["event"] == "cell_done"]
+        assert sorted(sources) == ["cache", "executed"]
+        for cell in json.loads(full)["cells"]:
+            buckets = cell["stats"]["cores"][0]["commit_latency_hist"][
+                "buckets"]
+            assert min(map(int, buckets)) < 10 <= max(map(int, buckets))
+        masked = {
+            name: hashlib.sha256(
+                body.replace(job_id.encode(), b"J")
+            ).hexdigest()
+            for name, body in (("full", full), ("lite", lite))
+        }
+        assert masked == {
+            "full": "3334817c79c917d5be90cefdba1a81c1ddeed35c79674a2aec2875"
+                    "8acba2a2a2",
+            "lite": "e635f6d801e6e634c83424b161fe373ef5878a56032dc1b4060e48"
+                    "f3d6c85ab0",
+        }
+
+
+def _intruder_stats(seed: int = 1):
+    """A small cell whose histograms hold buckets either side of 10."""
+    return Sweep(
+        workloads=["intruder"], systems=["CGL"], threads=(2,),
+        seeds=(seed,), scale=0.02,
+        params_by_tag={"typical": typical_params()},
+    ).run().records[0].stats
+
+
+class TestStoredRecords:
+    """The store's record memo trusts nothing but the bytes just read."""
+
+    KEY = "ab" * 32
+
+    def test_deleted_entry_is_a_miss(self, tmp_path):
+        store = ShardedStore(str(tmp_path))
+        store.put(self.KEY, _intruder_stats())
+        assert store.get(self.KEY) is not None
+        os.unlink(store.path_for(self.KEY))
+        assert store.get(self.KEY) is None
+        assert (store.hits, store.misses) == (1, 1)
+
+    def test_garbage_over_memoized_entry_is_a_miss_and_unlinked(
+            self, tmp_path):
+        store = ShardedStore(str(tmp_path))
+        store.put(self.KEY, _intruder_stats())
+        assert store.get(self.KEY) is not None
+        path = store.path_for(self.KEY)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{ torn entry")
+        assert store.get(self.KEY) is None
+        assert not os.path.exists(path)
+        assert (store.hits, store.misses, store.stores) == (1, 1, 1)
+
+    def test_replaced_entry_reads_as_the_new_bytes(self, tmp_path):
+        store = ShardedStore(str(tmp_path))
+        first, second = _intruder_stats(1), _intruder_stats(2)
+        assert fingerprint(first) != fingerprint(second)
+        store.put(self.KEY, first)
+        assert store.get(self.KEY).fingerprint == fingerprint(first)
+        store.put(self.KEY, second)
+        assert store.get(self.KEY).fingerprint == fingerprint(second)
+
+    def test_memo_stays_within_its_bound(self, tmp_path):
+        store = ShardedStore(str(tmp_path))
+        held = []
+        for i in range(store_mod.MEMO_ENTRIES + 5):
+            key = f"{i:064x}"
+            store.put(key, RunStats(execution_cycles=i, cores=[]))
+            held.append(store.get(key))
+            assert len(store._memo) <= store_mod.MEMO_ENTRIES
+        assert len(store._memo) == store_mod.MEMO_ENTRIES
+        # Evicted records stay whole in the hands that hold them.
+        assert [r.execution_cycles for r in held] == list(range(len(held)))
+        assert store.get(f"{0:064x}").execution_cycles == 0
+
+    def test_concurrent_reads_keep_the_bound(self, tmp_path):
+        store = ShardedStore(str(tmp_path))
+        count = store_mod.MEMO_ENTRIES + 64
+        keys = [f"{i:064x}" for i in range(count)]
+        for i, key in enumerate(keys):
+            store.put(key, RunStats(execution_cycles=i, cores=[]))
+        errors = []
+
+        def reader(offset):
+            try:
+                for i in range(count):
+                    j = (i + offset) % count
+                    assert store.get(keys[j]).execution_cycles == j
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(n * 97,))
+                       for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(store._memo) <= store_mod.MEMO_ENTRIES
+        assert store.hits == 6 * count
+
+    def test_run_cache_gets_return_distinct_stats(self, tmp_path):
+        cache = runcache.RunCache(str(tmp_path))
+        cache.put(self.KEY, _intruder_stats())
+        first = cache.get(self.KEY)
+        before = fingerprint(first)
+        first.execution_cycles += 1
+        first.cores[0].commits_htm += 1
+        second = cache.get(self.KEY)
+        assert second is not first
+        assert fingerprint(second) == before
+
+    def test_record_of_stats_equals_record_read_back(self, tmp_path):
+        stats = _intruder_stats()
+        store = ShardedStore(str(tmp_path))
+        store.put(self.KEY, stats, meta={"workload": "intruder"})
+        assert store.get(self.KEY) == StoredResult.of(stats)
+
+    def test_executed_and_store_served_records_are_equal(self, tmp_path):
+        campaign = {
+            "kind": "sweep", "workloads": ["intruder"],
+            "systems": ["CGL"], "threads": [2], "seeds": [1],
+            "scale": 0.02,
+        }
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            ids = []
+            for _ in range(2):
+                ids.append(client.submit(campaign)["job_id"])
+                assert client.wait(ids[-1], timeout=120)["state"] == "done"
+            # The entry deleted after it was memoized: the cell re-runs.
+            os.unlink(handle.service.store.path_for(
+                handle.service.jobs[ids[0]].cells[0].key))
+            ids.append(client.submit(campaign)["job_id"])
+            assert client.wait(ids[-1], timeout=120)["state"] == "done"
+            progress = [client.status(i)["progress"] for i in ids]
+            records = [handle.service.jobs[i].results[0] for i in ids]
+        assert [p["cells_scheduled"] for p in progress] == [1, 0, 1]
+        assert [p["cells_from_cache"] for p in progress] == [0, 1, 0]
+        assert records[0] == records[1] == records[2]
+        assert records[0] is not records[1]
+
+
+def _raw_get(handle, path: str) -> bytes:
+    """The exact body bytes of one GET."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        assert resp.status == 200
+        return resp.read()
+    finally:
+        conn.close()
+
+
+def _feed(state_dir, job_id: str):
+    """A job's events as its JSONL feed file holds them."""
+    with open(os.path.join(state_dir, "events", f"{job_id}.jsonl"),
+              encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
 
 class TestFingerprintOnce:
     def test_results_reuse_the_delivered_fingerprint(self, tmp_path,
@@ -255,7 +456,7 @@ class TestFingerprintOnce:
                 calls.append(1)
                 return fingerprint(stats)
 
-            monkeypatch.setattr(server_mod, "fingerprint", counting)
+            monkeypatch.setattr(runcache, "fingerprint", counting)
             results = client.results(job_id)
             lite = client.results(job_id, lite=True)
             events = list(client.stream(job_id, follow=False))
