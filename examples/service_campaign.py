@@ -12,6 +12,9 @@ properties:
 * the service's results are **bit-identical** to a serial
   ``Sweep.run`` of the same campaign.
 
+It exits non-zero if either property, or the event stream, does not
+hold, so it doubles as an end-to-end smoke check.
+
 Run:  python examples/service_campaign.py
 """
 
@@ -42,13 +45,18 @@ def main() -> None:
             print(f"submitted {job['job_id']} "
                   f"({job['progress']['cells_total']} cells)\n")
 
+            kinds = []
             for event in client.stream(job["job_id"]):
                 kind = event["event"]
+                kinds.append(kind)
                 if kind == "cell_done":
                     print(f"  cell {event['index']:2d} done "
                           f"[{event['source']:8s}] {event['label']}")
                 elif kind.startswith("job_"):
                     print(f"  {kind}")
+
+            if kinds[0] != "submitted" or kinds[-1] != "job_done":
+                raise SystemExit(f"unexpected event stream: {kinds}")
 
             cells = client.results(job["job_id"], lite=True)["cells"]
             print("\nper-cell fingerprints:")
@@ -62,6 +70,9 @@ def main() -> None:
             progress = final["progress"]
             print(f"\nresubmit: scheduled={progress['cells_scheduled']}"
                   f" from_cache={progress['cells_from_cache']}")
+            if (progress["cells_scheduled"]
+                    or progress["cells_from_cache"] != len(cells)):
+                raise SystemExit("resubmit was not served from the store")
 
             # And the numbers are exactly what a serial sweep produces.
             serial = CampaignSpec.from_dict(CAMPAIGN).to_sweep().run()
@@ -69,6 +80,8 @@ def main() -> None:
             service_fps = [c["fingerprint"] for c in cells]
             print(f"bit-identical to serial Sweep.run: "
                   f"{service_fps == serial_fps}")
+            if service_fps != serial_fps:
+                raise SystemExit("service results differ from Sweep.run")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 from enum import Enum
 from typing import Callable, Dict, NamedTuple, Optional, TypeVar
@@ -134,17 +135,27 @@ def _digest(workload, spec_json: str, params_json: str, threads, scale,
     # splice in as they are.  The numeric coordinates are coerced so
     # equal values hash equally whatever their Python type: ``scale=1``
     # and ``scale=1.0`` are one cell, though json renders "1" vs "1.0".
+    # An int's json text is its ``str``; the schema versions are ints.
     payload = (
-        f'{{"cache_schema":{_json(CACHE_SCHEMA_VERSION)},'
+        f'{{"cache_schema":{CACHE_SCHEMA_VERSION},'
         f'"params":{params_json},'
-        f'"result_schema":{_json(SCHEMA_VERSION)},'
-        f'"scale":{_json(float(scale))},'
-        f'"seed":{_json(int(seed))},'
+        f'"result_schema":{SCHEMA_VERSION},'
+        f'"scale":{_float_json(float(scale))},'
+        f'"seed":{int(seed)},'
         f'"spec":{spec_json},'
-        f'"threads":{_json(int(threads))},'
-        f'"workload":{_json(workload)}}}'
+        f'"threads":{int(threads)},'
+        f'"workload":{json.dumps(workload)}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _float_json(x: float) -> str:
+    """``json.dumps(x)``: a finite float's ``repr``, else json's spelling."""
+    if math.isfinite(x):
+        return repr(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def cell_meta(workload: str, spec: SystemSpec, threads: int,

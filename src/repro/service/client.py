@@ -6,6 +6,12 @@ and the decoded error payload — a 429 therefore surfaces as
 ``ServiceError`` with ``status == 429`` and the quota details intact,
 which is what callers implementing backoff need.
 
+The client speaks the server's HTTP/1.1 over a plain socket, one
+connection per request.  A JSON response is framed by its
+``Content-Length``: the client stops reading once the body is in, so a
+peer that keeps the socket open cannot stall it.  Only the NDJSON event
+stream is read until the server closes the connection.
+
 :meth:`ServiceClient.stream` yields event dicts live from the NDJSON
 feed until the job reaches a terminal state (or the non-follow dump
 ends).  :func:`discover` finds a running server from the ``server.json``
@@ -14,13 +20,14 @@ a service writes into its state directory.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
+import socket
 import time
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 DEFAULT_TIMEOUT = 60.0
+_RECV = 65536
 
 
 class ServiceError(Exception):
@@ -49,30 +56,81 @@ class ServiceClient:
 
     # -- plumbing ------------------------------------------------------
 
+    def _open(self, method: str, path: str, body: Optional[Dict] = None
+              ) -> Tuple[socket.socket, int, Dict[str, str], bytes]:
+        """Send one request; return the socket, the response's status
+        and headers, and the body bytes read along with the head."""
+        head = (f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n")
+        payload = b""
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            head += "Content-Type: application/json\r\n"
+        if body is not None or method == "POST":
+            head += f"Content-Length: {len(payload)}\r\n"
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
+        try:
+            sock.sendall(head.encode("latin-1") + b"\r\n" + payload)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = sock.recv(_RECV)
+                if not chunk:
+                    raise ConnectionResetError(
+                        "service closed the connection before a response"
+                    )
+                data += chunk
+            raw_head, _, rest = data.partition(b"\r\n\r\n")
+            lines = raw_head.decode("latin-1").split("\r\n")
+            status = int(lines[0].split(None, 2)[1])
+            headers = {}
+            for line in lines[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except BaseException:
+            sock.close()
+            raise
+        return sock, status, headers, rest
+
+    @staticmethod
+    def _body(sock: socket.socket, headers: Dict[str, str],
+              rest: bytes) -> bytes:
+        """The response body: exactly ``Content-Length`` bytes."""
+        length = headers.get("content-length")
+        if length is None:
+            raise ValueError("service response has no Content-Length")
+        buf = bytearray(int(length))
+        got = min(len(rest), len(buf))
+        buf[:got] = rest[:got]
+        view = memoryview(buf)
+        while got < len(buf):
+            n = sock.recv_into(view[got:])
+            if not n:
+                raise ConnectionResetError(
+                    f"service closed the connection after {got} of "
+                    f"{len(buf)} body bytes"
+                )
+            got += n
+        return buf
+
+    @staticmethod
+    def _decode(status: int, body: bytes) -> Dict:
+        raw = body.decode("utf-8")
+        try:
+            doc = json.loads(raw) if raw else {}
+        except json.JSONDecodeError:
+            doc = {"error": raw}
+        if status >= 400:
+            raise ServiceError(status, doc)
+        return doc
+
     def _request(self, method: str, path: str,
                  body: Optional[Dict] = None) -> Dict:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        sock, status, headers, rest = self._open(method, path, body)
         try:
-            payload = (
-                json.dumps(body).encode("utf-8")
-                if body is not None else None
-            )
-            headers = {"Content-Type": "application/json"} if payload \
-                else {}
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-            raw = resp.read().decode("utf-8")
-            try:
-                doc = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                doc = {"error": raw}
-            if resp.status >= 400:
-                raise ServiceError(resp.status, doc)
-            return doc
+            return self._decode(status, self._body(sock, headers, rest))
         finally:
-            conn.close()
+            sock.close()
 
     # -- API -----------------------------------------------------------
 
@@ -106,37 +164,30 @@ class ServiceClient:
 
     def stream(self, job_id: str, follow: bool = True,
                cursor: int = 0) -> Iterator[Dict]:
-        """Yield event dicts from the job's NDJSON feed."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+        """Yield event dicts from the job's NDJSON feed.
+
+        The feed ends when the server closes the connection; a last
+        line without its newline is incomplete and is dropped.
+        """
+        follow_q = "1" if follow else "0"
+        sock, status, headers, buffer = self._open(
+            "GET",
+            f"/v1/jobs/{job_id}/events?follow={follow_q}&cursor={cursor}",
         )
         try:
-            follow_q = "1" if follow else "0"
-            conn.request(
-                "GET",
-                f"/v1/jobs/{job_id}/events"
-                f"?follow={follow_q}&cursor={cursor}",
-            )
-            resp = conn.getresponse()
-            if resp.status >= 400:
-                raw = resp.read().decode("utf-8")
-                try:
-                    doc = json.loads(raw) if raw else {}
-                except json.JSONDecodeError:
-                    doc = {"error": raw}
-                raise ServiceError(resp.status, doc)
-            buffer = b""
+            if status >= 400:  # raises ServiceError
+                self._decode(status, self._body(sock, headers, buffer))
             while True:
-                chunk = resp.read1(65536)
+                *lines, buffer = buffer.split(b"\n")
+                for line in lines:
+                    if line.strip():
+                        yield json.loads(line.decode("utf-8"))
+                chunk = sock.recv(_RECV)
                 if not chunk:
                     break
                 buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if line.strip():
-                        yield json.loads(line.decode("utf-8"))
         finally:
-            conn.close()
+            sock.close()
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll_s: float = 0.05) -> Dict:

@@ -15,11 +15,14 @@ campaign and letting schedule-time dedup serve every already-computed
 cell from the cache.  That is what makes SIGTERM drain cheap: the
 journal plus the store *is* the checkpoint.
 
-Progress streams as a JSONL event feed: every event is encoded once,
-appended to ``<state_dir>/events/<job_id>.jsonl`` through one handle
-per live job (flushed per event, closed at a terminal state or on
-service stop) and kept as that encoded line in memory, where HTTP
-stream watchers tail it via an :class:`asyncio.Condition`.
+Progress streams as a JSONL event feed: every event is encoded once
+and kept as that line in memory, where HTTP stream watchers tail it.
+:meth:`Job.flush_events` appends the lines emitted since the last flush
+to ``<state_dir>/events/<job_id>.jsonl`` with one write, through one
+handle per live job (closed at a terminal state or on service stop).
+Whoever emits flushes before anything lets a stream handler run, so a
+watcher never sends a line the file does not hold yet; then
+:meth:`Job.notify_watchers` wakes the watchers.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ from repro.harness.runcache import StoredResult
 from repro.service.campaigns import CampaignSpec, CellSpec
 
 JOURNAL_SCHEMA = "repro-service-job/1"
+
+
+def _open_for_write(path: str, mode: str) -> BinaryIO:
+    """``open(path, mode)`` in a binary write mode, making the directory
+    only when it is missing."""
+    try:
+        return open(path, mode)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, mode)
 
 
 class JobState(str, Enum):
@@ -83,9 +96,11 @@ class Job:
         self.cells_failed = 0
         # Event feed: each event's JSONL line, encoded once.
         self.event_lines: List[bytes] = []
+        #: How many of ``event_lines`` the feed file holds.
+        self._flushed = 0
         self._event_seq = 0
         self._events_fh: Optional[BinaryIO] = None
-        self._watchers = asyncio.Condition()
+        self._waiters: List[asyncio.Future] = []
 
     # -- paths ---------------------------------------------------------
 
@@ -114,10 +129,10 @@ class Job:
 
     def save_journal(self) -> None:
         path = self.journal_path
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.journal_dict(), fh, sort_keys=True)
+        with _open_for_write(tmp, "wb") as fh:
+            fh.write(json.dumps(self.journal_dict(),
+                                sort_keys=True).encode("utf-8"))
         os.replace(tmp, path)
 
     @classmethod
@@ -142,38 +157,50 @@ class Job:
     # -- events --------------------------------------------------------
 
     def emit(self, event_type: str, **fields) -> None:
-        """Append one event to the feed (memory + JSONL file)."""
+        """Append one event to the feed in memory.
+
+        The file gets it at the next :meth:`flush_events`, which an
+        event at a terminal state runs at once, closing the handle.
+        """
         self._event_seq += 1
         event = {"seq": self._event_seq, "event": event_type,
                  "job_id": self.job_id, **fields}
-        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-        self.event_lines.append(line)
-        fh = self._events_fh
-        if fh is None:
-            os.makedirs(os.path.dirname(self.events_path), exist_ok=True)
-            fh = self._events_fh = open(self.events_path, "ab")
-        fh.write(line)
-        fh.flush()
+        self.event_lines.append(
+            (json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
         if self.state.terminal:
             self.close_events()
 
+    def flush_events(self) -> None:
+        """Append every line not yet in the feed file, in one write."""
+        if self._flushed == len(self.event_lines):
+            return
+        fh = self._events_fh
+        if fh is None:
+            fh = self._events_fh = _open_for_write(self.events_path, "ab")
+        fh.write(b"".join(self.event_lines[self._flushed:]))
+        fh.flush()
+        self._flushed = len(self.event_lines)
+
     def close_events(self) -> None:
-        """Close the feed's file handle; a later event reopens it."""
+        """Flush the feed and close its handle; a later flush reopens it."""
+        self.flush_events()
         if self._events_fh is not None:
             self._events_fh.close()
             self._events_fh = None
 
-    async def notify_watchers(self) -> None:
-        async with self._watchers:
-            self._watchers.notify_all()
+    def notify_watchers(self) -> None:
+        """Wake every stream handler blocked in :meth:`wait_events`."""
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
 
     async def wait_events(self, cursor: int) -> int:
         """Block until the feed has grown past ``cursor`` (or job ends)."""
-        async with self._watchers:
-            await self._watchers.wait_for(
-                lambda: len(self.event_lines) > cursor
-                or self.state.terminal
-            )
+        while len(self.event_lines) <= cursor and not self.state.terminal:
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            await waiter
         return len(self.event_lines)
 
     # -- status --------------------------------------------------------

@@ -117,6 +117,8 @@ class ReproService:
         self._stopped: Optional[asyncio.Event] = None
         self._scheduler_task: Optional[asyncio.Task] = None
         self._cell_tasks: "set[asyncio.Task]" = set()
+        #: Jobs that emitted since the last :meth:`_publish`.
+        self._emitted: Dict[str, Job] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -210,8 +212,9 @@ class ReproService:
             if not job.state.terminal:
                 job.state = JobState.QUEUED
                 job.save_journal()
-                job.emit("drained", resumable=True)
-                await job.notify_watchers()
+                self._emit(job, "drained", resumable=True)
+        self._publish()
+        for job in self.jobs.values():
             job.close_events()
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
@@ -276,14 +279,37 @@ class ReproService:
             ]
         job.state = JobState.CANCELLED
         job.save_journal()
-        job.emit("cancelled", cells_dropped=dropped)
+        self._emit(job, "cancelled", cells_dropped=dropped)
+        self._publish()
         return job
+
+    # -- event feed ----------------------------------------------------
+
+    def _emit(self, job: Job, event_type: str, **fields) -> None:
+        job.emit(event_type, **fields)
+        self._emitted[job.job_id] = job
+
+    def _publish(self) -> None:
+        """Write every job's new feed lines, then wake its watchers.
+
+        Runs before anything that lets a stream handler run, so every
+        line a handler can send is already in the feed file.
+        """
+        if not self._emitted:
+            return
+        jobs = list(self._emitted.values())
+        self._emitted.clear()
+        for job in jobs:
+            job.flush_events()
+        for job in jobs:
+            job.notify_watchers()
 
     # -- scheduler -----------------------------------------------------
 
     async def _scheduler(self) -> None:
         loop = asyncio.get_event_loop()
         while True:
+            self._publish()
             await self._wake.wait()
             self._wake.clear()
             while not self.draining and self._executing < self.workers:
@@ -300,13 +326,12 @@ class ReproService:
                 if inflight is not None:
                     inflight.subscribers.append((job_id, index))
                     job.cells_deduped += 1
-                    job.emit("cell_deduped", index=index, key=cell.key,
-                             label=cell.label())
-                    await job.notify_watchers()
+                    self._emit(job, "cell_deduped", index=index,
+                               key=cell.key, label=cell.label())
                     continue
                 hit = self.store.get(cell.key)
                 if hit is not None:
-                    await self._deliver(job, index, hit, "cache")
+                    self._deliver(job, index, hit, "cache")
                     continue
                 self._start_cell(loop, tenant, job, cell)
 
@@ -320,8 +345,8 @@ class ReproService:
         if job.state is JobState.QUEUED:
             job.state = JobState.RUNNING
             job.save_journal()
-        job.emit("cell_scheduled", index=cell.index, key=cell.key,
-                 label=cell.label())
+        self._emit(job, "cell_scheduled", index=cell.index, key=cell.key,
+                   label=cell.label())
         task = CellTask(
             cell.index, cell.workload, cell.spec, cell.threads,
             cell.scale, cell.seed, cell.params,
@@ -381,9 +406,10 @@ class ReproService:
                 continue
             if record is not None:
                 source = "executed" if i == 0 else "deduped"
-                await self._deliver(job, index, record, source)
+                self._deliver(job, index, record, source)
             else:
-                await self._fail_cell(job, index, error)
+                self._fail_cell(job, index, error)
+        self._publish()
         self._wake.set()
 
     def _persist(self, cell: CellSpec, stats) -> None:
@@ -401,29 +427,27 @@ class ReproService:
             self.store_put_failures += 1
             self.last_store_error = f"{type(exc).__name__}: {exc}"
 
-    async def _deliver(self, job: Job, index: int, record: StoredResult,
-                       source: str) -> None:
+    def _deliver(self, job: Job, index: int, record: StoredResult,
+                 source: str) -> None:
         job.results[index] = record
         job.cells_done += 1
         if source == "cache":
             job.cells_from_cache += 1
-        job.emit("cell_done", index=index, source=source,
-                 label=job.cells[index].label(),
-                 fingerprint=record.fingerprint,
-                 done=job.cells_done, total=job.cells_total)
-        await self._maybe_finish(job)
-        await job.notify_watchers()
+        self._emit(job, "cell_done", index=index, source=source,
+                   label=job.cells[index].label(),
+                   fingerprint=record.fingerprint,
+                   done=job.cells_done, total=job.cells_total)
+        self._maybe_finish(job)
 
-    async def _fail_cell(self, job: Job, index: int,
-                         error: Optional[str]) -> None:
+    def _fail_cell(self, job: Job, index: int,
+                   error: Optional[str]) -> None:
         job.cells_failed += 1
         job.failures[index] = error or "unknown error"
-        job.emit("cell_failed", index=index,
-                 label=job.cells[index].label(), error=error)
-        await self._maybe_finish(job)
-        await job.notify_watchers()
+        self._emit(job, "cell_failed", index=index,
+                   label=job.cells[index].label(), error=error)
+        self._maybe_finish(job)
 
-    async def _maybe_finish(self, job: Job) -> None:
+    def _maybe_finish(self, job: Job) -> None:
         if not job.complete or job.state.terminal:
             return
         if job.cells_failed:
@@ -435,7 +459,7 @@ class ReproService:
         else:
             job.state = JobState.DONE
         job.save_journal()
-        job.emit("job_" + job.state.value, progress=job.progress())
+        self._emit(job, "job_" + job.state.value, progress=job.progress())
 
     # -- payloads ------------------------------------------------------
 
@@ -541,6 +565,13 @@ class ReproService:
             except ConnectionError:
                 pass
         finally:
+            # Half-close first: a pool worker forked while this
+            # connection was open holds a copy of its socket, so close
+            # alone would not end a close-delimited body.
+            try:
+                writer.write_eof()
+            except OSError:
+                pass
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -663,9 +694,9 @@ class ReproService:
             b"Connection: close\r\n\r\n"
         )
         while True:
-            while cursor < len(job.event_lines):
-                writer.write(job.event_lines[cursor])
-                cursor += 1
+            if cursor < len(job.event_lines):
+                writer.write(b"".join(job.event_lines[cursor:]))
+                cursor = len(job.event_lines)
             await writer.drain()
             if not follow or job.state.terminal:
                 return

@@ -393,6 +393,44 @@ class TestBrokenPool:
             assert not svc._scheduler_task.done()
             assert client.stats()["cells_executed"] == 2
 
+    def test_stream_follower_ends_after_pool_is_replaced(self, tmp_path):
+        """The replacement pool forks while a job's stream is open, and
+        its worker inherits the stream's socket.  The server half-closes
+        each connection, so the follower still sees the feed end."""
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            svc = handle.service
+            client = client_of(handle)
+            slow = client.submit(self.SLOW)["job_id"]
+            for event in client.stream(slow, follow=True):
+                if event["event"] == "cell_scheduled":
+                    break
+            queued = client.submit(ONE_CELL)["job_id"]
+            following = threading.Event()
+            events, errors = [], []
+
+            def follow() -> None:
+                follower = ServiceClient(handle.host, handle.port,
+                                         timeout=10)
+                try:
+                    for event in follower.stream(queued, follow=True):
+                        events.append(event)
+                        following.set()
+                except Exception as exc:  # noqa: BLE001 - report below
+                    errors.append(exc)
+                following.set()
+
+            thread = threading.Thread(target=follow)
+            thread.start()
+            assert following.wait(timeout=30)
+            self._kill_workers(svc)
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert errors == []
+            assert events[-1]["event"] == "job_done"
+            assert client.status(slow)["state"] == "failed"
+
 
 class TestDrainResume:
     def test_drain_journals_and_resume_completes(self, tmp_path):

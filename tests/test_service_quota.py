@@ -221,6 +221,26 @@ class TestCancel:
             assert progress["cells_scheduled"] < total
             assert client.stats()["cells_executed"] <= total
 
+    def test_cancel_wakes_stream_followers(self, tmp_path):
+        """A follower of a queued job sees the cancel at once, not at
+        its client timeout."""
+
+        async def scenario():
+            service = ReproService(
+                ServiceConfig(state_dir=str(tmp_path / "svc")))
+            service._wake = asyncio.Event()  # never started: stays queued
+            job = service.submit("t", CampaignSpec.from_dict(TINY))
+            follower = asyncio.ensure_future(
+                job.wait_events(len(job.event_lines)))
+            await asyncio.sleep(0)
+            assert not follower.done()
+            service.cancel(job.job_id)
+            assert await asyncio.wait_for(follower, 5) == 2
+            with open(job.events_path, "rb") as fh:
+                assert fh.read() == b"".join(job.event_lines)
+
+        asyncio.run(scenario())
+
     def test_cancelled_job_keeps_no_results(self, tmp_path):
         config = ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         with ServiceThread(config) as handle:

@@ -20,6 +20,7 @@ import os
 import pstats
 import sys
 import threading
+from typing import List
 
 import pytest
 
@@ -141,6 +142,40 @@ class TestKeyOnce:
         assert a == cell_key("ssca2", spec, p, 2, 0.05, 1)
         assert b == cell_key("ssca2", spec, as_float, 2, 0.05, 1)
         assert a != b
+
+
+class TestKeyPayload:
+    """The key payload without a ``json.dumps`` per coordinate."""
+
+    @pytest.mark.parametrize(
+        "scale",
+        [float("nan"), float("-inf"), 3, True, -0.0, 1e300, 0.1 + 0.2],
+    )
+    def test_scale_spelling_matches_json(self, scale):
+        args = ("ssca2", get_system("CGL"), typical_params(), 2, scale, 1)
+        assert cell_key(*args) == reference_cell_key(*args)
+
+    @pytest.mark.parametrize(
+        "workload", ["back\\slash", "tab\tnew\nline", "\u2603\x00", "/"]
+    )
+    def test_workload_escaping_matches_json(self, workload):
+        args = (workload, get_system("CGL"), typical_params(), 2, 0.05, 1)
+        assert cell_key(*args) == reference_cell_key(*args)
+
+    def test_one_dumps_per_key(self):
+        prof = cProfile.Profile()
+        prof.enable()
+        cells = CampaignSpec.from_dict(WARM).cells()
+        prof.disable()
+        dumps = sum(
+            calls
+            for (path, _line, func), (_cc, calls, *_rest) in (
+                pstats.Stats(prof).stats.items()
+            )
+            if path == json.__file__ and func == "dumps"
+        )
+        # One per key (its workload) plus one per encoded spec or params.
+        assert dumps == len(cells) + 5
 
 
 class TestDecodeTables:
@@ -519,3 +554,78 @@ class TestEventHandles:
         with open(os.path.join(state_dir, "jobs", f"{live_id}.json")) as fh:
             assert json.load(fh)["state"] == "queued"
         assert _open_event_feeds(state_dir) == []
+
+
+def _feed_bytes(job) -> bytes:
+    with open(job.events_path, "rb") as fh:
+        return fh.read()
+
+
+class TestFeedPerPass:
+    """Feed lines reach the file per scheduler pass, before any watcher
+    can send them."""
+
+    def test_warm_pass_is_one_write_and_one_wakeup(self, tmp_path,
+                                                   monkeypatch):
+        writes: List[tuple] = []
+        wakeups: List[tuple] = []
+        flush, notify = Job.flush_events, Job.notify_watchers
+
+        def counting_flush(job):
+            pending = len(job.event_lines) - job._flushed
+            if pending:
+                writes.append((job.job_id, pending))
+            flush(job)
+
+        def checking_notify(job):
+            # Whoever wakes the watchers has written every line first.
+            in_file = _feed_bytes(job) == b"".join(job.event_lines)
+            wakeups.append((job.job_id, len(job.event_lines), in_file))
+            notify(job)
+
+        monkeypatch.setattr(Job, "flush_events", counting_flush)
+        monkeypatch.setattr(Job, "notify_watchers", checking_notify)
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            fill = client.submit(WARM)["job_id"]
+            assert client.wait(fill, timeout=120)["state"] == "done"
+            del writes[:], wakeups[:]
+            warm = client.submit(WARM)["job_id"]
+            events = list(client.stream(warm, follow=True))
+            job = handle.service.jobs[warm]
+            assert _feed_bytes(job) == b"".join(job.event_lines)
+        assert [e["event"] for e in events] == (
+            ["submitted"] + ["cell_done"] * 48 + ["job_done"])
+        # ``submitted`` at admission, then the whole pass in one write.
+        assert writes == [(warm, 1), (warm, 49)]
+        assert wakeups == [(warm, 50, True)]
+
+    def test_streamed_lines_are_always_in_the_file(self, tmp_path):
+        """A follower checks the file after every event it receives:
+        the file holds each streamed line, in order, by then."""
+        campaign = {
+            "kind": "sweep", "workloads": ["ssca2", "kmeans+"],
+            "systems": ["CGL", "LockillerTM"], "threads": [1, 2],
+            "seeds": [1], "scale": 0.02,
+        }
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            # Half the cells are served from the store, half executed.
+            seed = client.submit(dict(campaign, threads=[1]))["job_id"]
+            assert client.wait(seed, timeout=120)["state"] == "done"
+            job_id = client.submit(campaign)["job_id"]
+            job = handle.service.jobs[job_id]
+            streamed = []
+            for event in client.stream(job_id, follow=True):
+                streamed.append(event)
+                on_disk = [json.loads(line)
+                           for line in _feed_bytes(job).splitlines()]
+                assert on_disk[:len(streamed)] == streamed
+        sources = sorted(e["source"] for e in streamed
+                         if e["event"] == "cell_done")
+        assert sources == ["cache"] * 4 + ["executed"] * 4
+        assert streamed[-1]["event"] == "job_done"
