@@ -10,6 +10,11 @@ Two complementary views of one run:
   and message counts per subsystem (scheduler tiers, NoC, memory
   system, arbiters) with zero in-run instrumentation overhead.
 
+The profiled region runs under the same collector pause as
+:func:`repro.sim.runner.run_workload`, and cyclic-collector passes in it
+are counted through ``gc.callbacks``: any pass means the pause was
+bypassed.
+
 This is the profiling-first loop docs/PERFORMANCE.md describes: run
 ``python -m repro profile <workload>`` before and after touching a hot
 path, and let the attribution table say which subsystem moved.
@@ -18,6 +23,7 @@ path, and let the attribution table say which subsystem moved.
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import json
 import pstats
@@ -28,6 +34,7 @@ from typing import Dict, List, Optional
 from repro.common.params import SystemParams, typical_params
 from repro.harness.systems import resolve_system
 from repro.sim.machine import Machine
+from repro.sim.runner import collector_paused
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.registry import get_workload
 
@@ -61,6 +68,10 @@ class ProfileReport:
     #: Function calls cProfile recorded over the run (pstats
     #: ``total_calls``); 0 in reports saved before it was recorded.
     total_calls: int = 0
+    #: Cyclic-collector passes during the profiled region and their
+    #: wall time; 0 in reports saved before they were recorded.
+    gc_passes: int = 0
+    gc_ms: float = 0.0
     #: subsystem -> {counter: value} pulled from publish_telemetry.
     subsystems: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Rendered pstats table (top-N rows).
@@ -96,7 +107,8 @@ class ProfileReport:
             f"({self.cycles_per_second:,.0f}/s) | "
             f"{self.events_processed} events "
             f"({self.events_per_second:,.0f}/s) | "
-            f"{self.total_calls} calls ({self.calls_per_event:.1f}/event)"
+            f"{self.total_calls} calls ({self.calls_per_event:.1f}/event) | "
+            f"{self.gc_passes} gc passes ({self.gc_ms:.1f} ms)"
         )
         lines = [head, "", "-- per-subsystem event counts --"]
         for name in sorted(self.subsystems):
@@ -166,6 +178,12 @@ def compare_reports(before: ProfileReport, after: ProfileReport) -> str:
         f"{after.calls_per_event:.1f} "
         f"({_delta(before.calls_per_event, after.calls_per_event)})"
     )
+    lines.append(
+        f"gc passes: {before.gc_passes} -> {after.gc_passes} "
+        f"({_delta(before.gc_passes, after.gc_passes)}) | "
+        f"gc ms: {before.gc_ms:.1f} -> {after.gc_ms:.1f} "
+        f"({_delta(before.gc_ms, after.gc_ms)})"
+    )
     lines += ["", "-- per-subsystem attribution diff --"]
     header = f"{'counter':<34s}{'before':>12s}{'after':>12s}{'delta':>12s}"
     lines.append(header)
@@ -228,6 +246,29 @@ def subsystem_breakdown(
     return out
 
 
+class GcPasses:
+    """``gc.callbacks`` hook counting collector passes and their time."""
+
+    def __init__(self) -> None:
+        self.passes = 0
+        self.seconds = 0.0
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.passes += 1
+            self._t0 = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._t0
+
+    def __enter__(self) -> "GcPasses":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
 def profile_run(
     workload: str,
     system: str = "LockillerTM",
@@ -242,8 +283,9 @@ def profile_run(
 
     The workload is built *outside* the profiled region (builds are
     one-time costs amortized across sweep points); the Machine
-    construction and run are inside it.  ``sort`` is any pstats key
-    (``cumulative``, ``tottime``, ...).
+    construction and run are inside it, with the collector paused as in
+    ``run_workload``.  ``sort`` is any pstats key (``cumulative``,
+    ``tottime``, ...).
     """
     spec = resolve_system(system)
     if params is None:
@@ -251,12 +293,13 @@ def profile_run(
     build = get_workload(workload).build(threads, scale, seed)
 
     profiler = cProfile.Profile()
-    t0 = time.perf_counter()
-    profiler.enable()
-    machine = Machine(params, spec, build.programs, seed=seed)
-    cycles = machine.run()
-    profiler.disable()
-    wall = time.perf_counter() - t0
+    with collector_paused(), GcPasses() as gc_passes:
+        t0 = time.perf_counter()
+        profiler.enable()
+        machine = Machine(params, spec, build.programs, seed=seed)
+        cycles = machine.run()
+        profiler.disable()
+        wall = time.perf_counter() - t0
 
     registry = MetricsRegistry()
     machine.publish_telemetry(registry)
@@ -283,6 +326,8 @@ def profile_run(
         execution_cycles=cycles,
         events_processed=machine.engine.events_processed,
         total_calls=stats.total_calls,
+        gc_passes=gc_passes.passes,
+        gc_ms=gc_passes.seconds * 1e3,
         subsystems=subsystem_breakdown(registry.snapshot()),
         stats_text=stats_text,
     )

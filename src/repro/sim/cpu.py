@@ -116,6 +116,10 @@ class CPU:
         #: (attempt_seq, park_seq) while parked on a wake-up, else None.
         self._parked: Optional[Tuple[int, int]] = None
         self._park_seq = 0
+        #: Token of the wake-up timeout armed by the current park; the
+        #: wake-up or an external abort cancels it, so a park that ends
+        #: early leaves no event behind.
+        self._park_timeout = None
         #: Fault ops already taken once (page mapped after first trip).
         self._faults_taken: Set[Tuple[int, int]] = set()
 
@@ -543,33 +547,46 @@ class CPU:
             holder,
             self.core,
             attempt_seq,
-            lambda t: self._unpark(t, park_seq, timeout=False),
+            lambda t: self._unpark(t, park_seq),
         )
         if (
             self._chaos is not None
             and self._chaos.plan.disable_wakeup_timeout
         ):
             return  # test-only: strand the waiter if its wake-up is lost
-        self.engine.schedule_after(
-            self.htm_params.wakeup_timeout,
-            lambda t: self._unpark(t, park_seq, timeout=True),
+        self._park_timeout = self.engine.schedule_after(
+            self.htm_params.wakeup_timeout, self._park_expired
         )
 
-    def _unpark(self, now: int, park_seq: int, timeout: bool) -> None:
+    def _end_park(self) -> None:
+        self._parked = None
+        token = self._park_timeout
+        if token is not None:
+            self._park_timeout = None
+            token.cancel()
+
+    def _unpark(self, now: int, park_seq: int) -> None:
+        """A wake-up message arrived; stale ones (an earlier park, an
+        aborted attempt) are ignored."""
         if self.done or self._parked is None:
             return
         attempt_seq, cur_park = self._parked
         if cur_park != park_seq or attempt_seq != self.tx.attempt_seq:
             return
-        self._parked = None
-        if timeout:
-            self.stats.wakeup_timeouts += 1
+        self._end_park()
         self._tx_step(now)  # re-issues the same op (or handles abort)
+
+    def _park_expired(self, now: int) -> None:
+        """The wake-up never came.  Every other way out of a park
+        cancels this event, so it always belongs to the current one."""
+        self._end_park()  # the fired token is consumed: no cancel
+        self.stats.wakeup_timeouts += 1
+        self._tx_step(now)
 
     def force_unpark(self, now: int) -> None:
         """External abort while parked: resume so the abort is processed."""
         if self._parked is not None:
-            self._parked = None
+            self._end_park()
             self.engine.schedule_after(1, self._tx_step)
 
     @property

@@ -4,12 +4,23 @@ Every run ends with sanity checks unless disabled: the functional
 memory image must equal the workload's interleaving-independent
 expectation (atomicity/durability of every transaction), and the
 coherence layer must be quiescent with SWMR intact.
+
+A run executes with CPython's cyclic collector paused
+(:func:`collector_paused`).  A cell allocates hundreds of thousands of
+short-lived objects, which used to trigger hundreds of collector passes
+per grid; refcounting already frees them, and a pooled run leaves no
+cyclic garbage (pinned by ``tests/test_gc_pause.py``), so the passes
+found nothing.  The one cyclic structure a run leaves is a machine
+that does not go back to the pool (an unpooled or fault-planned run, a
+raising run, a full pool), which a later pass collects.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.common.errors import SimulationError
 from repro.common.params import SystemParams, typical_params
@@ -56,11 +67,41 @@ class RunConfig:
     machine_pool: Optional[object] = None
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic collector off, then restore the
+    caller's state on every exit path.
+
+    Nested pauses leave the collector off until the outermost one
+    exits, and a caller that had turned it off finds it off afterwards.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def run_workload(
     workload: Union[Workload, WorkloadBuild],
     config: RunConfig,
 ) -> RunStats:
-    """Build the machine, execute the workload, verify, return stats."""
+    """Build the machine, execute the workload, verify, return stats.
+
+    The whole cell (build lookup, machine acquire, run, checks, pool
+    release) runs under :func:`collector_paused`.
+    """
+    with collector_paused():
+        return _run_cell(workload, config)
+
+
+def _run_cell(
+    workload: Union[Workload, WorkloadBuild],
+    config: RunConfig,
+) -> RunStats:
     if isinstance(workload, WorkloadBuild):
         build = workload
         if len(build.programs) != config.threads:

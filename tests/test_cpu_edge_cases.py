@@ -51,6 +51,31 @@ class TestWakeupTimeout:
         m.run()
         assert m.core_stats[1].wakeup_timeouts == 0
 
+    def test_woken_waiter_leaves_no_live_timeout(self):
+        # Core 1 parks behind core 0's TL section and is woken by its
+        # commit long before the 10M-cycle guard: the wake-up cancels
+        # the guard, so nothing is left queued once both cores finish.
+        params = params_with(wakeup_timeout=10_000_000)
+        prog0 = [Txn([fault(persistent=True), store(line_addr(1), 1),
+                      compute(5000)])]
+        prog1 = [
+            Plain([compute(2500)]),
+            Txn([load(line_addr(1)), store(line_addr(1), 1)]),
+        ]
+        m = make_machine(
+            [prog0, prog1], system="LockillerTM-RWIL", params=params
+        )
+        for cpu in m.cpus:
+            cpu.start()
+        parked = False
+        while not m.all_done:
+            assert m.engine.step()
+            parked = parked or m.cpus[1].is_parked
+        assert parked and m.core_stats[0].wakeups_sent == 1
+        assert m.core_stats[1].wakeup_timeouts == 0
+        assert m.engine.pending() == 0
+        assert m.engine.now == max(m.finish_times)
+
 
 class TestRetryLater:
     def test_rri_retries_same_op_until_granted(self):

@@ -48,13 +48,13 @@ GOLD = {
 GOLD_COUNTS = {
     "CGL": (409, 618, 1838, 2068),
     "Baseline": (804, 1121, 3265, 4400),
-    "LosaTM-SAFU": (440, 611, 1695, 2080),
+    "LosaTM-SAFU": (432, 611, 1695, 2080),
     "LockillerTM-RAI": (522, 721, 2005, 2534),
     "LockillerTM-RRI": (436, 625, 1697, 2242),
-    "LockillerTM-RWI": (440, 613, 1697, 2086),
-    "LockillerTM-RWL": (442, 611, 1699, 2087),
-    "LockillerTM-RWIL": (440, 613, 1697, 2086),
-    "LockillerTM": (440, 613, 1697, 2086),
+    "LockillerTM-RWI": (432, 613, 1697, 2086),
+    "LockillerTM-RWL": (435, 611, 1699, 2087),
+    "LockillerTM-RWIL": (432, 613, 1697, 2086),
+    "LockillerTM": (432, 613, 1697, 2086),
 }
 
 
