@@ -10,12 +10,15 @@ Walks the three layers of ``repro.resilience``:
    the watchdog's structured :class:`LivelockError` — then rerun with
    the bounded-retry escape hatch and watch the machine degrade
    gracefully to the lock path instead;
-3. run a small crash-tolerant sweep with a quarantined cell and a
-   resumable checkpoint.
+3. run a small crash-tolerant sweep with a quarantined cell, then
+   resume it through the run cache: the second pass serves every good
+   cell from the cache and retries only the quarantined one.
 
 Run:  python examples/chaos_campaign.py
+(exits non-zero if the resumed pass re-runs a good cell)
 """
 
+import sys
 import tempfile
 
 from repro import (
@@ -99,7 +102,8 @@ def layer2_watchdog() -> None:
     )
 
 
-def layer3_resilient_sweep() -> None:
+def layer3_resilient_sweep() -> int:
+    """Returns how many good cells the resumed pass ran again."""
     print("=== 3. crash-tolerant sweep ===")
 
     def resolver(name):
@@ -115,22 +119,24 @@ def layer3_resilient_sweep() -> None:
         scale=0.05,
         spec_resolver=resolver,
     )
-    with tempfile.NamedTemporaryFile(suffix=".json") as ckpt:
+    with tempfile.TemporaryDirectory() as cache:
         report = sweep.run_resilient(
-            checkpoint_path=ckpt.name, retry=RetryPolicy(max_attempts=2)
+            cache=cache, retry=RetryPolicy(max_attempts=2)
         )
         print(report.render())
         resumed = sweep.run_resilient(
-            checkpoint_path=ckpt.name, retry=RetryPolicy(max_attempts=2)
+            cache=cache, retry=RetryPolicy(max_attempts=2)
         )
-        print(
-            f"second pass: {resumed.resumed} cell(s) served from the "
-            f"checkpoint, {resumed.executed - len(resumed.quarantined)} "
-            "re-run"
-        )
+    rerun = resumed.executed - len(resumed.quarantined)
+    print(
+        f"second pass: {resumed.resumed} cell(s) served from the "
+        f"run cache, {rerun} good cell(s) re-run"
+    )
+    return rerun
 
 
 if __name__ == "__main__":
     layer1_fault_injection()
     layer2_watchdog()
-    layer3_resilient_sweep()
+    if layer3_resilient_sweep() != 0:
+        sys.exit("resume re-ran good cells instead of serving them")

@@ -36,10 +36,9 @@ from repro.harness.reporting import (
     format_series,
     format_table,
 )
-from repro.harness.runcache import cell_key, cell_keyer, cell_meta
+from repro.harness.parallel import CellTask, run_cells
 from repro.harness.systems import TABLE_ORDER, get_system
-from repro.sim.runner import RunConfig, run_workload
-from repro.workloads.registry import PAPER_ORDER, get_workload
+from repro.workloads.registry import PAPER_ORDER
 
 #: Paper thread sweep; trimmed via REPRO_BENCH_THREADS for quick runs.
 PAPER_THREADS: Tuple[int, ...] = (2, 4, 8, 16, 32)
@@ -101,36 +100,8 @@ class ExperimentContext:
         params: Optional[SystemParams] = None,
         params_tag: str = "typical",
     ) -> RunStats:
-        key = self._key(workload, system, threads, params_tag)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        p = params or self.params
-        spec = get_system(system)
-        if self.disk_cache is not None:
-            disk_key = cell_key(
-                workload, spec, p, threads, self.scale, self.seed
-            )
-            hit = self.disk_cache.get(disk_key)
-            if hit is not None:
-                self._cache[key] = hit
-                return hit
-        stats = run_workload(
-            get_workload(workload),
-            RunConfig(
-                spec=spec,
-                threads=threads,
-                scale=self.scale,
-                seed=self.seed,
-                params=p,
-            ),
-        )
-        self._cache[key] = stats
-        if self.disk_cache is not None:
-            self.disk_cache.put(disk_key, stats, meta=cell_meta(
-                workload, spec, threads, self.scale, self.seed
-            ))
-        return stats
+        self.prewarm([(workload, system, threads)], params, params_tag)
+        return self._cache[self._key(workload, system, threads, params_tag)]
 
     def prewarm(
         self,
@@ -145,42 +116,20 @@ class ExperimentContext:
         the disk cache, when armed) so subsequent :meth:`run` calls are
         pure lookups.  Returns the number of cells actually executed.
         """
-        from repro.harness.parallel import CellTask, run_cells
-
         p = params or self.params
-        key_of = cell_keyer()
-        tasks: List[CellTask] = []
-        keys: List[tuple] = []
-        disk_keys: List[Optional[str]] = []
-        seen = set()
+        tasks: Dict[tuple, CellTask] = {}
         for wl, system, th in cells:
             key = self._key(wl, system, th, params_tag)
-            if key in seen or key in self._cache:
-                continue
-            seen.add(key)
-            spec = get_system(system)
-            disk_key = None
-            if self.disk_cache is not None:
-                disk_key = key_of(wl, spec, p, th, self.scale, self.seed)
-                hit = self.disk_cache.get(disk_key)
-                if hit is not None:
-                    self._cache[key] = hit
-                    continue
-            tasks.append(
-                CellTask(len(tasks), wl, spec, th, self.scale, self.seed, p)
-            )
-            keys.append(key)
-            disk_keys.append(disk_key)
-        results = run_cells(tasks, jobs=self.jobs)
-        for task, key, disk_key in zip(tasks, keys, disk_keys):
-            stats = results[task.index]
-            self._cache[key] = stats
-            if self.disk_cache is not None:
-                self.disk_cache.put(disk_key, stats, meta=cell_meta(
-                    task.workload, task.spec, task.threads, self.scale,
-                    self.seed,
-                ))
-        return len(tasks)
+            if key not in self._cache and key not in tasks:
+                tasks[key] = CellTask(
+                    len(tasks), wl, get_system(system), th, self.scale,
+                    self.seed, p,
+                )
+        done = run_cells(
+            list(tasks.values()), jobs=self.jobs, cache=self.disk_cache
+        )
+        self._cache.update(zip(tasks, done.stats))
+        return done.executed
 
     def speedup_vs_cgl(
         self,

@@ -16,12 +16,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.params import SystemParams, typical_params
 from repro.common.stats import RunStats
-from repro.harness.parallel import CellTask, run_cells
-from repro.harness.runcache import (
-    cell_key,
-    cell_keyer,
-    cell_meta,
-    coerce_cache,
+from repro.harness.parallel import (
+    CellTask,
+    resolve_spec,
+    run_cells,
+    trace_cell,
 )
 from repro.harness.systems import get_system
 
@@ -66,7 +65,7 @@ def summarize_values(values: Sequence[float]) -> MetricSummary:
     return MetricSummary(mean, math.sqrt(var), min(values), max(values), n)
 
 
-def _seed_tasks(
+def seed_tasks(
     workload: str,
     system: str,
     threads: int,
@@ -74,52 +73,25 @@ def _seed_tasks(
     scale: float,
     params: SystemParams,
     base_index: int = 0,
+    fault_plan=None,
+    watchdog=None,
 ) -> List[CellTask]:
-    spec = get_system(system)
+    """One task per seed, indexed from ``base_index`` in seed order."""
+    spec = resolve_spec(get_system, system)
     return [
-        CellTask(base_index + i, workload, spec, threads, scale, seed, params)
+        CellTask(
+            base_index + i,
+            workload,
+            spec,
+            threads,
+            scale,
+            seed,
+            params,
+            fault_plan,
+            watchdog,
+        )
         for i, seed in enumerate(seeds)
     ]
-
-
-def _run_tasks(tasks: List[CellTask], jobs, cache) -> List[RunStats]:
-    """Cache-aware task execution preserving task-index order."""
-    rc = coerce_cache(cache)
-    key_of = cell_keyer()
-    size = max((t.index for t in tasks), default=-1) + 1
-    out: List[Optional[RunStats]] = [None] * size
-    keys: Dict[int, str] = {}
-    missing: List[CellTask] = []
-    for t in tasks:
-        hit = None
-        if rc is not None:
-            keys[t.index] = key_of(
-                t.workload, t.spec, t.params, t.threads, t.scale, t.seed
-            )
-            hit = rc.get(keys[t.index])
-        if hit is not None:
-            out[t.index] = hit
-        else:
-            missing.append(t)
-
-    def on_done(task: CellTask, stats: RunStats) -> None:
-        if rc is not None:
-            rc.put(
-                keys[task.index],
-                stats,
-                meta=cell_meta(
-                    task.workload,
-                    task.spec,
-                    task.threads,
-                    task.scale,
-                    task.seed,
-                ),
-            )
-
-    executed = run_cells(missing, jobs=jobs, on_done=on_done)
-    for t in missing:
-        out[t.index] = executed[t.index]
-    return out
 
 
 def multi_seed_runs(
@@ -136,10 +108,10 @@ def multi_seed_runs(
     worker processes and ``cache`` consults/fills the persistent run
     cache; output is identical either way (each run is deterministic in
     its seed)."""
-    tasks = _seed_tasks(
+    tasks = seed_tasks(
         workload, system, threads, seeds, scale, params or typical_params()
     )
-    return _run_tasks(tasks, jobs, cache)
+    return run_cells(tasks, jobs=jobs, cache=cache).stats
 
 
 def trace_seed(
@@ -158,39 +130,16 @@ def trace_seed(
     spotted an outlier seed in a summary, re-run exactly that cell with
     a telemetry session attached and drop ``.metrics.json`` /
     ``.trace.json`` artifacts next to its runcache entry (creating the
-    entry if the campaign didn't cache).  Returns artifact paths keyed
-    ``result`` / ``metrics`` / ``trace``.
+    entry if the campaign didn't cache), through
+    :func:`~repro.harness.parallel.trace_cell`.  Returns artifact paths
+    keyed ``result`` / ``metrics`` / ``trace``.
     """
-    from repro.sim.runner import RunConfig, run_workload
-    from repro.telemetry import Telemetry
-    from repro.telemetry.sinks import artifact_path
-    from repro.workloads.registry import get_workload
-
-    rc = coerce_cache(cache if cache is not None else True)
-    p = params or typical_params()
-    spec = get_system(system)
-    tel = telemetry if telemetry is not None else Telemetry()
-    stats = run_workload(
-        get_workload(workload),
-        RunConfig(
-            spec,
-            threads=threads,
-            scale=scale,
-            seed=seed,
-            params=p,
-            telemetry=tel,
-        ),
+    (task,) = seed_tasks(
+        workload, system, threads, (seed,), scale, params or typical_params()
     )
-    key = cell_key(workload, spec, p, threads, scale, seed)
-    rc.put(key, stats, meta=cell_meta(workload, spec, threads, scale, seed))
-    out = {"result": rc.path_for(key)}
-    label = f"{workload}/{system}/t{threads}/s{seed}"
-    out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))
-    if tel.timeline is not None:
-        out["trace"] = tel.write_trace(
-            artifact_path(rc, key, "trace"), run_label=label
-        )
-    return out
+    return trace_cell(
+        task, cache, f"{workload}/{system}/t{threads}/s{seed}", telemetry
+    )
 
 
 def multi_seed_runs_resilient(
@@ -201,12 +150,11 @@ def multi_seed_runs_resilient(
     scale: float = 0.25,
     params: Optional[SystemParams] = None,
     retry=None,
-    checkpoint_path: Optional[str] = None,
     cache=None,
 ):
     """Crash-tolerant :func:`multi_seed_runs`: each seed runs under a
     timeout + retry policy, failures are quarantined instead of raising,
-    and a checkpoint file makes the campaign resumable.  Returns
+    and ``cache`` makes the campaign resumable.  Returns
     ``(runs, quarantined)``; see
     :func:`repro.resilience.harness.resilient_seed_runs`."""
     from repro.resilience.harness import resilient_seed_runs
@@ -219,7 +167,6 @@ def multi_seed_runs_resilient(
         scale=scale,
         params=params,
         retry=retry,
-        checkpoint_path=checkpoint_path,
         cache=cache,
     )
 
@@ -261,11 +208,11 @@ def paired_speedup(
     ``2 x len(seeds)`` set.
     """
     p = params or typical_params()
-    base_tasks = _seed_tasks(workload, baseline, threads, seeds, scale, p)
-    sys_tasks = _seed_tasks(
+    base_tasks = seed_tasks(workload, baseline, threads, seeds, scale, p)
+    sys_tasks = seed_tasks(
         workload, system, threads, seeds, scale, p, base_index=len(base_tasks)
     )
-    runs = _run_tasks(base_tasks + sys_tasks, jobs, cache)
+    runs = run_cells(base_tasks + sys_tasks, jobs=jobs, cache=cache).stats
     base_runs, sys_runs = runs[: len(seeds)], runs[len(seeds):]
     ratios = [
         b.execution_cycles / s.execution_cycles

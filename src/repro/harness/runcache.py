@@ -16,10 +16,10 @@ sharded by the first hash byte.  The root defaults to
 ``$REPRO_RUN_CACHE_DIR``, falling back to
 ``<XDG_CACHE_HOME|~/.cache>/repro-lockillertm/runcache``.
 
-This composes with — rather than replaces — the crash-tolerant sweep
-checkpoint (:mod:`repro.resilience.harness`): the checkpoint is a
-per-campaign resume journal; the run cache is a global memo shared by
-*every* campaign.  Fault-injected runs are never cached (the plan
+Because runs are pure and writes atomic, the cache is also the resume
+journal of the crash-tolerant harness (:mod:`repro.resilience.harness`):
+re-running an interrupted campaign against the same cache serves every
+completed cell.  Fault-injected runs are never cached (the plan
 perturbs timing, and chaos campaigns want fresh draws).
 """
 

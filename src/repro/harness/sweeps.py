@@ -86,6 +86,33 @@ class Sweep:
             * len(self.params_by_tag)
         )
 
+    def cell_tasks(self, fault_plan=None, watchdog=None) -> list:
+        """One :class:`~repro.harness.parallel.CellTask` per
+        :meth:`points` entry, indexed in grid order.
+
+        A system the resolver rejects becomes an
+        :class:`~repro.harness.parallel.UnresolvedSpec`, so the error is
+        raised by that cell's run.
+        """
+        # Imported here, not at the top, so importing the sweep driver
+        # does not import the executor and the run cache.
+        from repro.harness.parallel import CellTask, resolve_spec
+
+        return [
+            CellTask(
+                i,
+                point.workload,
+                resolve_spec(self.spec_resolver, point.system),
+                point.threads,
+                self.scale,
+                point.seed,
+                self.params_by_tag[point.params_tag],
+                fault_plan,
+                watchdog,
+            )
+            for i, point in enumerate(self.points())
+        ]
+
     def run(
         self,
         progress: Optional[Callable[[SweepPoint, int, int], None]] = None,
@@ -103,73 +130,19 @@ class Sweep:
         the persistent run cache so repeated or resumed sweeps skip
         completed cells.  ``progress`` fires once per completed cell
         with a monotonically increasing count (completion order under
-        ``jobs > 1``).
+        ``jobs > 1``).  The first failing cell's error propagates.
         """
-        from repro.harness.parallel import CellTask, run_cells
-        from repro.harness.runcache import cell_keyer, cell_meta, coerce_cache
+        from repro.harness.parallel import run_cells
 
-        rc = coerce_cache(cache)
-        key_of = cell_keyer()
         points = list(self.points())
-        total = len(points)
-        stats_list: List[Optional[RunStats]] = [None] * total
-        keys: List[Optional[str]] = [None] * total
-        tasks: List[CellTask] = []
-        done_count = 0
-        for i, point in enumerate(points):
-            spec = self.spec_resolver(point.system)
-            params = self.params_by_tag[point.params_tag]
-            if rc is not None:
-                keys[i] = key_of(
-                    point.workload,
-                    spec,
-                    params,
-                    point.threads,
-                    self.scale,
-                    point.seed,
-                )
-                hit = rc.get(keys[i])
-                if hit is not None:
-                    stats_list[i] = hit
-                    done_count += 1
-                    if progress is not None:
-                        progress(point, done_count, total)
-                    continue
-            tasks.append(
-                CellTask(
-                    i,
-                    point.workload,
-                    spec,
-                    point.threads,
-                    self.scale,
-                    point.seed,
-                    params,
-                )
-            )
-
-        def on_done(task: CellTask, stats: RunStats) -> None:
-            nonlocal done_count
-            if rc is not None:
-                rc.put(
-                    keys[task.index],
-                    stats,
-                    meta=cell_meta(
-                        task.workload,
-                        task.spec,
-                        task.threads,
-                        task.scale,
-                        task.seed,
-                    ),
-                )
-            done_count += 1
-            if progress is not None:
-                progress(points[task.index], done_count, total)
-
-        executed = run_cells(tasks, jobs=jobs, on_done=on_done)
-        for task in tasks:
-            stats_list[task.index] = executed[task.index]
+        done = run_cells(
+            self.cell_tasks(),
+            jobs=jobs,
+            cache=cache,
+            progress=counted(points, progress),
+        )
         return SweepResults(
-            [SweepRecord(p, s) for p, s in zip(points, stats_list)]
+            [SweepRecord(p, s) for p, s in zip(points, done.stats)]
         )
 
     def rerun_with_telemetry(
@@ -183,68 +156,28 @@ class Sweep:
         its runcache entry.
 
         ``criteria`` select exactly one :class:`SweepPoint` (same
-        vocabulary as :meth:`SweepResults.filter`).  The cell is re-run
-        with an attached :class:`~repro.telemetry.Telemetry` session —
-        runs are pure functions of the cell key, so the re-run
-        reproduces the cached result bit-for-bit while capturing the
-        *why* — and ``<key>.metrics.json`` / ``<key>.trace.json`` are
-        written atomically next to ``<key>.json`` in the cache shard.
-        Returns ``{"metrics": path, "trace": path, "result": path}``.
+        vocabulary as :meth:`SweepResults.filter`); the cell goes
+        through :func:`~repro.harness.parallel.trace_cell`, labelled
+        ``run_label`` or the point's label.  Returns ``{"metrics": path,
+        "trace": path, "result": path}``.
         """
-        from repro.harness.runcache import cell_key, coerce_cache
-        from repro.sim.runner import RunConfig, run_workload
-        from repro.telemetry import Telemetry
-        from repro.telemetry.sinks import artifact_path
-        from repro.workloads.registry import get_workload
+        from repro.harness.parallel import trace_cell
 
-        rc = coerce_cache(cache if cache is not None else True)
-        if rc is None:
-            raise ValueError("rerun_with_telemetry needs a run cache")
         _check_point_fields(*criteria)
         matches = [
-            p
-            for p in self.points()
+            (p, task)
+            for p, task in zip(self.points(), self.cell_tasks())
             if all(getattr(p, k) == v for k, v in criteria.items())
         ]
         if len(matches) != 1:
             raise KeyError(
                 f"{len(matches)} sweep points match {criteria!r}; expected 1"
             )
-        point = matches[0]
-        spec = self.spec_resolver(point.system)
-        params = self.params_by_tag[point.params_tag]
-        tel = telemetry if telemetry is not None else Telemetry()
-        stats = run_workload(
-            get_workload(point.workload),
-            RunConfig(
-                spec,
-                threads=point.threads,
-                scale=self.scale,
-                seed=point.seed,
-                params=params,
-                telemetry=tel,
-            ),
-        )
-        key = cell_key(
-            point.workload, spec, params, point.threads, self.scale, point.seed
-        )
-        rc.put(key, stats, meta={"workload": point.workload,
-                                 "system": point.system,
-                                 "threads": point.threads,
-                                 "scale": self.scale,
-                                 "seed": point.seed})
-        label = run_label or point.label()
-        out = {"result": rc.path_for(key)}
-        out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))
-        if tel.timeline is not None:
-            out["trace"] = tel.write_trace(
-                artifact_path(rc, key, "trace"), run_label=label
-            )
-        return out
+        ((point, task),) = matches
+        return trace_cell(task, cache, run_label or point.label(), telemetry)
 
     def run_resilient(
         self,
-        checkpoint_path: Optional[str] = None,
         retry=None,
         progress: Optional[Callable[[SweepPoint, int, int], None]] = None,
         fault_plan=None,
@@ -252,21 +185,32 @@ class Sweep:
         cache=None,
     ):
         """Crash-tolerant :meth:`run`: per-cell timeout + retry +
-        quarantine, with optional JSON checkpointing for resume.  The
-        run cache (``cache=``) composes with the checkpoint: cells found
-        in either are not re-run.  See
+        quarantine; ``cache=`` is the resume journal.  See
         :func:`repro.resilience.harness.run_sweep_resilient`."""
         from repro.resilience.harness import run_sweep_resilient
 
         return run_sweep_resilient(
             self,
-            checkpoint_path=checkpoint_path,
             retry=retry,
             progress=progress,
             fault_plan=fault_plan,
             watchdog=watchdog,
             cache=cache,
         )
+
+
+def counted(
+    points: Sequence[SweepPoint],
+    progress: Optional[Callable[[SweepPoint, int, int], None]],
+) -> Optional[Callable]:
+    """Adapt a ``progress(point, done, total)`` callback to
+    :func:`~repro.harness.parallel.run_cells`' per-task one."""
+    if progress is None:
+        return None
+    count = itertools.count(1)
+    return lambda task: progress(
+        points[task.index], next(count), len(points)
+    )
 
 
 #: The criteria vocabulary of filter/one/pivot.

@@ -11,9 +11,9 @@ Three layers, all deterministic and all zero-overhead when off:
 * :mod:`repro.resilience.watchdog` — per-run commit-progress tracking
   raising a structured ``LivelockError`` (per-core diagnostics + replay
   coordinates) instead of the opaque event-budget crash;
-* :mod:`repro.resilience.harness` — per-run timeouts, bounded retries,
-  quarantine and atomic JSON checkpointing for sweeps and multi-seed
-  campaigns.
+* :mod:`repro.resilience.harness` — per-run timeouts, bounded retries
+  and quarantine for sweeps and multi-seed campaigns, which resume
+  through the run cache.
 
 See ``docs/RESILIENCE.md`` for the guided tour.
 """

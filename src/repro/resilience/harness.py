@@ -2,18 +2,20 @@
 
 Long sweeps and multi-seed campaigns die in the worst way: hours in, one
 cell hangs or crashes and everything already computed is lost.  This
-module wraps the harness drivers with
+module supplies what :func:`repro.harness.parallel.run_cells` applies
+per cell when given a policy:
 
 * a per-run **wall-clock timeout** (``SIGALRM``-based, main thread only;
   a no-op elsewhere) raising
   :class:`~repro.common.errors.RunTimeoutError`,
-* a bounded **retry policy** per cell,
+* a bounded **retry policy** per cell, and
 * a **quarantine** list — cells that still fail after retries are
   recorded with their full replay coordinates instead of aborting the
-  campaign, and
-* an atomic **JSON checkpoint** so an interrupted campaign resumes from
-  the last completed cell (serialized through
-  :mod:`repro.harness.export`).
+  campaign.
+
+Resume needs no file of its own: runs are pure functions of the cell
+key and run-cache writes are atomic, so ``cache=`` is the journal of an
+interrupted campaign and a re-run serves every completed cell from it.
 
 Entry points: :func:`run_sweep_resilient` (also reachable as
 ``Sweep.run_resilient``) and :func:`resilient_seed_runs` (also
@@ -22,20 +24,13 @@ Entry points: :func:`run_sweep_resilient` (also reachable as
 
 from __future__ import annotations
 
-import json
-import os
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError, RunTimeoutError
 from repro.common.stats import RunStats
-from repro.harness.export import (
-    SCHEMA_VERSION,
-    run_stats_from_dict,
-    run_stats_to_dict,
-)
 
 
 def call_with_timeout(fn: Callable[[], object], timeout_s: Optional[float]):
@@ -93,111 +88,6 @@ class QuarantineRecord:
             f"attempt(s) — {self.error} | replay: {self.replay}"
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "replay": dict(self.replay),
-            "error_type": self.error_type,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "QuarantineRecord":
-        return cls(
-            label=data["label"],
-            replay=dict(data["replay"]),
-            error_type=data["error_type"],
-            error=data["error"],
-            attempts=data["attempts"],
-        )
-
-
-class SweepCheckpoint:
-    """Atomic JSON checkpoint of completed campaign cells.
-
-    Completed cells are keyed by their point label and store the full
-    serialized :class:`~repro.common.stats.RunStats`; quarantined cells
-    are kept for reporting but are *retried* on resume (a transient
-    failure deserves a fresh chance).  Writes go through a temp file +
-    ``os.replace`` so a crash mid-save never corrupts the checkpoint.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._done: Dict[str, Dict] = {}
-        self._quarantined: List[Dict] = []
-
-    @classmethod
-    def load(cls, path: str) -> "SweepCheckpoint":
-        ckpt = cls(path)
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data.get("schema") != SCHEMA_VERSION:
-                raise ConfigError(
-                    f"checkpoint schema {data.get('schema')!r} unsupported"
-                )
-            ckpt._done = dict(data.get("done", {}))
-            ckpt._quarantined = list(data.get("quarantined", []))
-        return ckpt
-
-    def __len__(self) -> int:
-        return len(self._done)
-
-    def has(self, label: str) -> bool:
-        return label in self._done
-
-    def get(self, label: str) -> RunStats:
-        return run_stats_from_dict(self._done[label])
-
-    def put(
-        self, label: str, stats: RunStats, meta: Optional[Dict] = None
-    ) -> None:
-        self._done[label] = run_stats_to_dict(stats, meta)
-
-    def quarantine(self, record: QuarantineRecord) -> None:
-        self._quarantined.append(record.to_dict())
-
-    @property
-    def quarantined(self) -> List[QuarantineRecord]:
-        return [QuarantineRecord.from_dict(d) for d in self._quarantined]
-
-    def save(self) -> None:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "done": self._done,
-            "quarantined": self._quarantined,
-        }
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, self.path)
-
-
-def _attempt_cell(
-    label: str,
-    replay: Dict[str, object],
-    run: Callable[[], RunStats],
-    retry: RetryPolicy,
-) -> "tuple[Optional[RunStats], Optional[QuarantineRecord]]":
-    """Run one cell under the retry policy; (stats, None) on success."""
-    last_exc: Optional[BaseException] = None
-    for attempt in range(retry.max_attempts):
-        try:
-            return call_with_timeout(run, retry.timeout_s), None
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:  # noqa: BLE001 - quarantine, don't abort
-            last_exc = exc
-    return None, QuarantineRecord(
-        label=label,
-        replay=replay,
-        error_type=type(last_exc).__name__,
-        error=str(last_exc),
-        attempts=retry.max_attempts,
-    )
-
 
 @dataclass
 class ResilientSweepReport:
@@ -205,7 +95,7 @@ class ResilientSweepReport:
 
     results: "object"  # SweepResults (typed loosely: no harness import)
     quarantined: List[QuarantineRecord] = field(default_factory=list)
-    #: Cells served from the checkpoint instead of being re-run.
+    #: Cells served from the run cache instead of being re-run.
     resumed: int = 0
     executed: int = 0
 
@@ -225,7 +115,6 @@ class ResilientSweepReport:
 
 def run_sweep_resilient(
     sweep,
-    checkpoint_path: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
     progress: Optional[Callable] = None,
     fault_plan=None,
@@ -235,102 +124,42 @@ def run_sweep_resilient(
     """Crash-tolerant version of :meth:`repro.harness.sweeps.Sweep.run`.
 
     Every cell runs under the retry policy; failures are quarantined
-    with full replay coordinates instead of killing the campaign, and —
-    with ``checkpoint_path`` — completed cells are persisted after each
-    run so an interrupted campaign resumes where it stopped.  ``cache``
-    additionally consults/fills the global run cache
-    (:mod:`repro.harness.runcache`); it composes with the checkpoint —
-    the checkpoint is this campaign's resume journal, the cache a memo
-    shared across campaigns.  Fault-injected cells bypass the cache
-    entirely: a chaos run is not the cell's true result.
+    with full replay coordinates instead of killing the campaign.
+    ``cache`` (:mod:`repro.harness.runcache`) is the resume journal:
+    each completed cell is stored as it finishes, and a re-run serves
+    it instead of running it again.  Quarantined and fault-planned
+    cells are never stored, so a re-run runs them again: a chaos run is
+    not the cell's true result.
     """
-    from repro.harness.runcache import cell_keyer, cell_meta, coerce_cache
-    from repro.harness.sweeps import SweepRecord, SweepResults
-    from repro.sim.runner import RunConfig, run_workload
-    from repro.workloads.registry import get_workload
+    from repro.harness.parallel import run_cells
+    from repro.harness.sweeps import SweepRecord, SweepResults, counted
 
-    retry = retry or RetryPolicy()
-    ckpt = (
-        SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
+    points = list(sweep.points())
+    done = run_cells(
+        sweep.cell_tasks(fault_plan, watchdog),
+        jobs=1,
+        cache=cache,
+        retry=retry or RetryPolicy(),
+        progress=counted(points, progress),
     )
-    rc = coerce_cache(cache) if fault_plan is None else None
-    key_of = cell_keyer()
     records: List[SweepRecord] = []
-    report = ResilientSweepReport(results=None)
-    total = sweep.size()
-    for i, point in enumerate(sweep.points()):
-        label = point.label()
-        if ckpt is not None and ckpt.has(label):
-            records.append(SweepRecord(point, ckpt.get(label)))
-            report.resumed += 1
-            if progress is not None:
-                progress(point, i + 1, total)
-            continue
-        if rc is not None:
-            spec = sweep.spec_resolver(point.system)
-            key = key_of(
-                point.workload,
-                spec,
-                sweep.params_by_tag[point.params_tag],
-                point.threads,
-                sweep.scale,
-                point.seed,
-            )
-            hit = rc.get(key)
-            if hit is not None:
-                records.append(SweepRecord(point, hit))
-                report.resumed += 1
-                if ckpt is not None:
-                    ckpt.put(label, hit)
-                    ckpt.save()
-                if progress is not None:
-                    progress(point, i + 1, total)
-                continue
-        replay = {
-            "workload": point.workload,
-            "system": point.system,
-            "threads": point.threads,
-            "seed": point.seed,
-            "params_tag": point.params_tag,
-            "scale": sweep.scale,
-            "fault_plan": fault_plan.name if fault_plan is not None else None,
-        }
-
-        def run_cell(p=point) -> RunStats:
-            return run_workload(
-                get_workload(p.workload),
-                RunConfig(
-                    spec=sweep.spec_resolver(p.system),
-                    threads=p.threads,
-                    scale=sweep.scale,
-                    seed=p.seed,
-                    params=sweep.params_by_tag[p.params_tag],
-                    fault_plan=fault_plan,
-                    watchdog=watchdog,
-                ),
-            )
-
-        stats, quarantined = _attempt_cell(label, replay, run_cell, retry)
-        report.executed += 1
-        if stats is not None:
-            records.append(SweepRecord(point, stats))
-            if ckpt is not None:
-                ckpt.put(label, stats, meta=replay)
-                ckpt.save()
-            if rc is not None:
-                rc.put(key, stats, meta=cell_meta(
-                    point.workload, spec, point.threads, sweep.scale,
-                    point.seed,
-                ))
+    quarantined: List[QuarantineRecord] = []
+    for i, point in enumerate(points):
+        record = done.quarantined.get(i)
+        if record is None:
+            records.append(SweepRecord(point, done.stats[i]))
         else:
-            report.quarantined.append(quarantined)
-            if ckpt is not None:
-                ckpt.quarantine(quarantined)
-                ckpt.save()
-        if progress is not None:
-            progress(point, i + 1, total)
-    report.results = SweepResults(records)
-    return report
+            quarantined.append(replace(
+                record,
+                label=point.label(),
+                replay={**record.replay, "params_tag": point.params_tag},
+            ))
+    return ResilientSweepReport(
+        SweepResults(records),
+        quarantined,
+        resumed=len(points) - done.executed,
+        executed=done.executed,
+    )
 
 
 def resilient_seed_runs(
@@ -341,7 +170,6 @@ def resilient_seed_runs(
     scale: float = 0.25,
     params=None,
     retry: Optional[RetryPolicy] = None,
-    checkpoint_path: Optional[str] = None,
     fault_plan=None,
     watchdog=None,
     cache=None,
@@ -349,76 +177,27 @@ def resilient_seed_runs(
     """Crash-tolerant multi-seed runs (cf. ``multiseed.multi_seed_runs``).
 
     Returns the completed runs (in seed order, failed seeds omitted)
-    and the quarantine list.  With ``checkpoint_path``, completed seeds
-    persist across interruptions.  ``cache`` consults/fills the global
-    run cache; fault-injected runs bypass it.
+    and the quarantine list.  ``cache`` is the resume journal, as in
+    :func:`run_sweep_resilient`; fault-injected runs bypass it.
     """
     from repro.common.params import typical_params
-    from repro.harness.runcache import cell_keyer, cell_meta, coerce_cache
-    from repro.harness.systems import get_system
-    from repro.sim.runner import RunConfig, run_workload
-    from repro.workloads.registry import get_workload
+    from repro.harness.multiseed import seed_tasks
+    from repro.harness.parallel import run_cells
 
-    retry = retry or RetryPolicy()
-    ckpt = (
-        SweepCheckpoint.load(checkpoint_path) if checkpoint_path else None
+    done = run_cells(
+        seed_tasks(
+            workload,
+            system,
+            threads,
+            seeds,
+            scale,
+            params or typical_params(),
+            fault_plan=fault_plan,
+            watchdog=watchdog,
+        ),
+        jobs=1,
+        cache=cache,
+        retry=retry or RetryPolicy(),
     )
-    rc = coerce_cache(cache) if fault_plan is None else None
-    key_of = cell_keyer()
-    run_params = params or typical_params()
-    runs: List[RunStats] = []
-    quarantined: List[QuarantineRecord] = []
-    for seed in seeds:
-        label = f"{workload}/{system}/t{threads}/s{seed}"
-        if ckpt is not None and ckpt.has(label):
-            runs.append(ckpt.get(label))
-            continue
-        if rc is not None:
-            spec = get_system(system)
-            key = key_of(workload, spec, run_params, threads, scale, seed)
-            hit = rc.get(key)
-            if hit is not None:
-                runs.append(hit)
-                if ckpt is not None:
-                    ckpt.put(label, hit)
-                    ckpt.save()
-                continue
-        replay = {
-            "workload": workload,
-            "system": system,
-            "threads": threads,
-            "seed": seed,
-            "scale": scale,
-            "fault_plan": fault_plan.name if fault_plan is not None else None,
-        }
-
-        def run_cell(s=seed) -> RunStats:
-            return run_workload(
-                get_workload(workload),
-                RunConfig(
-                    spec=get_system(system),
-                    threads=threads,
-                    scale=scale,
-                    seed=s,
-                    params=run_params,
-                    fault_plan=fault_plan,
-                    watchdog=watchdog,
-                ),
-            )
-
-        stats, record = _attempt_cell(label, replay, run_cell, retry)
-        if stats is not None:
-            runs.append(stats)
-            if ckpt is not None:
-                ckpt.put(label, stats, meta=replay)
-                ckpt.save()
-            if rc is not None:
-                rc.put(key, stats, meta=cell_meta(
-                    workload, spec, threads, scale, seed
-                ))
-        else:
-            quarantined.append(record)
-            if ckpt is not None:
-                ckpt.quarantine(record)
-                ckpt.save()
-    return runs, quarantined
+    runs = [stats for stats in done.stats if stats is not None]
+    return runs, [done.quarantined[i] for i in sorted(done.quarantined)]

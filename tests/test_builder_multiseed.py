@@ -3,12 +3,15 @@
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.harness.export import fingerprint
 from repro.harness.multiseed import (
     metric_over_seeds,
+    multi_seed_runs,
     paired_speedup,
     stability_report,
     summarize_values,
 )
+from repro.harness.runcache import RunCache
 from repro.harness.systems import get_system
 from repro.htm.builder import ProgramBuilder, build_programs
 from repro.htm.isa import OP_COMPUTE, OP_FAULT, OP_LOAD, OP_STORE, Plain, Txn
@@ -143,3 +146,32 @@ class TestMultiSeed:
         )
         # bayes is the volatile one — that is why the paper excluded it.
         assert report["bayes"].cov > report["kmeans-"].cov
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_seed_runs_through_cache(self, jobs, tmp_path):
+        args = ("ssca2", "LockillerTM", 2, (1, 2, 3))
+        reference = [
+            fingerprint(s) for s in multi_seed_runs(*args, scale=0.05)
+        ]
+        cache = RunCache(str(tmp_path))
+        cold = multi_seed_runs(*args, scale=0.05, jobs=jobs, cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (0, 3, 3)
+        warm = multi_seed_runs(*args, scale=0.05, jobs=jobs, cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (3, 3, 3)
+        assert [fingerprint(s) for s in cold] == reference
+        assert [fingerprint(s) for s in warm] == reference
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_paired_speedup_through_cache(self, jobs, tmp_path):
+        args = ("ssca2", "CGL", "LockillerTM", 2, (1, 2))
+        reference = paired_speedup(*args, scale=0.05)
+        cache = RunCache(str(tmp_path))
+        cold = paired_speedup(*args, scale=0.05, jobs=jobs, cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (0, 4, 4)
+        warm = paired_speedup(*args, scale=0.05, jobs=jobs, cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (4, 4, 4)
+        assert cold == reference and warm == reference
+
+    def test_unknown_system_raises_its_error(self):
+        with pytest.raises(ConfigError, match="NoSuchSystem"):
+            multi_seed_runs("ssca2", "NoSuchSystem", 2, (1,), scale=0.05)

@@ -1,6 +1,6 @@
 """Tests for the resilience subsystem: fault plans, injector hooks,
 forward-progress watchdog, structured errors, and the crash-tolerant
-harness (timeouts, retries, quarantine, checkpoint resume)."""
+harness (timeouts, retries, quarantine, resume through the run cache)."""
 
 import time
 
@@ -34,10 +34,9 @@ from repro.resilience import (
     nack_storm,
     plan_names,
 )
+from repro.harness.runcache import RunCache
 from repro.resilience.harness import (
-    QuarantineRecord,
     RetryPolicy,
-    SweepCheckpoint,
     call_with_timeout,
     run_sweep_resilient,
 )
@@ -409,7 +408,8 @@ class TestResilientSweep:
             assert r_plain.point == r_res.point
             assert fingerprint(r_plain.stats) == fingerprint(r_res.stats)
 
-    def test_quarantine_keeps_campaign_alive(self):
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_quarantine_keeps_campaign_alive(self, cached, tmp_path):
         def resolver(name):
             if name == "Broken":
                 raise ConfigError("deliberately broken system")
@@ -417,7 +417,10 @@ class TestResilientSweep:
 
         sweep = tiny_sweep(systems=("CGL", "Broken", "LockillerTM"))
         sweep.spec_resolver = resolver
-        report = run_sweep_resilient(sweep, retry=RetryPolicy(max_attempts=2))
+        cache = RunCache(str(tmp_path)) if cached else None
+        report = run_sweep_resilient(
+            sweep, retry=RetryPolicy(max_attempts=2), cache=cache
+        )
         assert not report.ok
         assert len(report.results) == 2  # the good cells survived
         (q,) = report.quarantined
@@ -427,40 +430,26 @@ class TestResilientSweep:
         assert "Broken" in report.render()
 
     def test_checkpoint_resume(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
+        cache = str(tmp_path / "rc")
         sweep = tiny_sweep()
-        first = run_sweep_resilient(sweep, checkpoint_path=path)
+        first = run_sweep_resilient(sweep, cache=cache)
         assert first.executed == sweep.size() and first.resumed == 0
-        second = run_sweep_resilient(sweep, checkpoint_path=path)
+        second = run_sweep_resilient(sweep, cache=cache)
         assert second.executed == 0 and second.resumed == sweep.size()
         for a, b in zip(first.results.records, second.results.records):
             assert fingerprint(a.stats) == fingerprint(b.stats)
 
-    def test_checkpoint_roundtrip(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        sweep = tiny_sweep(systems=("CGL",))
-        stats = sweep.run().records[0].stats
-        ckpt = SweepCheckpoint(path)
-        ckpt.put("cell", stats, meta={"system": "CGL"})
-        ckpt.quarantine(
-            QuarantineRecord("bad", {"seed": 1}, "ValueError", "boom", 2)
-        )
-        ckpt.save()
-        loaded = SweepCheckpoint.load(path)
-        assert loaded.has("cell") and not loaded.has("other")
-        assert fingerprint(loaded.get("cell")) == fingerprint(stats)
-        (q,) = loaded.quarantined
-        assert q.label == "bad" and q.attempts == 2
-
     def test_multi_seed_resilient(self, tmp_path):
-        path = str(tmp_path / "seeds.json")
+        cache = RunCache(str(tmp_path))
         runs, quarantined = multi_seed_runs_resilient(
-            "ssca2", "CGL", 2, seeds=(1, 2), scale=0.05, checkpoint_path=path
+            "ssca2", "CGL", 2, seeds=(1, 2), scale=0.05, cache=cache
         )
         assert len(runs) == 2 and not quarantined
+        assert (cache.hits, cache.stores) == (0, 2)
         again, _ = multi_seed_runs_resilient(
-            "ssca2", "CGL", 2, seeds=(1, 2), scale=0.05, checkpoint_path=path
+            "ssca2", "CGL", 2, seeds=(1, 2), scale=0.05, cache=cache
         )
+        assert (cache.hits, cache.stores) == (2, 2)
         assert [fingerprint(r) for r in again] == [
             fingerprint(r) for r in runs
         ]

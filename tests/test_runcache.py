@@ -9,7 +9,13 @@ import pytest
 from repro.common.params import small_cache_params, typical_params
 from repro.common.stats import RunStats
 from repro.harness.export import fingerprint, run_stats_to_dict
-from repro.harness.parallel import CellTask, resolve_jobs, run_cells
+from repro.common.errors import ConfigError
+from repro.harness.parallel import (
+    CellTask,
+    resolve_jobs,
+    resolve_spec,
+    run_cells,
+)
 from repro.harness.runcache import (
     RunCache,
     cell_key,
@@ -17,6 +23,7 @@ from repro.harness.runcache import (
     default_cache_dir,
 )
 from repro.harness.systems import get_system
+from repro.resilience.harness import RetryPolicy
 from repro.service.store import ShardedStore
 from repro.sim.runner import RunConfig, run_workload
 from repro.workloads.registry import get_workload
@@ -301,11 +308,11 @@ class TestRunCells:
         ]
 
     def test_empty(self):
-        assert run_cells([]) == []
+        assert run_cells([]) == ([], {}, 0)
 
     def test_serial_and_parallel_agree(self):
-        serial = run_cells(self._tasks(), jobs=1)
-        parallel = run_cells(self._tasks(), jobs=2)
+        serial = run_cells(self._tasks(), jobs=1).stats
+        parallel = run_cells(self._tasks(), jobs=2).stats
         assert [fingerprint(s) for s in serial] == [
             fingerprint(s) for s in parallel
         ]
@@ -314,15 +321,111 @@ class TestRunCells:
         task = CellTask(
             2, "ssca2", get_system("CGL"), 2, 0.05, 1, typical_params()
         )
-        out = run_cells([task], jobs=1)
+        out = run_cells([task], jobs=1).stats
         assert len(out) == 3
         assert out[0] is None and out[1] is None
         assert out[2] is not None
 
     def test_on_done_fires_per_task(self):
         seen = []
-        run_cells(self._tasks(), jobs=1, on_done=lambda t, s: seen.append(t))
+        run_cells(self._tasks(), jobs=1, progress=seen.append)
         assert {t.index for t in seen} == {0, 1}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_serves_hits_and_stores_misses(self, jobs, tmp_path):
+        reference = [fingerprint(s) for s in run_cells(self._tasks()).stats]
+        cache = RunCache(str(tmp_path))
+        cold = run_cells(self._tasks(), jobs=jobs, cache=cache)
+        assert cold.executed == 2
+        assert (cache.hits, cache.misses, cache.stores) == (0, 2, 2)
+        warm = run_cells(self._tasks(), jobs=jobs, cache=cache)
+        assert warm.executed == 0
+        assert (cache.hits, cache.misses, cache.stores) == (2, 2, 2)
+        for done in (cold, warm):
+            assert [fingerprint(s) for s in done.stats] == reference
+
+    def test_put_precedes_progress(self, tmp_path):
+        cache = RunCache(str(tmp_path))
+        stored_at_progress = []
+        run_cells(
+            self._tasks(),
+            cache=cache,
+            progress=lambda task: stored_at_progress.append(cache.stores),
+        )
+        assert stored_at_progress == [1, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_propagates_without_policy(self, jobs):
+        tasks = self._tasks() + [
+            CellTask(
+                2, "no-such-kernel", get_system("CGL"), 2, 0.05, 1,
+                typical_params(),
+            )
+        ]
+        with pytest.raises(ConfigError, match="no-such-kernel"):
+            run_cells(tasks, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_policy_quarantines_instead_of_raising(self, jobs, tmp_path):
+        tasks = [
+            CellTask(
+                0, "no-such-kernel", get_system("CGL"), 2, 0.05, 1,
+                typical_params(),
+            ),
+            CellTask(
+                1, "ssca2", resolve_spec(get_system, "NoSuchSystem"), 2,
+                0.05, 1, typical_params(),
+            ),
+        ] + [
+            dataclasses.replace(t, index=t.index + 2) for t in self._tasks()
+        ]
+        cache = RunCache(str(tmp_path))
+        done = run_cells(
+            tasks, jobs=jobs, cache=cache, retry=RetryPolicy(max_attempts=2)
+        )
+        assert sorted(done.quarantined) == [0, 1]
+        assert done.quarantined[1].replay["system"] == "NoSuchSystem"
+        assert {q.error_type for q in done.quarantined.values()} == {
+            "ConfigError"
+        }
+        assert [q.attempts for q in done.quarantined.values()] == [2, 2]
+        assert done.stats[:2] == [None, None]
+        assert [fingerprint(s) for s in done.stats[2:]] == [
+            fingerprint(s) for s in run_cells(self._tasks()).stats
+        ]
+        # The unresolved system has no key: only the good cells are
+        # looked up and stored.
+        assert (cache.hits, cache.misses, cache.stores) == (0, 3, 2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prewarm_through_cache(self, jobs, tmp_path):
+        from repro.harness.experiments import ExperimentContext
+
+        cells = [
+            ("ssca2", "CGL", 2),
+            ("kmeans+", "LockillerTM", 2),
+            ("ssca2", "CGL", 2),  # a repeat runs once
+        ]
+        reference = ExperimentContext(scale=0.05, seed=1, jobs=1)
+        reference.prewarm(cells)
+
+        def fingerprints(ctx):
+            return [fingerprint(ctx.run(wl, sys, th)) for wl, sys, th in cells]
+
+        cache = RunCache(str(tmp_path))
+        cold = ExperimentContext(
+            scale=0.05, seed=1, jobs=jobs, disk_cache=cache
+        )
+        assert cold.prewarm(cells) == 2
+        assert (cache.hits, cache.misses, cache.stores) == (0, 2, 2)
+        warm = ExperimentContext(
+            scale=0.05, seed=1, jobs=jobs, disk_cache=cache
+        )
+        assert warm.prewarm(cells) == 0
+        assert (cache.hits, cache.misses, cache.stores) == (2, 2, 2)
+        assert fingerprints(cold) == fingerprints(reference)
+        assert fingerprints(warm) == fingerprints(reference)
+        assert (cache.hits, cache.misses, cache.stores) == (2, 2, 2)
 
 
 class TestMultiseedIntegration:
@@ -393,3 +496,11 @@ class TestResilientIntegration:
         report = sweep.run_resilient(cache=cache, fault_plan=plan)
         assert report.executed == 1
         assert cache.stores == 0 and cache.hits == 0
+
+        # A planned run leaves nothing a clean resume could be served.
+        clean = sweep.run_resilient(cache=cache)
+        assert clean.executed == 1 and clean.resumed == 0
+        assert cache.stores == 1 and cache.hits == 0
+        truth = fingerprint(sweep.run().records[0].stats)
+        assert fingerprint(clean.results.records[0].stats) == truth
+        assert fingerprint(report.results.records[0].stats) != truth

@@ -2,23 +2,32 @@
 
 import pytest
 
+from repro.common.errors import ConfigError
+from repro.harness.export import fingerprint
+from repro.harness.runcache import RunCache
 from repro.harness.sweeps import (
     Sweep,
     SweepPoint,
     small_vs_typical_sweep,
 )
+from repro.harness.systems import get_system
 
 
-@pytest.fixture(scope="module")
-def results():
-    sweep = Sweep(
+def six_cell_sweep(**overrides):
+    axes = dict(
         workloads=("kmeans+", "ssca2"),
         systems=("CGL", "Baseline", "LockillerTM"),
         threads=(2,),
         seeds=(1,),
         scale=0.05,
     )
-    return sweep.run()
+    axes.update(overrides)
+    return Sweep(**axes)
+
+
+@pytest.fixture(scope="module")
+def results():
+    return six_cell_sweep().run()
 
 
 class TestSweepDefinition:
@@ -47,6 +56,38 @@ class TestSweepDefinition:
         )
         sweep.run(progress=lambda p, i, n: seen.append((i, n)))
         assert seen == [(1, 1)]
+
+
+class TestSweepExecutor:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_then_warm_through_cache(self, jobs, results, tmp_path):
+        reference = [fingerprint(r.stats) for r in results.records]
+        cache = RunCache(str(tmp_path))
+        seen = []
+        cold = six_cell_sweep().run(
+            jobs=jobs, cache=cache, progress=lambda p, i, n: seen.append(i)
+        )
+        assert seen == [1, 2, 3, 4, 5, 6]
+        assert (cache.hits, cache.misses, cache.stores) == (0, 6, 6)
+        warm = six_cell_sweep().run(jobs=jobs, cache=cache)
+        assert (cache.hits, cache.misses, cache.stores) == (6, 6, 6)
+        for done in (cold, warm):
+            assert [r.point for r in done.records] == [
+                r.point for r in results.records
+            ]
+            assert [fingerprint(r.stats) for r in done.records] == reference
+
+    def test_run_raises_the_failing_cells_error(self):
+        def resolver(name):
+            if name == "Broken":
+                raise ConfigError("deliberately broken system")
+            return get_system(name)
+
+        sweep = six_cell_sweep(
+            systems=("CGL", "Broken"), spec_resolver=resolver
+        )
+        with pytest.raises(ConfigError, match="deliberately broken"):
+            sweep.run()
 
 
 class TestSweepResults:
