@@ -171,6 +171,14 @@ class CacheArray:
     def resident_lines(self):
         return self._state.keys()
 
+    def state_map(self) -> Dict[int, int]:
+        """The live line -> MESI state map, for probes without a call.
+
+        Read-only for callers: every change goes through this class.
+        ``reset`` clears it in place, so a held reference stays valid.
+        """
+        return self._state
+
     def resident_states(self):
         """(line, MESI state) view over resident lines — one dict walk."""
         return self._state.items()

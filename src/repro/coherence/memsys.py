@@ -70,6 +70,13 @@ _M = MESI.M
 
 
 class AccessResult:
+    """Outcome of one access: status, total latency and NACK details.
+
+    Immutable (assigning a field raises): results are shared.  Every L1
+    hit returns one instance, and every grant of the same latency
+    returns the same one (:meth:`MemorySystem.access`).
+    """
+
     __slots__ = (
         "status",
         "latency",
@@ -86,11 +93,82 @@ class AccessResult:
         reject_holder: int = -1,
         reject_by_lock: bool = False,
     ) -> None:
-        self.status = status
-        self.latency = latency
-        self.hit = hit
-        self.reject_holder = reject_holder
-        self.reject_by_lock = reject_by_lock
+        init = object.__setattr__
+        init(self, "status", status)
+        init(self, "latency", latency)
+        init(self, "hit", hit)
+        init(self, "reject_holder", reject_holder)
+        init(self, "reject_by_lock", reject_by_lock)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"AccessResult is immutable: {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"AccessResult is immutable: {name}")
+
+
+class PriceRow:
+    """Fused NoC pricing of a (requester core, home tile) pair.
+
+    With stateless pricing every leg between two tiles is a pure
+    function of their hop counts, so a machine builds its rows once
+    from the network's hop and latency tables (:meth:`table`) and the
+    directory miss path reads one row instead of re-deriving each leg.
+
+    * ``req`` — L1 lookup plus the request's control leg to the home;
+    * ``ctrl`` / ``data`` — the home's control (NACK) and data legs
+      back to the requester, and ``hops``, their hop count;
+    * ``flits`` / ``rt_hops`` — NoC counter increments of the direct
+      request/data round trip (a NACK round trip has the same hops).
+
+    The row of a requester and a *tile* other than its home prices the
+    cache-to-cache legs too: ``_rows[owner][home].ctrl`` is the home's
+    forward to an owner, ``_rows[core][owner_tile].data`` the owner's
+    data to the requester.
+    """
+
+    __slots__ = ("req", "ctrl", "data", "hops", "flits", "rt_hops")
+
+    def __init__(
+        self,
+        network: NetworkModel,
+        l1_latency: int,
+        hops_up: int,
+        hops_down: int,
+    ) -> None:
+        self.req = l1_latency + network._ctrl_by_hops[hops_up]
+        self.ctrl = network._ctrl_by_hops[hops_down]
+        self.data = network._data_by_hops[hops_down]
+        self.hops = hops_down
+        self.flits = network._ctrl_tail + network._data_tail + 2
+        self.rt_hops = hops_up + hops_down
+
+    @staticmethod
+    def table(
+        network: NetworkModel, l1_latency: int, tiles: List[int]
+    ) -> List[List["PriceRow"]]:
+        """``table[i][home]`` prices tile ``tiles[i]`` against ``home``.
+
+        A row depends only on the pair's two hop counts, so pairs at
+        the same distances share one row: a machine builds a few dozen
+        rows, not one per pair.
+        """
+        n_tiles = network._n_tiles
+        hops = network._hops_table
+        shared: Dict[tuple, PriceRow] = {}
+        table = []
+        for tile in tiles:
+            row = []
+            # Hops from the tile to every home, and back.
+            up = hops[tile * n_tiles:(tile + 1) * n_tiles]
+            down = hops[tile::n_tiles]
+            for pair in zip(up, down):
+                price = shared.get(pair)
+                if price is None:
+                    price = shared[pair] = PriceRow(network, l1_latency, *pair)
+                row.append(price)
+            table.append(row)
+        return table
 
 
 class MemorySystem:
@@ -123,18 +201,44 @@ class MemorySystem:
         self.l1s: List[CacheArray] = [CacheArray(params.l1) for _ in range(n)]
         #: MESI-Three-Level-HTM mode (§IV-A): a private middle cache per
         #: core maintains the transactional data.  None = two-level.
-        self.l2s: Optional[List[CacheArray]] = (
-            [CacheArray(params.l2private) for _ in range(n)]
-            if params.l2private is not None
-            else None
-        )
+        self.l2s: Optional[List[CacheArray]] = None
+        if params.l2private is not None:
+            self.l2s = [CacheArray(params.l2private) for _ in range(n)]
+            #: The one result every middle-cache hit returns.
+            self._l2_hit = AccessResult(
+                GRANT,
+                params.l1.hit_latency + params.l2private.hit_latency,
+                hit=True,
+            )
+        #: Live views of the L1s' line -> state maps (``reset`` clears
+        #: them in place): the access path's L1 probe without a call.
+        self._l1_states = [l1.state_map() for l1 in self.l1s]
         self.llc = CacheArray(params.llc)
         #: Live view of the LLC's resident lines (``reset`` clears the
         #: array in place): the miss path's presence test without a call.
         self._llc_lines = self.llc.resident_lines()
-        #: The one result every L1 hit returns: callers read it and
-        #: never mutate it, so the hit path allocates nothing.
+        self._l1_latency = params.l1.hit_latency
+        #: Data-source latency of a miss: an LLC hit, or an LLC miss
+        #: that also reads memory.
+        self._llc_latency = params.llc.hit_latency
+        self._mem_latency = params.llc.hit_latency + params.memory.latency
+        #: Shared results (immutable, so the paths that return them
+        #: allocate nothing): the one every L1 hit returns, and one per
+        #: distinct grant latency of the miss path.
         self._l1_hit = AccessResult(GRANT, params.l1.hit_latency, hit=True)
+        self._grants: Dict[int, AccessResult] = {}
+        #: Fused pricing rows, ``_rows[core][home]`` (see
+        #: :class:`PriceRow`); pure functions of the geometry, so they
+        #: survive ``reset``.  Only stateless pricing reads them.
+        self._rows = PriceRow.table(
+            network, params.l1.hit_latency, self._tile_of
+        )
+        #: Flits of the fused outcomes other than the direct round trip.
+        ctrl_flits = network._ctrl_tail + 1
+        data_flits = network._data_tail + 1
+        self._nack_flits = 2 * ctrl_flits
+        self._forward_flits = 2 * ctrl_flits + data_flits
+        self._victim_flits = 3 * ctrl_flits + data_flits
         #: Ways of the outermost private level, which holds the
         #: transactional lines (the overflow pre-check's set size).
         self._outer_assoc = (
@@ -474,7 +578,7 @@ class MemorySystem:
         # -- L1 hit with sufficient permission --------------------------
         # One probe serves both the hit test and, on a miss, the
         # two-level fill decision below.
-        st = l1.probe(line)
+        st = self._l1_states[core].get(line, _I)
         if st != _I and (st != _S or not is_write):
             l1.touch(line)
             if is_write and st == _E:
@@ -493,7 +597,6 @@ class MemorySystem:
                 holders[line] = holders.get(line, 0) | (1 << core)
             return self._l1_hit
 
-        p = self.params
         stats.l1_misses += 1
 
         # -- Private middle cache (MESI-Three-Level-HTM mode) ------------
@@ -517,11 +620,7 @@ class MemorySystem:
                 stats.l2_hits += 1
                 if tx.mode in _TRACK_MODES:
                     self._track(core, line, is_write, tx)
-                return AccessResult(
-                    GRANT,
-                    p.l1.hit_latency + p.l2private.hit_latency,
-                    hit=True,
-                )
+                return self._l2_hit
             needs_insert = st2 == _I
 
         # -- Overflow pre-check (Fig. 6): need a way, all ways pinned ----
@@ -561,32 +660,28 @@ class MemorySystem:
                         res.reject_holder,
                         res.reject_by_lock,
                     )
-                return AccessResult(OVERFLOW, p.l1.hit_latency)
+                return AccessResult(OVERFLOW, self._l1_latency)
 
         # -- Miss path: to the home directory ----------------------------
-        # Fused round-trip pricing: with stateless pricing and no chaos
-        # hook armed, every message on this directory transaction is a
-        # pure (class, hops) table lookup and the NoC counters are
-        # order-insensitive sums — so all legs are priced inline from
-        # the PR 5 latency tables and the counters flushed once per
-        # access.  Chaos or link-contention modeling falls back to the
-        # legacy per-message calls, preserving RNG draw order and link
-        # reservation order exactly.  Modeled latencies, message counts
-        # and orderings are identical either way.
+        # Fused pricing: with stateless pricing and no chaos hook armed,
+        # every message of this directory transaction is a pure table
+        # lookup and the NoC counters are order-insensitive sums, so
+        # the requester/home legs come from one PriceRow and each
+        # outcome adds its messages to the counters once.  Chaos or
+        # link-contention modeling takes the per-message calls instead,
+        # preserving RNG draw order and link reservation order exactly.
+        # Modeled latencies, message counts and orderings are identical
+        # either way.
         net = self.network
         home = line % self._n_tiles
-        my_tile = self._tile_of[core]
         fused = net.chaos is None and net._stateless
         if fused:
-            n_tiles = self._n_tiles
-            hops_tbl = net._hops_table
-            hops_rh = hops_tbl[my_tile * n_tiles + home]
-            req_lat = p.l1.hit_latency + net._ctrl_by_hops[hops_rh]
-            f_msgs = 1
-            f_flits = net._ctrl_tail + 1
-            f_hops = hops_rh
+            row = self._rows[core][home]
+            req_lat = row.req
         else:
-            req_lat = p.l1.hit_latency + net.control_latency(my_tile, home)
+            req_lat = self._l1_latency + net.control_latency(
+                self._tile_of[core], home
+            )
         entries = self._dir_entries
         entry = entries.get(line)
         if entry is None:
@@ -604,21 +699,9 @@ class MemorySystem:
             and len(self.core_stats) > 1
             and self.chaos.storm_reject()
         ):
-            entry.busy_until = start + p.llc.hit_latency
-            if fused:
-                back = net._ctrl_by_hops[hops_rh]
-                net.messages_sent += f_msgs + 1
-                net.flits_sent += f_flits + net._ctrl_tail + 1
-                net.hops_traversed += f_hops + hops_rh
-            else:
-                back = net.control_latency(home, my_tile)
-            stats.rejects_received += 1
             phantom = (core + 1) % len(self.core_stats)
-            self.core_stats[phantom].rejects_issued += 1
-            return AccessResult(
-                REJECT,
-                (start - now) + p.llc.hit_latency + back,
-                reject_holder=phantom,
+            return self._nack(
+                core, home, fused, entry, start, now, phantom, False
             )
 
         # No-conflict pre-check: on the overwhelmingly common
@@ -651,22 +734,15 @@ class MemorySystem:
             resolution: Resolution = self.manager.resolve(req, holders)
 
             if not resolution.granted:
-                entry.busy_until = start + p.llc.hit_latency
-                if fused:
-                    back = net._ctrl_by_hops[hops_rh]
-                    net.messages_sent += f_msgs + 1
-                    net.flits_sent += f_flits + net._ctrl_tail + 1
-                    net.hops_traversed += f_hops + hops_rh
-                else:
-                    back = net.control_latency(home, my_tile)
-                latency = (start - now) + p.llc.hit_latency + back
-                stats.rejects_received += 1
-                self.core_stats[resolution.reject_holder].rejects_issued += 1
-                return AccessResult(
-                    REJECT,
-                    latency,
-                    reject_holder=resolution.reject_holder,
-                    reject_by_lock=resolution.reject_by_lock,
+                return self._nack(
+                    core,
+                    home,
+                    fused,
+                    entry,
+                    start,
+                    now,
+                    resolution.reject_holder,
+                    resolution.reject_by_lock,
                 )
 
             # -- Granted: abort victims before moving data ---------------
@@ -677,7 +753,7 @@ class MemorySystem:
 
         owner_before = entry.owner
         llc_hit = line in self._llc_lines
-        data_lat = p.llc.hit_latency + (0 if llc_hit else p.memory.latency)
+        data_lat = self._llc_latency if llc_hit else self._mem_latency
 
         if owner_before >= 0 and owner_before != core:
             owner_tile = self._tile_of[owner_before]
@@ -685,50 +761,50 @@ class MemorySystem:
                 # Fig. 3 NACK path: the aborting owner invalidated
                 # itself; the directory sources the data.
                 if fused:
-                    hops_ho = hops_tbl[home * n_tiles + owner_tile]
+                    # Home -> owner, owner -> home (the owner's request
+                    # leg without its L1 lookup), home -> requester.
+                    fwd = self._rows[owner_before][home]
                     data_lat += (
-                        2 * net._ctrl_by_hops[hops_ho]
-                        + net._data_by_hops[hops_rh]
+                        fwd.ctrl + (fwd.req - self._l1_latency) + row.data
                     )
-                    f_msgs += 3
-                    f_flits += 2 * (net._ctrl_tail + 1) + net._data_tail + 1
-                    f_hops += 2 * hops_ho + hops_rh
+                    net.messages_sent += 4
+                    net.flits_sent += self._victim_flits
+                    net.hops_traversed += row.rt_hops + fwd.rt_hops
                 else:
                     data_lat += (
                         net.control_latency(home, owner_tile)
                         + net.control_latency(owner_tile, home)
-                        + net.data_latency(home, my_tile)
+                        + net.data_latency(home, self._tile_of[core])
                     )
             else:
                 # Normal cache-to-cache forward.
                 if fused:
-                    hops_ho = hops_tbl[home * n_tiles + owner_tile]
-                    hops_om = hops_tbl[owner_tile * n_tiles + my_tile]
-                    data_lat += (
-                        net._ctrl_by_hops[hops_ho]
-                        + net._data_by_hops[hops_om]
+                    fwd = self._rows[owner_before][home]
+                    src = self._rows[core][owner_tile]
+                    data_lat += fwd.ctrl + src.data
+                    net.messages_sent += 3
+                    net.flits_sent += self._forward_flits
+                    net.hops_traversed += (
+                        row.rt_hops - row.hops + fwd.hops + src.hops
                     )
-                    f_msgs += 2
-                    f_flits += net._ctrl_tail + net._data_tail + 2
-                    f_hops += hops_ho + hops_om
                 else:
                     data_lat += net.control_latency(
                         home, owner_tile
-                    ) + net.data_latency(owner_tile, my_tile)
+                    ) + net.data_latency(owner_tile, self._tile_of[core])
                 if is_write:
                     self._purge_private(owner_before, line)
                     self.directory.remove_copy(line, owner_before)
                 else:
                     self._demote_private(owner_before, line)
                     self.directory.demote_owner_to_sharer(line)
+        elif fused:
+            # The direct round trip: request in, data back.
+            data_lat += row.data
+            net.messages_sent += 2
+            net.flits_sent += row.flits
+            net.hops_traversed += row.rt_hops
         else:
-            if fused:
-                data_lat += net._data_by_hops[hops_rh]
-                f_msgs += 1
-                f_flits += net._data_tail + 1
-                f_hops += hops_rh
-            else:
-                data_lat += net.data_latency(home, my_tile)
+            data_lat += net.data_latency(home, self._tile_of[core])
 
         if is_write:
             # Inline directory.copies()/remove_copy() on the held entry
@@ -810,16 +886,50 @@ class MemorySystem:
             else:
                 tx.read_set.add(line)
                 holders = self.tx_readers
-            holders[line] = holders.get(line, 0) | (1 << core)
+            holders[line] = holders.get(line, 0) | own_bit
 
-        if fused:
-            net.messages_sent += f_msgs
-            net.flits_sent += f_flits
-            net.hops_traversed += f_hops
-        latency = (start - now) + data_lat
         if self.paranoid:
             self.directory.check_swmr(l2s if l2s is not None else self.l1s)
-        return AccessResult(GRANT, latency)
+        latency = (start - now) + data_lat
+        res = self._grants.get(latency)
+        if res is None:
+            res = self._grants[latency] = AccessResult(GRANT, latency)
+        return res
+
+    def _nack(
+        self,
+        core: int,
+        home: int,
+        fused: bool,
+        entry: DirEntry,
+        start: int,
+        now: int,
+        holder: int,
+        by_lock: bool,
+    ) -> AccessResult:
+        """The home rejects the request after its LLC lookup.
+
+        The line stays busy for the lookup and a control NACK returns
+        to the requester; ``holder`` is billed for issuing it.
+        """
+        entry.busy_until = start + self._llc_latency
+        net = self.network
+        if fused:
+            row = self._rows[core][home]
+            back = row.ctrl
+            net.messages_sent += 2
+            net.flits_sent += self._nack_flits
+            net.hops_traversed += row.rt_hops
+        else:
+            back = net.control_latency(home, self._tile_of[core])
+        self.core_stats[core].rejects_received += 1
+        self.core_stats[holder].rejects_issued += 1
+        return AccessResult(
+            REJECT,
+            (start - now) + self._llc_latency + back,
+            reject_holder=holder,
+            reject_by_lock=by_lock,
+        )
 
     # ------------------------------------------------------------------
 

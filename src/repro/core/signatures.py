@@ -11,16 +11,11 @@ the irrevocable lock transaction depends on.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
-
-def _mix64(x: int) -> int:
-    x &= (1 << 64) - 1
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & ((1 << 64) - 1)
-    return x ^ (x >> 31)
+_M64 = (1 << 64) - 1
 
 
 class BloomSignature:
@@ -30,7 +25,7 @@ class BloomSignature:
     ``k`` index functions come from double hashing of a 64-bit mix.
     """
 
-    __slots__ = ("bits", "hashes", "_field", "inserted", "_seed", "chaos_fp")
+    __slots__ = ("bits", "hashes", "_field", "inserted", "_salt", "chaos_fp")
 
     def __init__(self, bits: int = 2048, hashes: int = 4, seed: int = 0) -> None:
         if bits <= 0 or bits & (bits - 1):
@@ -41,33 +36,50 @@ class BloomSignature:
         self.hashes = hashes
         self._field = 0
         self.inserted = 0
-        self._seed = seed
+        #: The seed's share of the hash input (golden-ratio multiple).
+        self._salt = (seed * 0x9E3779B97F4A7C15) & _M64
         #: Fault-injection hook: () -> bool, True forces a spurious
         #: membership hit.  Safe by construction — Bloom signatures are
         #: conservative, so extra false positives only cost retries.
         self.chaos_fp: Optional[Callable[[], bool]] = None
 
-    def _indices(self, line: int):
-        h = _mix64(line ^ (self._seed * 0x9E3779B97F4A7C15))
-        h1 = h & 0xFFFFFFFF
-        h2 = (h >> 32) | 1  # odd => full-period double hashing
-        mask = self.bits - 1
-        for i in range(self.hashes):
-            yield (h1 + i * h2) & mask
+    def _probe(self, line: int) -> Tuple[int, int]:
+        """The line's first index (unmasked) and odd index step.
+
+        A splitmix64 finalizer mixes the salted line; its halves drive
+        double hashing, index ``i`` being ``(h1 + i * h2) mod bits``.
+        """
+        x = (line ^ self._salt) & _M64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+        x ^= x >> 31
+        return x & 0xFFFFFFFF, (x >> 32) | 1  # odd => full period
 
     def insert(self, line: int) -> None:
-        for idx in self._indices(line):
-            self._field |= 1 << idx
+        idx, step = self._probe(line)
+        mask = self.bits - 1
+        field = self._field
+        for _ in range(self.hashes):
+            field |= 1 << (idx & mask)
+            idx += step
+        self._field = field
         self.inserted += 1
 
     def test(self, line: int) -> bool:
-        for idx in self._indices(line):
-            if not (self._field >> idx) & 1:
+        # Stops at the first clear bit: most probes miss a sparse
+        # signature, and a full k-bit mask would cost k big-int
+        # shifts and ORs to find that out.
+        idx, step = self._probe(line)
+        mask = self.bits - 1
+        field = self._field
+        for _ in range(self.hashes):
+            if not field >> (idx & mask) & 1:
                 return (
                     self.chaos_fp is not None
                     and not self.empty
                     and self.chaos_fp()
                 )
+            idx += step
         return True
 
     def clear(self) -> None:

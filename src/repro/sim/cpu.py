@@ -351,22 +351,25 @@ class CPU:
         self._burst_token = None
         if tx.pending_anchor is not None:
             # Fold the lazily-billed computes of the burst that just
-            # completed (every boundary is <= now here).
-            for _off, n in tx.pending_steps:
-                tx.insts_in_attempt += n
+            # completed (every boundary is <= now here).  Offsets are
+            # prefix sums, so the last step's ``offset + n`` is the
+            # burst's compute total.
+            off, n = tx.pending_steps[-1]
+            tx.insts_in_attempt += off + n
             tx.pending_anchor = None
             tx.pending_steps = ()
         if tx.aborted:
             self._rollback(now)
             return
         bursts = self._bursts[self.seg_idx]
-        if self.op_idx >= len(bursts):
+        idx = self.op_idx
+        if idx >= len(bursts):
             self._tx_commit(now)
             return
-        op = bursts[self.op_idx][2]
+        op = bursts[idx][2]
         if op is None:
             # Trailing compute-only burst: commit in this same event.
-            self.op_idx += 1
+            self.op_idx = idx + 1
             self._tx_commit(now)
             return
         kind = op[0]
@@ -375,7 +378,7 @@ class CPU:
             return
         if kind == OP_COMPUTE:
             # One-op layout: the compute retires at issue.
-            self.op_idx += 1
+            self.op_idx = idx + 1
             tx.insts_in_attempt += op[1]
             self._advance_burst(now, op[1])
             return
@@ -387,9 +390,23 @@ class CPU:
                 self.memsys.functional_store(self.core, op[1], op[2])
             else:
                 self.stats.loads += 1
-            self.op_idx += 1
             tx.insts_in_attempt += 1
-            self._advance_burst(now, res.latency)
+            # _advance_burst inlined on the burst tuple in hand (the
+            # access moved neither the segment nor the burst index).
+            lat = res.latency
+            idx += 1
+            self.op_idx = idx
+            if idx < len(bursts):
+                c, steps, _op, c_last = bursts[idx]
+                if steps:
+                    tx.pending_anchor = now + lat
+                    tx.pending_steps = steps
+                    tx.pending_alloc = now
+                    self._burst_token = self.engine.schedule_after_virtual(
+                        lat + c, self._tx_step, lat + c - c_last
+                    )
+                    return
+            self.engine.schedule_after_nocancel(lat, self._tx_step)
         elif res.status == REJECT:
             self._on_reject(now, res)
         else:

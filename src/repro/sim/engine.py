@@ -87,7 +87,6 @@ class SimEngine:
         "now_vtime",
         "events_processed",
         "_max_events",
-        "_live",
         "_cancelled_resident",
         "heap_compactions",
     )
@@ -105,8 +104,6 @@ class SimEngine:
         self.now_vtime = 0
         self.events_processed = 0
         self._max_events = max_events
-        #: Scheduled, not yet fired, not cancelled.
-        self._live = 0
         #: Cancelled entries still physically resident.
         self._cancelled_resident = 0
         self.heap_compactions = 0
@@ -132,7 +129,6 @@ class SimEngine:
         self.now = 0
         self.now_vtime = 0
         self.events_processed = 0
-        self._live = 0
         self._cancelled_resident = 0
         self.heap_compactions = 0
 
@@ -150,7 +146,6 @@ class SimEngine:
         token = EventToken(self)
         heappush(self._heap, (when, now, self._seq, token, fn))
         self._seq += 1
-        self._live += 1
         return token
 
     def schedule_after(self, delay: int, fn: EventFn) -> EventToken:
@@ -160,7 +155,6 @@ class SimEngine:
         token = EventToken(self)
         heappush(self._heap, (now + delay, now, self._seq, token, fn))
         self._seq += 1
-        self._live += 1
         return token
 
     def schedule_after_nocancel(self, delay: int, fn: EventFn) -> None:
@@ -177,7 +171,6 @@ class SimEngine:
         now = self.now
         heappush(self._heap, (now + delay, now, self._seq, _IMMORTAL, fn))
         self._seq += 1
-        self._live += 1
 
     def schedule_after_virtual(
         self, delay: int, fn: EventFn, vdelay: int
@@ -202,7 +195,6 @@ class SimEngine:
             self._heap, (now + delay, now + vdelay, self._seq, token, fn)
         )
         self._seq += 1
-        self._live += 1
         return token
 
     def schedule_after_virtual_nocancel(
@@ -218,7 +210,6 @@ class SimEngine:
             self._heap, (now + delay, now + vdelay, self._seq, _IMMORTAL, fn)
         )
         self._seq += 1
-        self._live += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,9 +220,10 @@ class SimEngine:
 
         Cancelled-but-resident entries are excluded — cancellation
         storms used to make this overcount until the corpses happened
-        to be popped.
+        to be popped.  Every resident entry is live unless cancelled,
+        so this is derived rather than counted on every event.
         """
-        return self._live
+        return len(self._heap) - self._cancelled_resident
 
     def resident(self) -> int:
         """Entries physically resident in the heap (live or dead)."""
@@ -242,7 +234,6 @@ class SimEngine:
     # ------------------------------------------------------------------
 
     def _note_cancel(self) -> None:
-        self._live -= 1
         self._cancelled_resident += 1
         if (
             self._cancelled_resident >= _COMPACT_MIN
@@ -302,7 +293,6 @@ class SimEngine:
                     token.cancelled = True  # consumed
                 self.now = t
                 self.now_vtime = vtime
-                self._live -= 1
                 processed += 1
                 if processed > budget:
                     raise EventBudgetError(budget, t)
@@ -329,7 +319,6 @@ class SimEngine:
                 token.cancelled = True  # consumed
             self.now = t
             self.now_vtime = vtime
-            self._live -= 1
             self.events_processed += 1
             if self.events_processed > self._max_events:
                 raise EventBudgetError(self._max_events, t)

@@ -68,7 +68,9 @@ class Machine:
         self.topology = MeshTopology(params.network)
         self.network = NetworkModel(self.topology, params.network)
         if params.network.model_contention:
-            self.network.clock = lambda: self.engine.now
+            # Close over the engine, not the machine: no cycle.
+            engine = self.engine
+            self.network.clock = lambda: engine.now
         self.core_stats = [CoreStats() for _ in range(len(programs))]
         self.manager = build_conflict_manager(spec)
         self.memsys = MemorySystem(
@@ -163,8 +165,27 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    def tile_of_core(self, core: int) -> int:
+    @staticmethod
+    def tile_of_core(core: int) -> int:
+        # Static, so the components it is handed hold no machine.
         return core  # one core per tile, identity placement
+
+    def teardown(self) -> None:
+        """Break the machine's reference cycles; it is unusable after.
+
+        The CPUs, the queued events and parked callbacks, and the
+        victim-abort hook point back at the machine.  A machine that
+        is dropped instead of going back to a pool calls this, so
+        refcounting frees it at once rather than the cyclic collector
+        some time later.  The per-core stats, which a run's
+        :class:`RunStats` shares, are left alone.
+        """
+        self.engine.reset()
+        self.cpus = []
+        self.memsys.abort_core = MemorySystem._unwired_abort
+        self.wakeups.reset()
+        self.hl_arbiter.reset()
+        self.fallback_lock.reset()
 
     # ------------------------------------------------------------------
     # Cross-component operations

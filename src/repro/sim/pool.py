@@ -18,7 +18,9 @@ Machines are only returned to the pool after a *successful* run
 (:func:`repro.sim.runner.run_workload` drops the machine on any error,
 since a half-run machine's state is unknown), and fault-injected runs
 never use the pool at all — the injector monkey-wires chaos hooks
-across components.
+across components.  Every machine the pool drops (a full free list,
+:meth:`MachinePool.clear`) is torn down first, so refcounting frees it
+without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -71,9 +73,15 @@ class MachinePool:
             machine.memsys.reset([])
             machine.cpus = []
             free.append(machine)
+        else:
+            machine.teardown()
         self.releases += 1
 
     def clear(self) -> None:
+        """Drop every free machine (torn down, so refcounting frees it)."""
+        for free in self._free.values():
+            for machine in free:
+                machine.teardown()
         self._free.clear()
 
 

@@ -10,9 +10,9 @@ A run executes with CPython's cyclic collector paused
 short-lived objects, which used to trigger hundreds of collector passes
 per grid; refcounting already frees them, and a pooled run leaves no
 cyclic garbage (pinned by ``tests/test_gc_pause.py``), so the passes
-found nothing.  The one cyclic structure a run leaves is a machine
-that does not go back to the pool (an unpooled or fault-planned run, a
-raising run, a full pool), which a later pass collects.
+found nothing.  A machine that does not go back to the pool (an
+unpooled or fault-planned run, a raising run, a full pool) is torn
+down (:meth:`Machine.teardown`), so refcounting frees it too.
 """
 
 from __future__ import annotations
@@ -142,6 +142,25 @@ def _run_cell(
             fault_plan=config.fault_plan,
             watchdog=config.watchdog,
         )
+    try:
+        stats = _run_machine(machine, build, config)
+    except BaseException:
+        # A half-run machine's state is unknown: never pooled.
+        machine.teardown()
+        raise
+    # Only a machine whose run (and checks) completed cleanly goes back
+    # to the pool; any other is torn down so refcounting frees it.
+    if pool is not None:
+        pool.release(machine)
+    else:
+        machine.teardown()
+    return stats
+
+
+def _run_machine(
+    machine: Machine, build: WorkloadBuild, config: RunConfig
+) -> RunStats:
+    """Run ``machine`` under the config's telemetry, then check it."""
     telemetry = config.telemetry
     if telemetry is not None:
         telemetry.attach(machine)
@@ -183,8 +202,4 @@ def _run_cell(
                 f"{config.spec.name}, {config.threads} threads): "
                 + "; ".join(failures[:5])
             )
-    # Only a machine whose run (and checks) completed cleanly goes back
-    # to the pool; any raise above drops it — its state is unknown.
-    if pool is not None:
-        pool.release(machine)
     return stats

@@ -19,8 +19,12 @@ because it distinguishes all nine Table-II systems: enough contention
 that every recovery policy takes a different path.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.coherence.memsys import GRANT, REJECT
+from repro.common.params import three_level_params
 from repro.common.stats import RunStats
 from repro.harness.export import fingerprint
 from repro.harness.sweeps import Sweep
@@ -84,20 +88,86 @@ class TestGoldenPins:
         assert fingerprint(a) == fingerprint(b)
 
 
-def _run_priced(system: str, per_message: bool):
-    """The pinned cell on a fresh machine, optionally per-message priced.
+#: Fused-vs-per-message cells beyond the golden one.  At 16 threads
+#: the contended kernels take cache-to-cache forwards, victim aborts
+#: and, on vacation+, NACKs; the last cell runs three-level caches.
+#: (The NACK-victim legs never run in a whole run, see
+#: ``tests/test_protocol_timing.py``.)  (workload, system, threads,
+#: scale, seed, three_level) -> (execution_cycles, fingerprint, events,
+#: messages, flits, hops).
+PRICING_CELLS = {
+    ("vacation+", "LockillerTM", 16, 0.02, 42, False): (
+        13541, "8ab99294c50e1db1", 1454, 2790, 7602, 10248,
+    ),
+    ("kmeans+", "Baseline", 16, 0.02, 42, False): (
+        3163, "f4311bacf18f9023", 897, 1019, 2795, 3470,
+    ),
+    ("vacation+", "LockillerTM", 16, 0.02, 42, True): (
+        13549, "f05528946f17355b", 1454, 2790, 7602, 10248,
+    ),
+}
+
+
+def _leg_census(machine) -> Counter:
+    """Count a run's NACKs, forwards and the misses that aborted the
+    line's owner (wraps ``access`` and ``abort_core`` the way
+    telemetry does)."""
+    census = Counter()
+    memsys = machine.memsys
+    access, abort_core = memsys.access, memsys.abort_core
+    aborted = []
+
+    def counting_abort(core, reason, now):
+        aborted.append(core)
+        abort_core(core, reason, now)
+
+    def counting_access(core, addr, is_write, now):
+        entry = memsys._dir_entries.get(addr >> 6)
+        owner = entry.owner if entry is not None else -1
+        aborted.clear()
+        res = access(core, addr, is_write, now)
+        if res.status == REJECT:
+            census["nack"] += 1
+        elif res.status == GRANT and not res.hit and owner not in (-1, core):
+            census["owner_aborted" if owner in aborted else "forward"] += 1
+        return res
+
+    memsys.abort_core = counting_abort
+    memsys.access = counting_access
+    return census
+
+
+def _run_priced(
+    system: str,
+    per_message: bool,
+    workload: str = "intruder",
+    threads: int = 4,
+    scale: float = 0.05,
+    seed: int = 3,
+    params=None,
+    census=None,
+):
+    """One cell on a fresh machine, optionally per-message priced.
 
     An identity chaos hook on the network turns off the fused pricing
     in ``memsys.access`` (it needs ``chaos is None``) without changing
     any latency, so every message goes through ``control_latency`` /
-    ``data_latency`` one call at a time.
+    ``data_latency`` one call at a time.  A ``census`` Counter receives
+    the run's :func:`_leg_census` and its middle-cache hits.
     """
-    cfg = RunConfig(spec=get_system(system), threads=4, scale=0.05, seed=3)
-    build = get_workload("intruder").build(4, 0.05, 3)
-    machine = Machine(cfg.params, cfg.spec, build.programs, seed=3)
+    spec = get_system(system)
+    if params is None:
+        params = RunConfig(spec=spec).params
+    build = get_workload(workload).build(threads, scale, seed)
+    machine = Machine(params, spec, build.programs, seed=seed)
     if per_message:
         machine.network.chaos = lambda lat: lat
+    if census is not None:
+        legs = _leg_census(machine)
     cycles = machine.run()
+    if census is not None:
+        census.update(legs)
+        census["l2_hits"] += sum(cs.l2_hits for cs in machine.core_stats)
     assert build.verify(machine.memsys.memory) == []
     net = machine.network
     return (
@@ -117,6 +187,27 @@ class TestPricingPaths:
         expected = (cycles, fp) + GOLD_COUNTS[system]
         assert _run_priced(system, per_message=False) == expected
         assert _run_priced(system, per_message=True) == expected
+
+    @pytest.mark.parametrize(
+        "cell", sorted(PRICING_CELLS), ids=lambda c: "-".join(map(str, c))
+    )
+    def test_contended_and_three_level_cells_agree(self, cell):
+        workload, system, threads, scale, seed, three_level = cell
+        kw = dict(
+            workload=workload,
+            threads=threads,
+            scale=scale,
+            seed=seed,
+            params=three_level_params() if three_level else None,
+        )
+        census = Counter()
+        fused = _run_priced(system, per_message=False, census=census, **kw)
+        assert fused == PRICING_CELLS[cell]
+        assert _run_priced(system, per_message=True, **kw) == fused
+        assert census["forward"] > 0 and census["owner_aborted"] > 0, census
+        if workload == "vacation+":
+            assert census["nack"] > 0, census
+        assert (census["l2_hits"] > 0) == three_level, census
 
 
 @pytest.fixture(scope="module")

@@ -435,3 +435,47 @@ class TestOverflowAndSignatures:
         m.memsys.retire_tx(0)
         tx.clear()
         assert m.memsys.check_quiescent() == []
+
+
+class TestSharedResults:
+    """Results are immutable, so the access path shares them."""
+
+    def test_equal_latency_grants_share_one_result(self):
+        m = idle_machine()
+        ms = m.memsys
+        n_tiles = m.topology.num_tiles
+        # Two cold reads of lines with the same home tile: same legs,
+        # same LLC miss, so the same latency.
+        a = ms.access(0, line_addr(5), False, 0)
+        b = ms.access(0, line_addr(5 + n_tiles), False, 1000)
+        assert a.status == b.status == GRANT and not a.hit
+        assert a.latency == b.latency
+        assert a is b
+        # A different latency gets its own result; the first is intact.
+        c = ms.access(1, line_addr(5), False, 2000)
+        assert c.latency != a.latency and c is not a
+        assert ms.access(0, line_addr(5 + 2 * n_tiles), False, 3000) is a
+
+    def test_results_are_immutable(self):
+        m = make_machine(
+            [[] for _ in range(4)], system="LockillerTM", params=tiny_params()
+        )
+        ms = m.memsys
+        grant = ms.access(0, line_addr(5), True, 0)
+        hit = ms.access(0, line_addr(5), True, 10)
+        m.cpus[0].tx.begin(TxMode.TL, 20)
+        ms.access(0, line_addr(6), True, 20)
+        m.cpus[1].tx.begin(TxMode.HTM, 30)
+        reject = ms.access(1, line_addr(6), False, 30)
+        assert (grant.status, hit.hit, reject.status) == (GRANT, True, REJECT)
+        for res in (grant, hit, reject):
+            before = (res.status, res.latency, res.hit, res.reject_holder)
+            with pytest.raises(AttributeError):
+                res.latency = 1
+            with pytest.raises(AttributeError):
+                res.status = OVERFLOW
+            with pytest.raises(AttributeError):
+                del res.hit
+            assert (
+                res.status, res.latency, res.hit, res.reject_holder
+            ) == before

@@ -8,7 +8,7 @@ so timing regressions are caught, not just functional ones.
 import pytest
 
 from repro.common.stats import AbortReason
-from repro.coherence.memsys import GRANT
+from repro.coherence.memsys import GRANT, REJECT
 from repro.coherence.states import MESI
 from repro.htm.txstate import TxMode
 from conftest import idle_machine, line_addr
@@ -105,3 +105,96 @@ class TestVictimInvalidationSemantics:
         # aborted attempt).
         res = ms.access(0, line_addr(5), False, 1_000)
         assert not res.hit
+
+
+def _priced_access(scenario, per_message):
+    """Run ``scenario(machine)`` up to its last access; return that
+    access's status and latency and the NoC messages, flits and hops it
+    added.  ``per_message`` arms an identity chaos hook, which turns the
+    fused pricing off without changing any latency."""
+    m = idle_machine(n_cores=16, system=scenario.system)
+    if per_message:
+        m.network.chaos = lambda lat: lat
+    last = scenario(m)
+    net = m.network
+    before = (net.messages_sent, net.flits_sent, net.hops_traversed)
+    res = last()
+    after = (net.messages_sent, net.flits_sent, net.hops_traversed)
+    return (res.status, res.latency) + tuple(
+        a - b for a, b in zip(after, before)
+    )
+
+
+class TestFusedLegs:
+    """The fused miss path prices each outcome like the per-message one.
+
+    Whole-run pins (``tests/test_golden_determinism.py::TestPricingPaths``)
+    cover forwards and NACKs; these pin each outcome on its own, for
+    requester/owner/home tiles spread over the mesh.
+    """
+
+    CASES = [(0, 3, 5), (15, 2, 17), (7, 12, 30), (9, 9, 1)]
+
+    @staticmethod
+    def _forward(owner, requester, line, is_write):
+        def scenario(m):
+            m.memsys.access(owner, line_addr(line), True, 0)
+            return lambda: m.memsys.access(
+                requester, line_addr(line), is_write, 5_000
+            )
+
+        scenario.system = "Baseline"
+        return scenario
+
+    @staticmethod
+    def _owner_kept_after_abort(owner, requester, line):
+        # Fig. 3 NACK path.  ``discard_tx`` removes an aborted owner's
+        # copy before the home reads the owner, so a whole run never
+        # takes it; an abort hook that leaves the copy in place does
+        # (and the requester's store then purges it).
+        def scenario(m):
+            m.cpus[owner].tx.begin(TxMode.HTM, 0)
+            m.memsys.access(owner, line_addr(line), True, 0)
+            m.memsys.abort_core = lambda core, reason, now: None
+            return lambda: m.memsys.access(
+                requester, line_addr(line), True, 5_000
+            )
+
+        scenario.system = "Baseline"
+        return scenario
+
+    @staticmethod
+    def _nack(owner, requester, line):
+        def scenario(m):
+            m.cpus[owner].tx.begin(TxMode.TL, 0)
+            m.memsys.access(owner, line_addr(line), True, 0)
+            m.cpus[requester].tx.begin(TxMode.HTM, 0)
+            return lambda: m.memsys.access(
+                requester, line_addr(line), False, 5_000
+            )
+
+        scenario.system = "LockillerTM"
+        return scenario
+
+    @pytest.mark.parametrize("owner,requester,line", CASES)
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_forward(self, owner, requester, line, is_write):
+        scenario = self._forward(owner, requester, line, is_write)
+        fused = _priced_access(scenario, per_message=False)
+        assert fused == _priced_access(scenario, per_message=True)
+        if owner != requester:
+            assert fused[:1] + fused[2:3] == (GRANT, 3)
+
+    @pytest.mark.parametrize("owner,requester,line", CASES[:3])
+    def test_owner_kept_after_abort(self, owner, requester, line):
+        scenario = self._owner_kept_after_abort(owner, requester, line)
+        fused = _priced_access(scenario, per_message=False)
+        assert fused == _priced_access(scenario, per_message=True)
+        assert fused[:1] + fused[2:3] == (GRANT, 4)
+
+    @pytest.mark.parametrize("owner,requester,line", CASES[:3])
+    def test_nack(self, owner, requester, line):
+        scenario = self._nack(owner, requester, line)
+        fused = _priced_access(scenario, per_message=False)
+        assert fused == _priced_access(scenario, per_message=True)
+        assert fused[:1] + fused[2:3] == (REJECT, 2)

@@ -102,3 +102,76 @@ class TestFalsePositiveBehaviour:
             sig.insert(ln)
         # Fully saturated -> conservative: everything tests positive.
         assert all(sig.test(ln) for ln in range(1000, 1010))
+
+
+def _per_index_field(bits, hashes, seed, lines):
+    """The bit field of the per-index formula: one shift per index
+    function of a splitmix64 mix, double hashing over its halves."""
+    m64 = (1 << 64) - 1
+
+    def mix64(x):
+        x &= m64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m64
+        return x ^ (x >> 31)
+
+    field = 0
+    for line in lines:
+        h = mix64(line ^ (seed * 0x9E3779B97F4A7C15))
+        h1 = h & 0xFFFFFFFF
+        h2 = (h >> 32) | 1
+        for i in range(hashes):
+            field |= 1 << ((h1 + i * h2) & (bits - 1))
+    return field
+
+
+class TestIndexFormula:
+    """The field and membership follow the per-index formula exactly."""
+
+    LINES = (
+        list(range(3000))
+        + [(i * 0x9E3779B1) % (1 << 58) for i in range(1, 2000)]
+        + [(1 << 64) - 1, 1 << 64, (1 << 70) + 12345]
+    )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "bits,hashes", [(2048, 4), (1024, 7), (256, 2), (64, 1)]
+    )
+    def test_field_matches_per_index_formula(self, bits, hashes, seed):
+        sig = BloomSignature(bits, hashes, seed=seed)
+        inserted = []
+        # A sparse subset, checked as it grows: small fields saturate.
+        for chunk in range(0, len(self.LINES), 500):
+            for line in self.LINES[chunk:chunk + 25]:
+                sig.insert(line)
+                inserted.append(line)
+            assert sig._field == _per_index_field(bits, hashes, seed, inserted)
+        # A member has every one of its index bits set.
+        for line in self.LINES:
+            want = _per_index_field(bits, hashes, seed, [line])
+            assert sig.test(line) == (sig._field & want == want)
+
+    def test_chaos_fp_fires_only_on_a_miss_of_a_nonempty_signature(self):
+        calls = []
+
+        def fp():
+            calls.append(1)
+            return True
+
+        sig = BloomSignature(2048, 4, seed=1)
+        sig.chaos_fp = fp
+        assert not sig.test(7)  # empty: no spurious hit, hook not asked
+        assert calls == []
+        sig.insert(7)
+        assert sig.test(7)  # a real member: hook not asked
+        assert calls == []
+        absent = next(
+            ln for ln in range(8, 10_000)
+            if sig._field & _per_index_field(2048, 4, 1, [ln])
+            != _per_index_field(2048, 4, 1, [ln])
+        )
+        assert sig.test(absent)  # a miss: the hook decides
+        assert calls == [1]
+        sig.chaos_fp = lambda: False
+        assert not sig.test(absent)
