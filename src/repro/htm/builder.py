@@ -33,7 +33,6 @@ from repro.htm.isa import (
     fault,
     load,
     store,
-    segment_bursts,
 )
 
 
@@ -127,10 +126,6 @@ class ProgramBuilder:
         self._flush_plain()
         out = self._segments
         self._segments = []
-        for seg in out:
-            # Warm the per-segment burst cache at build time so the
-            # first transactional attempt pays no coalescing cost.
-            segment_bursts(seg)
         return out
 
 

@@ -88,11 +88,18 @@ class Segment:
     ops: List[Op]
 
     def __post_init__(self) -> None:
+        self._validate(self.ops)
+        #: The ops as the CPU steps them (:func:`coalesce_ops`); segments
+        #: are not mutated after construction.  :func:`op_layout`
+        #: overrides it on its copies.
+        self._bursts = coalesce_ops(self.ops)
+
+    @staticmethod
+    def _validate(ops: List[Op]) -> None:
         # Structural validation at C speed: three map/set sweeps instead
         # of a per-op Python loop (workload builds create tens of
         # thousands of ops per program).  Only a failed sweep pays for
         # the precise per-op error below.
-        ops = self.ops
         if not ops:
             return
         try:
@@ -182,30 +189,15 @@ def coalesce_ops(ops: Sequence[Op]) -> Tuple[Burst, ...]:
     return tuple(bursts)
 
 
-def segment_bursts(segment: Segment) -> Tuple[Burst, ...]:
-    """Cached :func:`coalesce_ops` over a segment's ops.
-
-    The cache lives on the segment instance (programs are built once and
-    replayed across attempts/sweep points), keyed implicitly by identity
-    — segments are not mutated after build.
-    """
-    cached = getattr(segment, "_bursts", None)
-    if cached is None:
-        cached = coalesce_ops(segment.ops)
-        segment._bursts = cached
-    return cached
-
-
 def op_layout(programs: Sequence[Sequence[Segment]]) -> List[List[Segment]]:
     """Fresh copies of ``programs`` in the one-op-per-burst layout.
 
-    Each copied segment's burst cache (read by :func:`segment_bursts`)
-    is preset to one burst per op, compute ops included, so the CPU
-    schedules one event per op: the schedule :func:`coalesce_ops`
-    elides.  Running a program in both layouts and comparing the
-    results checks the elision (tests, :mod:`repro.sim.fuzz`).  The
-    inputs are left alone; workload builds share their segments, which
-    already carry the coalesced layout.
+    Each copied segment's ``_bursts`` is set to one burst per op,
+    compute ops included, so the CPU schedules one event per op: the
+    schedule :func:`coalesce_ops` elides.  Running a program in both
+    layouts and comparing the results checks the elision (tests,
+    :mod:`repro.sim.fuzz`).  The inputs are left alone; workload builds
+    share their segments, which already carry the coalesced layout.
     """
     copies: List[List[Segment]] = []
     for program in programs:

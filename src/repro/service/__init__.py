@@ -1,4 +1,4 @@
-"""Always-on, multi-tenant sweep service over the experiment harness.
+"""Always-on sweep service over the experiment harness.
 
 ROADMAP item 1: lift the harness substrate — pure cell functions, the
 content-addressed run cache, process-pool fan-out, crash-tolerant
@@ -10,17 +10,15 @@ pure stdlib (asyncio + http-over-``asyncio.start_server``):
   order is exactly :meth:`repro.harness.sweeps.Sweep.points`, each cell
   addressed by its :func:`repro.harness.runcache.cell_key`.
 * :mod:`repro.service.store` — :class:`ShardedStore`, a
-  :class:`~repro.harness.runcache.RunCache` with two-level key-prefix
-  fanout directories and per-shard write serialization so concurrent
-  campaign writers never contend on one directory.
-* :mod:`repro.service.quotas` — per-tenant admission quotas and the
-  fair round-robin queue that drains thousands of campaigns gracefully.
+  :class:`~repro.harness.runcache.RunCache` in the same on-disk layout
+  whose reads return memoized result records.
 * :mod:`repro.service.jobs` — job records, the JSONL event feed, and
   the atomic journal that makes every campaign resumable.
 * :mod:`repro.service.server` — :class:`ReproService`: the asyncio
-  HTTP API (submit/status/stream/results/cancel), the dedup-aware
-  scheduler over the :func:`repro.harness.parallel.execute_cell`
-  process pool, and graceful SIGTERM drain.
+  HTTP API (submit/status/stream/results/cancel), one FIFO queue under
+  one ``max_queued_cells`` bound, the dedup-aware scheduler over the
+  :func:`repro.harness.parallel.execute_cell` process pool, and
+  graceful SIGTERM drain.
 * :mod:`repro.service.client` — a stdlib HTTP client mirroring the API.
 
 Determinism is sacred: a campaign served through the service produces
@@ -32,8 +30,7 @@ suite).
 from repro.service.campaigns import CampaignSpec, CellSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobState
-from repro.service.quotas import QuotaExceeded, TenantQuota
-from repro.service.server import ReproService, ServiceConfig
+from repro.service.server import QueueFull, ReproService, ServiceConfig
 from repro.service.store import ShardedStore
 
 __all__ = [
@@ -41,11 +38,10 @@ __all__ = [
     "CellSpec",
     "Job",
     "JobState",
-    "QuotaExceeded",
+    "QueueFull",
     "ReproService",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
     "ShardedStore",
-    "TenantQuota",
 ]

@@ -1,6 +1,6 @@
 """Wire-level campaign model.
 
-A *campaign* is what a tenant submits: either a cartesian **sweep**
+A *campaign* is what a client submits: either a cartesian **sweep**
 (workloads x systems x threads x seeds x params tags) or a **multiseed**
 study (one configuration repeated across seeds — a degenerate sweep
 whose results additionally carry a per-metric summary).  Both

@@ -3,8 +3,7 @@
 Usage::
 
     python -m repro serve --state-dir .repro-service [--host H] [--port P]
-        [--jobs N] [--quota TENANT=QUEUED[:CONCURRENT]]
-        [--default-quota QUEUED[:CONCURRENT]] [--cache-dir DIR]
+        [--jobs N] [--max-queued-cells N] [--cache-dir DIR]
     python -m repro submit --workloads kmeans+,ssca2 --systems \
         CGL,LockillerTM [--threads 2,8] [--seeds 1,2] [--scale 0.1]
         [--multiseed] [--tenant NAME] [--wait] [--server HOST:PORT |
@@ -29,7 +28,6 @@ from typing import List, Optional
 
 from repro.common.errors import ConfigError
 from repro.service.client import ServiceClient, ServiceError, discover
-from repro.service.quotas import parse_quota
 from repro.service.server import ServiceConfig, run_service
 
 SERVICE_COMMANDS = (
@@ -80,18 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (0=all CPUs; default $REPRO_JOBS/serial)",
     )
     serve_p.add_argument(
-        "--quota", action="append", default=[],
-        metavar="TENANT=QUEUED[:CONCURRENT]",
-        help="per-tenant quota override (repeatable)",
-    )
-    serve_p.add_argument(
-        "--default-quota", default=None,
-        metavar="QUEUED[:CONCURRENT]",
-        help="quota for tenants without an explicit --quota",
+        "--max-queued-cells", type=int,
+        default=ServiceConfig.max_queued_cells, metavar="N",
+        help="most cells queued over all jobs; a submit past it gets "
+             "HTTP 429 (default %(default)s)",
     )
     serve_p.add_argument(
         "--cache-dir", default=None,
-        help="sharded store root (default <state-dir>/runcache)",
+        help="run-cache root (default <state-dir>/runcache)",
     )
 
     submit_p = sub.add_parser("submit", help="submit a campaign")
@@ -111,7 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--multiseed", action="store_true",
         help="submit as a multiseed campaign (one config, many seeds)",
     )
-    submit_p.add_argument("--tenant", default=None)
+    submit_p.add_argument(
+        "--tenant", default=None,
+        help="free-text label kept on the job",
+    )
     submit_p.add_argument(
         "--wait", action="store_true",
         help="stream events until the job finishes",
@@ -144,26 +141,14 @@ def _campaign_from_args(args: argparse.Namespace) -> dict:
 
 
 def _serve(args: argparse.Namespace) -> int:
-    quotas = {}
-    for entry in args.quota:
-        tenant, sep, spec = entry.partition("=")
-        if not sep or not tenant:
-            raise ConfigError(
-                f"invalid --quota {entry!r}: expected "
-                "TENANT=QUEUED[:CONCURRENT]"
-            )
-        quotas[tenant] = parse_quota(spec)
-    config = ServiceConfig(
+    return run_service(ServiceConfig(
         state_dir=args.state_dir,
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        quotas=quotas,
+        max_queued_cells=args.max_queued_cells,
         cache_dir=args.cache_dir,
-    )
-    if args.default_quota:
-        config.default_quota = parse_quota(args.default_quota)
-    return run_service(config)
+    ))
 
 
 def _submit(args: argparse.Namespace) -> int:

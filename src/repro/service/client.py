@@ -3,7 +3,7 @@
 Mirrors the ``/v1`` API one method per endpoint.  Every method raises
 :class:`ServiceError` on a non-2xx response, carrying the HTTP status
 and the decoded error payload — a 429 therefore surfaces as
-``ServiceError`` with ``status == 429`` and the quota details intact,
+``ServiceError`` with ``status == 429`` and the queue details intact,
 which is what callers implementing backoff need.
 
 The client speaks the server's HTTP/1.1 over a plain socket, one

@@ -5,17 +5,16 @@ stdlib — the HTTP/1.1 layer is a minimal parser over
 ``asyncio.start_server``) that turns the harness substrate into a
 long-running experiment backend:
 
-* **Submit** (``POST /v1/jobs``) admits a campaign under the tenant's
-  queue quota (429 + ``Retry-After`` when over), journals it, and
-  enqueues its cells on the fair round-robin queue.
-* **Schedule** — the scheduler drains tenants round-robin.  Each cell
+* **Submit** (``POST /v1/jobs``) admits a campaign while the queue
+  stays within ``max_queued_cells`` (429 + ``Retry-After`` when it
+  would not), journals it, and appends its cells to the one FIFO queue.
+* **Schedule** — the scheduler takes cells in submit order.  Each cell
   is deduplicated *at schedule time*, first against in-flight
   executions (a second campaign asking for a running cell subscribes to
-  the same future), then against the sharded content-addressed store
-  (an already-computed cell is delivered without scheduling).  Only
-  true misses fan out to the :func:`repro.harness.parallel.execute_cell`
-  process pool, bounded globally by the worker count and per tenant by
-  ``max_concurrent_cells``.
+  the same future), then against the content-addressed store (an
+  already-computed cell is delivered without scheduling).  Only true
+  misses fan out to the :func:`repro.harness.parallel.execute_cell`
+  process pool, bounded by the worker count.
 * **Stream** (``GET /v1/jobs/<id>/events?follow=1``) tails the job's
   JSONL event feed over chunked-free ``Connection: close`` NDJSON.
 * **Drain** — SIGTERM (or :meth:`request_stop`) stops admission (503),
@@ -27,8 +26,8 @@ long-running experiment backend:
 Determinism: cells execute through the exact same pure
 ``execute_cell`` the serial harness uses, and results are slotted by
 campaign cell index — a served campaign is bit-identical to
-``Sweep.run``.  Scheduling order, quotas and dedup can change *when* a
-cell runs, never *what* it computes.
+``Sweep.run``.  Scheduling order, admission and dedup can change *when*
+a cell runs, never *what* it computes.
 """
 
 from __future__ import annotations
@@ -39,10 +38,11 @@ import os
 import signal
 import threading
 import uuid
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import ConfigError
@@ -50,12 +50,10 @@ from repro.harness.parallel import CellTask, execute_cell, resolve_jobs
 from repro.harness.runcache import StoredResult
 from repro.service.campaigns import CampaignSpec, CellSpec
 from repro.service.jobs import Job, JobState
-from repro.service.quotas import FairQueue, QuotaExceeded, TenantQuota
 from repro.service.store import ShardedStore
 
 API_VERSION = "v1"
 DEFAULT_TENANT = "default"
-TENANT_HEADER = "x-repro-tenant"
 #: How ``json.dumps`` encodes a results cell's ``"stats": None``.
 _STATS_PLACEHOLDER = '"stats": null'
 
@@ -70,26 +68,46 @@ class ServiceConfig:
     port: int = 0
     #: Worker processes (``repro.harness.parallel`` jobs convention).
     jobs: Optional[int] = None
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
-    quotas: Dict[str, TenantQuota] = field(default_factory=dict)
+    #: Most cells queued at once, over all jobs; a submit that would
+    #: pass it is rejected whole (HTTP 429).  0 rejects every submit.
+    max_queued_cells: int = 10_000
     #: Store root; defaults to ``<state_dir>/runcache``.
     cache_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.max_queued_cells < 0:
+            raise ConfigError("max_queued_cells must be >= 0")
+
+
+class QueueFull(Exception):
+    """Raised at admission when a submit would overfill the queue."""
+
+    def __init__(self, queued: int, requested: int, limit: int) -> None:
+        self.queued = queued
+        self.requested = requested
+        self.limit = limit
+        super().__init__(
+            f"queue full: {queued} cell(s) queued + {requested} "
+            f"requested > max_queued_cells={limit}"
+        )
+
+
+class BadRequest(Exception):
+    """Malformed client input; answered 400, never 500."""
 
 
 class _InFlight:
     """One executing cell and every (job, index) waiting on it."""
 
-    __slots__ = ("cell", "owner_tenant", "subscribers")
+    __slots__ = ("cell", "subscribers")
 
-    def __init__(self, cell: CellSpec, owner_tenant: str,
-                 job_id: str, index: int) -> None:
+    def __init__(self, cell: CellSpec, job_id: str, index: int) -> None:
         self.cell = cell
-        self.owner_tenant = owner_tenant
         self.subscribers: List[Tuple[str, int]] = [(job_id, index)]
 
 
 class ReproService:
-    """Multi-tenant sweep service over the harness substrate."""
+    """Sweep service over the harness substrate."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -98,7 +116,9 @@ class ReproService:
             config.cache_dir
             or os.path.join(config.state_dir, "runcache")
         )
-        self.queue = FairQueue(config.default_quota, config.quotas)
+        #: ``(job_id, cell_index)`` in submit order.
+        self.queue: Deque[Tuple[str, int]] = deque()
+        self.rejected_submits = 0
         self.jobs: Dict[str, Job] = {}
         self.workers = resolve_jobs(config.jobs)
         self.draining = False
@@ -183,11 +203,9 @@ class ReproService:
                 pass
             job.state = JobState.QUEUED
             job.save_journal()
-            # Resumed cells were admitted before the restart; account
-            # their queue budget without re-applying the admission gate.
-            self.queue.tenant(job.tenant).queued += job.cells_total
-            for cell in job.cells:
-                self.queue.push(job.tenant, job.job_id, cell.index)
+            # Resumed cells were admitted before the restart: they
+            # count against the bound but are not gated again.
+            self.queue.extend((job.job_id, cell.index) for cell in job.cells)
             job.emit("resumed", cells_total=job.cells_total)
             job.close_events()
 
@@ -242,10 +260,18 @@ class ReproService:
     # -- submission ----------------------------------------------------
 
     def submit(self, tenant: str, campaign: CampaignSpec) -> Job:
-        """Admit one campaign; raises QuotaExceeded / RuntimeError."""
+        """Admit one campaign; raises QueueFull / RuntimeError.
+
+        ``tenant`` is a free-text label kept on the job; it selects
+        nothing.
+        """
         if self.draining:
             raise RuntimeError("service is draining")
-        self.queue.admit(tenant, campaign.size())
+        requested = campaign.size()
+        if len(self.queue) + requested > self.config.max_queued_cells:
+            self.rejected_submits += 1
+            raise QueueFull(len(self.queue), requested,
+                            self.config.max_queued_cells)
         self._submit_seq += 1
         job_id = f"j{self._submit_seq:05d}-{uuid.uuid4().hex[:6]}"
         job = Job(job_id, tenant, campaign, self.config.state_dir,
@@ -259,8 +285,7 @@ class ReproService:
         # it, so open handles grow with the cells in progress, not with
         # the queue.
         job.close_events()
-        for cell in job.cells:
-            self.queue.push(tenant, job_id, cell.index)
+        self.queue.extend((job_id, cell.index) for cell in job.cells)
         self._wake.set()
         return job
 
@@ -268,9 +293,9 @@ class ReproService:
         job = self.jobs[job_id]
         if job.state.terminal:
             return job
-        dropped = self.queue.drop_job(job.tenant, job_id)
-        if dropped:
-            self.queue.release_queued(job.tenant, dropped)
+        queued = len(self.queue)
+        self.queue = deque(e for e in self.queue if e[0] != job_id)
+        dropped = queued - len(self.queue)
         # Detach from in-flight executions; the executions themselves
         # finish and land in the store (deterministic and reusable).
         for inflight in self._inflight.values():
@@ -312,13 +337,13 @@ class ReproService:
             self._publish()
             await self._wake.wait()
             self._wake.clear()
-            while not self.draining and self._executing < self.workers:
-                item = self.queue.take()
-                if item is None:
-                    break
-                tenant, job_id, index = item
+            while (
+                self.queue
+                and not self.draining
+                and self._executing < self.workers
+            ):
+                job_id, index = self.queue.popleft()
                 job = self.jobs[job_id]
-                self.queue.release_queued(tenant)
                 if job.state.terminal:
                     continue  # cancelled while queued
                 cell = job.cells[index]
@@ -333,14 +358,12 @@ class ReproService:
                 if hit is not None:
                     self._deliver(job, index, hit, "cache")
                     continue
-                self._start_cell(loop, tenant, job, cell)
+                self._start_cell(loop, job, cell)
 
-    def _start_cell(self, loop, tenant: str, job: Job,
-                    cell: CellSpec) -> None:
-        inflight = _InFlight(cell, tenant, job.job_id, cell.index)
+    def _start_cell(self, loop, job: Job, cell: CellSpec) -> None:
+        inflight = _InFlight(cell, job.job_id, cell.index)
         self._inflight[cell.key] = inflight
         self._executing += 1
-        self.queue.mark_running(tenant)
         job.cells_scheduled += 1
         if job.state is JobState.QUEUED:
             job.state = JobState.RUNNING
@@ -393,7 +416,6 @@ class ReproService:
                 # is every other one on the pool.
                 self._drop_pool(pool)
         self._executing -= 1
-        self.queue.mark_finished(inflight.owner_tenant)
         self._inflight.pop(cell.key, None)
         record = None
         if stats is not None:
@@ -483,9 +505,10 @@ class ReproService:
                 )
                 for state in JobState
             },
-            "tenants": {
-                name: acct.snapshot()
-                for name, acct in self.queue.tenants().items()
+            "queue": {
+                "queued_cells": len(self.queue),
+                "max_queued_cells": self.config.max_queued_cells,
+                "rejected_submits": self.rejected_submits,
             },
         }
 
@@ -553,15 +576,17 @@ class ReproService:
             request = await self._read_request(reader)
             if request is None:
                 return
-            method, path, headers, body = request
-            await self._route(method, path, headers, body, writer)
+            await self._route(*request, writer)
         except ConnectionError:
             pass
         except Exception as exc:  # noqa: BLE001 - one bad conn, not us
             try:
-                _write_response(writer, 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                })
+                if isinstance(exc, BadRequest):
+                    _write_response(writer, 400, {"error": str(exc)})
+                else:
+                    _write_response(writer, 500, {
+                        "error": f"{type(exc).__name__}: {exc}"
+                    })
             except ConnectionError:
                 pass
         finally:
@@ -585,7 +610,7 @@ class ReproService:
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
-            raise ConfigError(f"malformed request line {line!r}")
+            raise BadRequest(f"malformed request line {line!r}") from None
         headers: Dict[str, str] = {}
         while True:
             raw = await reader.readline()
@@ -593,12 +618,12 @@ class ReproService:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = _nonnegative_int(
+            headers.get("content-length") or "0", "Content-Length")
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
+        return method.upper(), target, body
 
-    async def _route(self, method: str, target: str,
-                     headers: Dict[str, str], body: bytes,
+    async def _route(self, method: str, target: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
         url = urlsplit(target)
         parts = [p for p in url.path.split("/") if p]
@@ -615,7 +640,7 @@ class ReproService:
         if method == "GET" and route == ["stats"]:
             return _write_response(writer, 200, self.stats_dict())
         if method == "POST" and route == ["jobs"]:
-            return self._http_submit(headers, body, writer)
+            return self._http_submit(body, writer)
         if method == "GET" and route == ["jobs"]:
             return _write_response(writer, 200, {
                 "jobs": [
@@ -648,8 +673,7 @@ class ReproService:
             "error": f"no route for {method} {url.path}"
         })
 
-    def _http_submit(self, headers: Dict[str, str], body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
+    def _http_submit(self, body: bytes, writer: asyncio.StreamWriter) -> None:
         if self.draining:
             return _write_response(writer, 503, {
                 "error": "service is draining; resubmit after restart"
@@ -660,11 +684,12 @@ class ReproService:
             return _write_response(writer, 400, {
                 "error": f"request body is not JSON: {exc}"
             })
-        tenant = (
-            payload.get("tenant")
-            or headers.get(TENANT_HEADER)
-            or DEFAULT_TENANT
-        )
+        if not isinstance(payload, dict):
+            return _write_response(writer, 400, {
+                "error": "request body must be a JSON object, got "
+                         f"{type(payload).__name__}"
+            })
+        tenant = payload.get("tenant") or DEFAULT_TENANT
         try:
             campaign = CampaignSpec.from_dict(
                 payload.get("campaign", payload.get("sweep"))
@@ -673,20 +698,20 @@ class ReproService:
             return _write_response(writer, 400, {"error": str(exc)})
         try:
             job = self.submit(str(tenant), campaign)
-        except QuotaExceeded as exc:
+        except QueueFull as exc:
             return _write_response(writer, 429, {
                 "error": str(exc),
-                "tenant": exc.tenant,
                 "queued_cells": exc.queued,
                 "requested_cells": exc.requested,
-                "max_queued_cells": exc.quota.max_queued_cells,
+                "max_queued_cells": exc.limit,
             }, extra_headers={"Retry-After": "1"})
         return _write_response(writer, 202, job.status_dict())
 
     async def _http_events(self, job: Job, query: Dict,
                            writer: asyncio.StreamWriter) -> None:
         follow = query.get("follow", ["0"])[0] not in ("0", "")
-        cursor = int(query.get("cursor", ["0"])[0] or "0")
+        cursor = _nonnegative_int(query.get("cursor", ["0"])[0] or "0",
+                                  "cursor")
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -701,6 +726,17 @@ class ReproService:
             if not follow or job.state.terminal:
                 return
             await job.wait_events(cursor)
+
+
+def _nonnegative_int(text: str, name: str) -> int:
+    """``int(text)``, or BadRequest when it is not a count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise BadRequest(f"invalid {name} {text!r}") from None
+    if value < 0:
+        raise BadRequest(f"invalid {name} {text!r}: must be >= 0")
+    return value
 
 
 def _write_response(writer: asyncio.StreamWriter, status: int,

@@ -34,7 +34,6 @@ from repro.htm.isa import (
     OP_FAULT,
     OP_STORE,
     Txn,
-    segment_bursts,
 )
 from repro.htm.txstate import TxMode, TxState
 
@@ -52,8 +51,8 @@ _LOCK_MODES = (_TL, _STL)
 class CPU:
     """One in-order, single-issue core.
 
-    A segment runs as a sequence of bursts
-    (:func:`~repro.htm.isa.segment_bursts`): each burst is a run of
+    A segment runs as a sequence of bursts (``Segment._bursts``, from
+    :func:`~repro.htm.isa.coalesce_ops`): each burst is a run of
     OP_COMPUTE folded into the delay of one continuation, which then
     issues the burst's terminal op.  Two steppers walk the bursts and
     share the control flow around them (entry, retry, abort, fallback,
@@ -123,7 +122,7 @@ class CPU:
         #: Fault ops already taken once (page mapped after first trip).
         self._faults_taken: Set[Tuple[int, int]] = set()
 
-        self._bursts = [segment_bursts(seg) for seg in program]
+        self._bursts = [seg._bursts for seg in program]
         #: Cancellable token of the in-flight transactional continuation
         #: (only set while elided compute boundaries exist to checkpoint).
         self._burst_token = None

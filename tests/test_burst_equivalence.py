@@ -109,7 +109,7 @@ def test_op_layout_is_one_burst_per_op():
     (copy,) = op_layout([[seg]])[0]
     assert copy.ops == seg.ops and copy is not seg
     assert copy._bursts == tuple((0, (), op, 0) for op in seg.ops)
-    assert not hasattr(seg, "_bursts")
+    assert len(seg._bursts) == 2  # the input keeps its coalesced bursts
 
 
 def test_plain_reject_and_retry_matches_per_op():

@@ -1,4 +1,4 @@
-"""Tests for the sweep service: campaign model, sharded store, and the
+"""Tests for the sweep service: campaign model, result store, and the
 end-to-end determinism pins (service == serial ``Sweep.run``, resubmit
 == 100% cache dedup, drain/resume)."""
 
@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -19,6 +20,7 @@ from repro.harness.export import (
     run_stats_from_dict,
     run_stats_to_dict,
 )
+from repro.harness.runcache import RunCache
 from repro.service import (
     CampaignSpec,
     ServiceClient,
@@ -52,6 +54,29 @@ def service(tmp_path):
 
 def client_of(handle) -> ServiceClient:
     return ServiceClient(handle.host, handle.port)
+
+
+def raw_request(handle, request: bytes):
+    """Send raw request bytes; return (status, decoded JSON body)."""
+    with socket.create_connection((handle.host, handle.port), 30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def raw_post(handle, body: bytes, length=None):
+    length = len(body) if length is None else length
+    return raw_request(handle, (
+        f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1") + body)
 
 
 class TestCampaignSpec:
@@ -134,20 +159,20 @@ class TestShardedStore:
 
         return RunStats(execution_cycles=123, cores=[CoreStats()])
 
-    def test_two_level_layout(self, tmp_path):
+    def test_one_level_layout(self, tmp_path):
+        """Entries sit where a ``RunCache`` at the same root reads them."""
         store = ShardedStore(str(tmp_path))
         key = "ab12" + "0" * 60
-        assert store.path_for(key) == str(
-            tmp_path / "ab" / "12" / f"{key}.json"
-        )
-        assert store.shard_of(key) == "ab12"
+        assert store.path_for(key) == str(tmp_path / "ab" / f"{key}.json")
+        store.put(key, self._stats())
+        assert RunCache(str(tmp_path)).get(key).execution_cycles == 123
 
     def test_put_get_roundtrip(self, tmp_path):
         store = ShardedStore(str(tmp_path))
         key = "fe" * 32
         assert store.get(key) is None
         store.put(key, self._stats(), meta={"origin": "test"})
-        assert store.contains(key)
+        assert os.path.exists(store.path_for(key))
         got = store.get(key)
         assert got is not None
         assert got.execution_cycles == 123
@@ -226,6 +251,34 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/v1/jobs", {"campaign": "nope"})
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("body", [b"[]", b'"x"'], ids=["list", "str"])
+    def test_body_not_an_object_400(self, service, body):
+        status, payload = raw_post(service, body)
+        assert status == 400
+        assert "JSON object" in payload["error"]
+
+    def test_non_integer_content_length_400(self, service):
+        status, payload = raw_post(service, b"{}", length="abc")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_negative_content_length_400(self, service):
+        status, payload = raw_post(service, b"", length=-5)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_non_integer_cursor_400(self, service):
+        job_id = client_of(service).submit({
+            "workloads": ["ssca2"], "systems": ["CGL"], "threads": [1],
+            "seeds": [1], "scale": 0.01,
+        })["job_id"]
+        status, payload = raw_request(service, (
+            f"GET /v1/jobs/{job_id}/events?cursor=abc HTTP/1.1\r\n"
+            f"Host: x\r\n\r\n"
+        ).encode("latin-1"))
+        assert status == 400
+        assert "cursor" in payload["error"]
 
 
 class TestServiceDeterminism:

@@ -1,10 +1,12 @@
-"""Quota/backpressure edges and the service concurrency pins.
+"""Backpressure edges and the service concurrency and crash pins.
 
-Covers the ISSUE 9 satellite list: zero-quota tenant, queue-full
-rejection, cancel mid-run, resubmit-after-cancel dedup — plus the
-acceptance pins: >= 8 simultaneous campaigns from >= 3 tenants complete
-under quota limits with correct 429 responses, and SIGTERM mid-campaign
-leaves a journal the service resumes on restart.
+The service has one FIFO queue of cells under one bound,
+``ServiceConfig.max_queued_cells``.  Covers: FIFO order across jobs,
+admission at and over the bound, a zero bound over HTTP, cancel
+returning queue room, resumed jobs counted but not re-gated, cancel
+mid-run and resubmit dedup, nine concurrent campaigns deduplicated
+onto twelve executions, and SIGTERM or SIGKILL mid-campaign followed by
+a restart that resumes the journal.
 """
 
 from __future__ import annotations
@@ -19,21 +21,21 @@ import time
 
 import pytest
 
+from repro.common.errors import ConfigError
+from repro.common.stats import RunStats
 from repro.harness.export import fingerprint
+from repro.harness.runcache import RunCache, decode_entry
 from repro.service import (
     CampaignSpec,
-    QuotaExceeded,
+    QueueFull,
     ServiceClient,
     ServiceError,
-    TenantQuota,
 )
-from repro.service.quotas import FairQueue, parse_quota
 from repro.service.server import (
     ReproService,
     ServiceConfig,
     ServiceThread,
 )
-from repro.common.errors import ConfigError
 
 TINY = {
     "kind": "sweep",
@@ -44,74 +46,30 @@ TINY = {
     "scale": 0.05,
 }
 
+#: The smallest campaign: one cell.
+ONE = {
+    "kind": "sweep",
+    "workloads": ["ssca2"],
+    "systems": ["CGL"],
+    "threads": [1],
+    "seeds": [1],
+    "scale": 0.01,
+}
 
-class TestQuotaModel:
-    def test_quota_validation(self):
-        with pytest.raises(ConfigError):
-            TenantQuota(max_queued_cells=-1)
-        with pytest.raises(ConfigError):
-            TenantQuota(max_concurrent_cells=0)
-        assert TenantQuota(max_queued_cells=0).max_queued_cells == 0
 
-    def test_parse_quota(self):
-        quota = parse_quota("100:4")
-        assert quota.max_queued_cells == 100
-        assert quota.max_concurrent_cells == 4
-        assert parse_quota("50").max_concurrent_cells == 8
-        with pytest.raises(ConfigError):
-            parse_quota("many:few")
+def store_stand_ins(service, campaign: CampaignSpec) -> None:
+    """Store a stand-in result under every cell's key, so the scheduler
+    serves the campaign from the store without running anything."""
+    for cell in campaign.cells():
+        service.store.put(
+            cell.key, RunStats(execution_cycles=cell.index, cores=[]))
 
-    def test_zero_quota_tenant_always_rejected(self):
-        queue = FairQueue(TenantQuota(max_queued_cells=0))
-        with pytest.raises(QuotaExceeded):
-            queue.admit("anyone", 1)
-        assert queue.tenant("anyone").rejected_submits == 1
 
-    def test_queue_full_rejection_and_release(self):
-        queue = FairQueue(TenantQuota(max_queued_cells=10))
-        queue.admit("t", 8)
-        with pytest.raises(QuotaExceeded) as err:
-            queue.admit("t", 4)
-        assert err.value.queued == 8
-        assert err.value.requested == 4
-        queue.admit("t", 2)  # exactly at the limit is allowed
-        queue.release_queued("t", 10)
-        queue.admit("t", 10)
-
-    def test_round_robin_is_fair(self):
-        queue = FairQueue(TenantQuota())
-        for tenant, job in (("a", "j1"), ("b", "j2"), ("c", "j3")):
-            for i in range(3):
-                queue.push(tenant, job, i)
-        order = [queue.take()[0] for _ in range(9)]
-        assert order == ["a", "b", "c"] * 3
-
-    def test_concurrency_limit_skips_not_blocks(self):
-        queue = FairQueue(
-            TenantQuota(max_concurrent_cells=1),
-            {"big": TenantQuota(max_concurrent_cells=8)},
-        )
-        for i in range(2):
-            queue.push("small", "js", i)
-            queue.push("big", "jb", i)
-        first = queue.take()
-        assert first[0] == "small"
-        queue.mark_running("small")  # small is now at its limit
-        takes = [queue.take() for _ in range(2)]
-        assert [t[0] for t in takes] == ["big", "big"]
-        assert queue.take() is None  # small blocked, big drained
-        queue.mark_finished("small")
-        assert queue.take()[0] == "small"
-
-    def test_drop_job_removes_only_that_job(self):
-        queue = FairQueue(TenantQuota())
-        for i in range(3):
-            queue.push("t", "keep", i)
-            queue.push("t", "drop", i)
-        assert queue.drop_job("t", "drop") == 3
-        remaining = [queue.take()[1] for _ in range(3)]
-        assert remaining == ["keep"] * 3
-        assert queue.take() is None
+async def until_terminal(jobs, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not all(job.state.terminal for job in jobs):
+        assert time.monotonic() < deadline, "jobs did not finish"
+        await asyncio.sleep(0.01)
 
 
 def run_scenario(tmp_path, scenario, **config_kwargs):
@@ -137,53 +95,122 @@ def run_scenario(tmp_path, scenario, **config_kwargs):
 
 
 class TestAdmissionEdges:
+    def test_cells_are_taken_in_submit_order(self, tmp_path):
+        """One FIFO: every cell of the first job before any of the
+        second, whatever label each job carries."""
+        campaigns = [
+            CampaignSpec.from_dict(dict(TINY, seeds=[seed]))
+            for seed in (1, 2, 3)
+        ]
+
+        async def scenario(service):
+            for campaign in campaigns:
+                store_stand_ins(service, campaign)
+            served = []
+            get = service.store.get
+
+            def watched_get(key):
+                served.append(key)
+                return get(key)
+
+            service.store.get = watched_get
+            jobs = [
+                service.submit(label, campaign)
+                for label, campaign in zip("abc", campaigns)
+            ]
+            await until_terminal(jobs)
+            assert [job.state.value for job in jobs] == ["done"] * 3
+            assert served == [cell.key for job in jobs for cell in job.cells]
+
+        run_scenario(tmp_path, scenario, jobs=1)
+
     def test_queue_full_rejection_is_deterministic(self, tmp_path):
         campaign8 = CampaignSpec.from_dict(dict(TINY, seeds=[1, 2]))
         campaign4 = CampaignSpec.from_dict(TINY)
 
         async def scenario(service):
-            service.submit("t", campaign8)  # 8 cells queued
-            with pytest.raises(QuotaExceeded):
-                service.submit("t", campaign4)  # 8 + 4 > 10
-            assert service.queue.tenant("t").rejected_submits == 1
+            service.submit("t", campaign8)
+            service.submit("u", campaign4)  # exactly at the bound
+            with pytest.raises(QueueFull) as err:
+                service.submit("v", CampaignSpec.from_dict(ONE))
+            assert (err.value.queued, err.value.requested,
+                    err.value.limit) == (12, 1, 12)
+            assert len(service.queue) == 12
+            assert service.stats_dict()["queue"] == {
+                "queued_cells": 12,
+                "max_queued_cells": 12,
+                "rejected_submits": 1,
+            }
 
-        run_scenario(
-            tmp_path, scenario, jobs=1,
-            quotas={"t": TenantQuota(max_queued_cells=10)},
+        run_scenario(tmp_path, scenario, jobs=1, max_queued_cells=12)
+
+    def test_bound_validation(self, tmp_path):
+        with pytest.raises(ConfigError):
+            ServiceConfig(state_dir=str(tmp_path), max_queued_cells=-1)
+
+    def test_zero_bound_gets_429_over_http(self, tmp_path):
+        config = ServiceConfig(
+            state_dir=str(tmp_path / "svc"), jobs=1, max_queued_cells=0,
         )
+        with ServiceThread(config) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            for campaign, cells in ((TINY, 4), (ONE, 1)):
+                with pytest.raises(ServiceError) as err:
+                    client.submit(campaign, tenant="anyone")
+                assert err.value.status == 429
+                assert err.value.is_backpressure
+                payload = err.value.payload
+                assert payload["queued_cells"] == 0
+                assert payload["requested_cells"] == cells
+                assert payload["max_queued_cells"] == 0
+                assert "queue full" in payload["error"]
+            assert client.jobs()["jobs"] == []
+            assert client.stats()["queue"]["rejected_submits"] == 2
 
     def test_cancel_while_queued_returns_budget(self, tmp_path):
         campaign = CampaignSpec.from_dict(dict(TINY, seeds=[1, 2]))
 
         async def scenario(service):
-            job = service.submit("t", campaign)  # 8 of 8 queued
-            with pytest.raises(QuotaExceeded):
+            kept = service.submit("t", CampaignSpec.from_dict(ONE))
+            job = service.submit("t", campaign)  # 9 of 9 queued
+            with pytest.raises(QueueFull):
+                service.submit("t", CampaignSpec.from_dict(ONE))
+            service.cancel(job.job_id)  # drops only its own cells
+            assert list(service.queue) == [(kept.job_id, 0)]
+            service.submit("t", campaign)  # the room is back
+
+        run_scenario(tmp_path, scenario, jobs=1, max_queued_cells=9)
+
+    def test_resumed_jobs_count_but_are_not_gated(self, tmp_path):
+        campaigns = [
+            CampaignSpec.from_dict(dict(TINY, seeds=[seed]))
+            for seed in (1, 2)
+        ]
+        state_dir = str(tmp_path / "svc")
+
+        async def journal_two_jobs():
+            service = ReproService(ServiceConfig(state_dir=state_dir))
+            service._wake = asyncio.Event()  # never started: stays queued
+            for campaign in campaigns:
                 service.submit("t", campaign)
-            service.cancel(job.job_id)  # every queued cell dropped
-            assert service.queue.tenant("t").queued == 0
-            service.submit("t", campaign)  # budget is back
+                store_stand_ins(service, campaign)
 
-        run_scenario(
-            tmp_path, scenario, jobs=1,
-            quotas={"t": TenantQuota(max_queued_cells=8)},
-        )
+        asyncio.run(journal_two_jobs())
 
-    def test_zero_quota_tenant_gets_429_over_http(self, tmp_path):
-        config = ServiceConfig(
-            state_dir=str(tmp_path / "svc"), jobs=1,
-            quotas={"walled-off": TenantQuota(max_queued_cells=0)},
-        )
-        with ServiceThread(config) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            with pytest.raises(ServiceError) as err:
-                client.submit(TINY, tenant="walled-off")
-            assert err.value.status == 429
-            assert err.value.is_backpressure
-            assert err.value.payload["max_queued_cells"] == 0
-            assert err.value.payload["tenant"] == "walled-off"
-            # Other tenants are untouched by the walled-off tenant.
-            job = client.submit(TINY, tenant="open")
-            assert client.wait(job["job_id"], 120)["state"] == "done"
+        async def scenario(service):
+            # 8 resumed cells over a bound of 4: all re-queued.
+            assert len(service.queue) == 8
+            with pytest.raises(QueueFull) as err:
+                service.submit("t", CampaignSpec.from_dict(ONE))
+            assert err.value.queued == 8
+            await until_terminal(service.jobs.values())
+            assert all(
+                job.state.value == "done" for job in service.jobs.values()
+            )
+            assert len(service.queue) == 0
+            service.submit("t", CampaignSpec.from_dict(TINY))
+
+        run_scenario(tmp_path, scenario, jobs=1, max_queued_cells=4)
 
 
 class TestCancel:
@@ -257,83 +284,71 @@ class TestCancel:
 
 
 class TestConcurrentCampaigns:
-    def test_eight_campaigns_three_tenants_under_quota(self, tmp_path):
-        """The ISSUE 9 concurrency pin."""
-        tenants = {
-            "alpha": TenantQuota(max_queued_cells=100,
-                                 max_concurrent_cells=2),
-            "beta": TenantQuota(max_queued_cells=100,
-                                max_concurrent_cells=1),
-            "gamma": TenantQuota(max_queued_cells=100,
-                                 max_concurrent_cells=2),
-            "zero": TenantQuota(max_queued_cells=0),
-        }
-        config = ServiceConfig(
-            state_dir=str(tmp_path / "svc"), jobs=4, quotas=tenants
-        )
+    def test_nine_campaigns_dedup_onto_twelve_executions(self, tmp_path):
+        """Nine campaigns in flight at once, three of each: every copy
+        gets the same fingerprints, and no key runs twice."""
+        config = ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=4)
         campaigns = [
             dict(TINY, seeds=[seed]) for seed in (1, 2, 3)
         ]
         with ServiceThread(config) as handle:
             client = ServiceClient(handle.host, handle.port)
-            submitted = []
-            # 9 campaigns across 3 tenants, overlapping seeds so the
-            # in-flight/cache dedup paths get real concurrent traffic.
-            for tenant in ("alpha", "beta", "gamma"):
-                for campaign in campaigns:
-                    job = client.submit(campaign, tenant=tenant)
-                    submitted.append((tenant, job["job_id"]))
-            assert len(submitted) == 9
-            # Backpressure is per-tenant: the zero tenant is rejected
-            # while the others' campaigns are in flight.
-            with pytest.raises(ServiceError) as err:
-                client.submit(campaigns[0], tenant="zero")
-            assert err.value.status == 429
-
+            # Overlapping seeds, so the in-flight and store dedup paths
+            # get real concurrent traffic.
+            submitted = [
+                client.submit(campaign)["job_id"]
+                for _ in range(3) for campaign in campaigns
+            ]
             expected = {}
-            for tenant, job_id in submitted:
+            for job_id in submitted:
                 final = client.wait(job_id, timeout=300)
-                assert final["state"] == "done", (tenant, final)
+                assert final["state"] == "done", final
                 fps = tuple(
                     c["fingerprint"]
                     for c in client.results(job_id, lite=True)["cells"]
                 )
-                key = json.dumps(
-                    client.status(job_id)["campaign"], sort_keys=True
-                )
-                # Same campaign => same fingerprints, every tenant.
+                key = json.dumps(final["campaign"], sort_keys=True)
                 assert expected.setdefault(key, fps) == fps
+            assert len(expected) == 3
 
             stats = client.stats()
-            for name in ("alpha", "beta", "gamma"):
-                acct = stats["tenants"][name]
-                assert acct["peak_running_cells"] <= tenants[
-                    name
-                ].max_concurrent_cells, name
-            # 3 distinct campaigns x 4 cells: dedup means at most 12
-            # executions despite 9 submitted campaigns (36 cells).
+            # 3 distinct campaigns x 4 cells: at most 12 executions
+            # for 9 campaigns (36 cells).
             assert stats["cells_executed"] <= 12
+            assert stats["queue"]["queued_cells"] == 0
+
+
+def spawn_service(state_dir):
+    """``python -m repro serve`` with one worker, as a subprocess.
+
+    It leads its own process group, so a test can reap the pool
+    workers a killed server leaves behind.
+    """
+    env = dict(os.environ)
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src",
+    )
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--state-dir", state_dir, "--jobs", "1", "--port", "0"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.STDOUT,
+        start_new_session=True,
+    )
+
+
+def wait_for_cells_done(client, job_id, cells: int) -> None:
+    deadline = time.monotonic() + 120
+    while client.status(job_id)["progress"]["cells_done"] < cells:
+        assert time.monotonic() < deadline, "no progress"
+        time.sleep(0.01)
 
 
 @pytest.mark.slow
 class TestSigtermResume:
-    def _env(self):
-        env = dict(os.environ)
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return env
-
-    def _spawn(self, state_dir):
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--state-dir", state_dir, "--jobs", "1", "--port", "0"],
-            env=self._env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
 
     def test_sigterm_mid_campaign_then_resume(self, tmp_path):
         from repro.service.client import discover
@@ -342,16 +357,11 @@ class TestSigtermResume:
         campaign = dict(TINY, seeds=[1, 2, 3, 4])  # 16 cells
         spec = CampaignSpec.from_dict(campaign)
 
-        proc = self._spawn(state_dir)
+        proc = spawn_service(state_dir)
         try:
             client = discover(state_dir, wait_s=30)
             job_id = client.submit(campaign)["job_id"]
-            deadline = time.monotonic() + 120
-            while (
-                client.status(job_id)["progress"]["cells_done"] < 2
-            ):
-                assert time.monotonic() < deadline, "no progress"
-                time.sleep(0.01)
+            wait_for_cells_done(client, job_id, 2)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
         finally:
@@ -364,7 +374,7 @@ class TestSigtermResume:
         ))
         assert journal["state"] == "queued"  # resumable checkpoint
 
-        proc = self._spawn(state_dir)
+        proc = spawn_service(state_dir)
         try:
             client = discover(state_dir, wait_s=30)
             final = client.wait(job_id, timeout=240)
@@ -383,3 +393,73 @@ class TestSigtermResume:
 
         serial = spec.to_sweep().run()
         assert fps == [fingerprint(r.stats) for r in serial.records]
+
+
+@pytest.mark.slow
+class TestSigkillResume:
+    def test_sigkill_mid_campaign_then_resume(self, tmp_path):
+        """``kill -9`` skips the drain, so the journal still says
+        ``running``.  A restart on the same state dir resumes the job
+        and serves the cells that landed from the store.  A SIGKILL
+        mid-write may leave an orphaned temp file; that is not
+        asserted on."""
+        from repro.service.client import discover
+
+        state_dir = str(tmp_path / "svc")
+        campaign = dict(TINY, seeds=[1, 2, 3, 4])  # 16 cells
+        spec = CampaignSpec.from_dict(campaign)
+
+        proc = spawn_service(state_dir)
+        try:
+            client = discover(state_dir, wait_s=30)
+            job_id = client.submit(campaign)["job_id"]
+            wait_for_cells_done(client, job_id, 2)
+            proc.kill()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            # The killed server's pool worker outlives it, orphaned.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+        with open(os.path.join(state_dir, "jobs", f"{job_id}.json")) as fh:
+            assert json.load(fh)["state"] == "running"
+        # The killed server could not withdraw its advertisement.
+        os.unlink(os.path.join(state_dir, "server.json"))
+
+        proc = spawn_service(state_dir)
+        try:
+            client = discover(state_dir, wait_s=30)
+            final = client.wait(job_id, timeout=240)
+            assert final["state"] == "done"
+            assert final["progress"]["cells_from_cache"] >= 2
+            fps = [
+                c["fingerprint"]
+                for c in client.results(job_id, lite=True)["cells"]
+            ]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+        serial = spec.to_sweep().run()
+        assert fps == [fingerprint(r.stats) for r in serial.records]
+        root = os.path.join(state_dir, "runcache")
+        entries = [
+            os.path.join(d, name)
+            for d, _dirs, names in os.walk(root)
+            for name in names if name.endswith(".json")
+        ]
+        assert len(entries) == spec.size()
+        for path in entries:
+            with open(path, "rb") as fh:
+                decode_entry(fh.read())
+        # The harness's own cache reads the same files.
+        cache = RunCache(root)
+        assert [fingerprint(cache.get(c.key)) for c in spec.cells()] == fps
