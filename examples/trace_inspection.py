@@ -36,11 +36,12 @@ def main() -> None:
     machine = Machine(
         typical_params(), get_system("LockillerTM"), build.programs, seed=42
     )
-    # Both consumers share one set of callback wraps on the machine's
-    # telemetry hub; attaching either twice is a harmless no-op.
+    # Both consumers subscribe to the machine's telemetry hub, which
+    # feeds them from the components' event slots; attaching either
+    # twice is a harmless no-op.
     telemetry.attach(machine)
     tracer.attach(machine)
-    tracer.attach(machine)  # idempotent: no double-wrapping, no error
+    tracer.attach(machine)  # idempotent: no second subscription, no error
     cycles = machine.run()
     failures = build.verify(machine.memsys.memory)
     assert not failures, failures

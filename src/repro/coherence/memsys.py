@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ProtocolInvariantError
+from repro.common.events import TraceEvent
 from repro.common.params import SystemParams
 from repro.common.stats import AbortReason, CoreStats
 from repro.coherence.cachearray import CacheArray
@@ -277,6 +278,9 @@ class MemorySystem:
         #: Fault injector (reject storm), wired by the Machine when a
         #: FaultPlan is armed; None = no injection, zero overhead.
         self.chaos = None
+        #: Telemetry event slot, set by the machine's TelemetryHub while
+        #: it has subscribers (see :mod:`repro.telemetry.events`).
+        self._emit = None
 
     @staticmethod
     def _unwired_abort(core: int, reason: AbortReason, now: int) -> None:
@@ -309,6 +313,7 @@ class MemorySystem:
         self.signature_spills = 0
         self.signature_rejects = 0
         self.chaos = None
+        self._emit = None
 
     # ------------------------------------------------------------------
     # Functional value plane
@@ -430,8 +435,10 @@ class MemorySystem:
         self.of_wr_sig.clear()
         self.sig_owner = -1
 
-    def spill_to_signature(self, core: int, line: int) -> None:
+    def spill_to_signature(self, core: int, line: int, now: int) -> None:
         """HTMLock overflow (Fig. 5 ②): move a set entry to the LLC sigs."""
+        if self._emit is not None:
+            self._emit(now, TraceEvent.SPILL, core, line)
         tx = self.tx_states[core]
         if tx.mode not in _LOCK_MODES:
             raise ProtocolInvariantError(
@@ -646,7 +653,7 @@ class MemorySystem:
                     # HTMLock mode survives overflow: spill the LRU set
                     # entry into the LLC signatures and continue.
                     spill_line = outer.lru_line(line)
-                    self.spill_to_signature(core, spill_line)
+                    self.spill_to_signature(core, spill_line, now)
                     # charge the notification to the LLC (Fig. 5 (2))
                     extra = self.network.control_latency(
                         self._tile_of[core],
@@ -660,6 +667,8 @@ class MemorySystem:
                         res.reject_holder,
                         res.reject_by_lock,
                     )
+                if self._emit is not None:
+                    self._emit(now, TraceEvent.OVERFLOW, core, line)
                 return AccessResult(OVERFLOW, self._l1_latency)
 
         # -- Miss path: to the home directory ----------------------------
@@ -701,7 +710,7 @@ class MemorySystem:
         ):
             phantom = (core + 1) % len(self.core_stats)
             return self._nack(
-                core, home, fused, entry, start, now, phantom, False
+                core, line, home, fused, entry, start, now, phantom, False
             )
 
         # No-conflict pre-check: on the overwhelmingly common
@@ -736,6 +745,7 @@ class MemorySystem:
             if not resolution.granted:
                 return self._nack(
                     core,
+                    line,
                     home,
                     fused,
                     entry,
@@ -899,6 +909,7 @@ class MemorySystem:
     def _nack(
         self,
         core: int,
+        line: int,
         home: int,
         fused: bool,
         entry: DirEntry,
@@ -912,6 +923,8 @@ class MemorySystem:
         The line stays busy for the lookup and a control NACK returns
         to the requester; ``holder`` is billed for issuing it.
         """
+        if self._emit is not None:
+            self._emit(now, TraceEvent.REJECT, core, line, holder)
         entry.busy_until = start + self._llc_latency
         net = self.network
         if fused:
@@ -979,7 +992,7 @@ class MemorySystem:
             in_tx_set = line in tx.read_set or line in tx.write_set
             if in_tx_set:
                 if tx.mode in _LOCK_MODES:
-                    self.spill_to_signature(c, line)
+                    self.spill_to_signature(c, line, now)
                     continue
                 if tx.mode is _HTM and not tx.aborted:
                     self.abort_core(c, AbortReason.OVERFLOW, now)

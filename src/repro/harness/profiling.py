@@ -3,7 +3,8 @@
 Two complementary views of one run:
 
 * **cProfile** over the pure hot path (build excluded, no telemetry
-  wrapping, so the numbers are the numbers the sweeps actually pay),
+  subscriber, so every event slot is None and the numbers are the
+  numbers the sweeps actually pay),
   reduced to a top-N table sorted by cumulative or internal time;
 * **per-subsystem event attribution** pulled *after* the run through the
   same ``publish_telemetry`` hooks the telemetry session uses — event

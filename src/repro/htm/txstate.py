@@ -71,6 +71,7 @@ class TxState:
         "pending_anchor",
         "pending_steps",
         "pending_alloc",
+        "committing",
         "engine",
     )
 
@@ -105,6 +106,11 @@ class TxState:
         self.pending_anchor = None
         self.pending_steps = ()
         self.pending_alloc = 0
+        #: An HTM attempt that has published its writes and waits out
+        #: the commit latency.  The classic fallback's lock write still
+        #: marks it aborted, but it commits all the same, so telemetry
+        #: reports no abort for it.
+        self.committing = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -126,6 +132,7 @@ class TxState:
         self.switched = False
         self.pending_anchor = None
         self.pending_steps = ()
+        self.committing = False
 
     def switch_to_stl(self) -> None:
         """SwitchingMode success: HTM -> STL keeping all current state."""

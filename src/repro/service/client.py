@@ -210,21 +210,41 @@ def discover(state_dir: str, timeout: float = DEFAULT_TIMEOUT,
     """Client for the server advertised in ``<state_dir>/server.json``.
 
     ``wait_s`` polls for the file to appear — useful right after
-    spawning a server process.
+    spawning a server process.  A file whose recorded ``pid`` is not
+    running was left by a killed server and counts as no file.
     """
     path = os.path.join(state_dir, "server.json")
     deadline = time.monotonic() + wait_s
     while True:
+        stale = None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return ServiceClient(
-                doc["host"], doc["port"], timeout=timeout
-            )
+            if _pid_alive(doc["pid"]):
+                return ServiceClient(
+                    doc["host"], doc["port"], timeout=timeout
+                )
+            stale = doc["pid"]
         except (OSError, ValueError, KeyError):
-            if time.monotonic() >= deadline:
+            pass
+        if time.monotonic() >= deadline:
+            if stale is not None:
                 raise FileNotFoundError(
-                    f"no readable server.json under {state_dir!r} — "
-                    "is the service running?"
-                ) from None
-            time.sleep(0.05)
+                    f"server.json under {state_dir!r} names pid {stale}, "
+                    "which is not running — is the service running?"
+                )
+            raise FileNotFoundError(
+                f"no readable server.json under {state_dir!r} — "
+                "is the service running?"
+            )
+        time.sleep(0.05)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # running, under another user
+    return True

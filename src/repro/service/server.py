@@ -37,6 +37,7 @@ import json
 import os
 import signal
 import threading
+import time
 import uuid
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +57,30 @@ API_VERSION = "v1"
 DEFAULT_TENANT = "default"
 #: How ``json.dumps`` encodes a results cell's ``"stats": None``.
 _STATS_PLACEHOLDER = '"stats": null'
+#: How often a pool worker checks that the service is still its parent.
+_PARENT_POLL_S = 0.2
+
+
+def _init_worker(parent: int) -> None:
+    """Pool-worker set-up: the worker ends with the service.
+
+    A forked worker inherits the service's asyncio signal handlers,
+    which swallow SIGTERM and SIGINT, so those go back to the default
+    action.  A service killed with SIGKILL cannot shut its pool down;
+    a daemon thread exits the worker once its parent pid changes
+    instead of leaving it orphaned.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    def watch_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch_parent, name="parent-watch", daemon=True
+    ).start()
 
 
 @dataclass
@@ -392,7 +417,11 @@ class ReproService:
                     self._pool, execute_cell, task)
             except BrokenProcessPool:
                 self._drop_pool(self._pool)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_worker,
+            initargs=(os.getpid(),),
+        )
         return self._pool, loop.run_in_executor(
             self._pool, execute_cell, task)
 

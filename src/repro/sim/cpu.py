@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
+from repro.common.events import TraceEvent
 from repro.common.rng import SplitMix64, derive_seed
 from repro.common.stats import AbortReason, CoreStats, TimeCat
 from repro.coherence.memsys import GRANT, REJECT, AccessResult
@@ -121,6 +122,9 @@ class CPU:
         self._park_timeout = None
         #: Fault ops already taken once (page mapped after first trip).
         self._faults_taken: Set[Tuple[int, int]] = set()
+        #: Telemetry event slot, set by the machine's TelemetryHub while
+        #: it has subscribers (see :mod:`repro.telemetry.events`).
+        self._emit = None
 
         self._bursts = [seg._bursts for seg in program]
         #: Cancellable token of the in-flight transactional continuation
@@ -275,6 +279,8 @@ class CPU:
         )
 
     def _cgl_locked(self, now: int, wait_t0: int) -> None:
+        if self._emit is not None:
+            self._emit(now, TraceEvent.LOCK_BEGIN, self.core, arg="cgl")
         self._bill(TimeCat.WAITLOCK, now - wait_t0)
         self.stats.tx_attempts += 1
         self._span_t0 = now
@@ -282,6 +288,8 @@ class CPU:
 
     def _cgl_release(self, now: int) -> None:
         """End of the critical section: release the lock and bill it."""
+        if self._emit is not None:
+            self._emit(now, TraceEvent.TX_COMMIT, self.core, arg="lock")
         crit = now - self._span_t0
         self.machine.global_lock.release(self.core, now)
         self._bill(TimeCat.LOCK, crit)
@@ -308,6 +316,8 @@ class CPU:
         self._tx_try(now)
 
     def _xbegin(self, now: int) -> None:
+        if self._emit is not None:
+            self._emit(now, TraceEvent.TX_BEGIN, self.core)
         self.tx.begin(_HTM, now)
         self.stats.tx_attempts += 1
         self._attempt_t0 = now
@@ -634,6 +644,12 @@ class CPU:
         attempt_seq: int,
         deny_reason: AbortReason = AbortReason.OVERFLOW,
     ) -> None:
+        emit = self._emit
+        if emit is not None:
+            if granted:
+                emit(now, TraceEvent.SWITCH_OK, self.core, arg="granted")
+            else:
+                emit(now, TraceEvent.SWITCH_ATTEMPT, self.core, arg="denied")
         tx = self.tx
         stale = tx.attempt_seq != attempt_seq or tx.mode is not _HTM
         if tx.aborted or stale:
@@ -662,6 +678,10 @@ class CPU:
         if tx.mode is not _HTM:  # pragma: no cover
             raise SimulationError(f"local abort in mode {tx.mode}")
         if not tx.aborted:
+            if self._emit is not None:
+                self._emit(
+                    now, TraceEvent.TX_ABORT, self.core, arg=reason.value
+                )
             tx.mark_aborted(reason)
             self.memsys.discard_tx(self.core)
             self.machine.drain_wakeups(self.core, now)
@@ -710,6 +730,8 @@ class CPU:
     # -- fallback path --------------------------------------------------------
 
     def _go_fallback(self, now: int) -> None:
+        if self._emit is not None:
+            self._emit(now, TraceEvent.FALLBACK, self.core)
         if self.done:
             return
         self.stats.fallback_entries += 1
@@ -726,6 +748,10 @@ class CPU:
                 self.core, lambda t: self._enter_tl(t, wait_t0)
             )
         else:
+            if self._emit is not None:
+                self._emit(
+                    now, TraceEvent.LOCK_BEGIN, self.core, arg="fallback"
+                )
             self._bill(TimeCat.WAITLOCK, now - wait_t0)
             # Classic fallback: the lock write kills every subscriber.
             self.machine.abort_all_htm(AbortReason.MUTEX, exclude=self.core)
@@ -735,6 +761,8 @@ class CPU:
             self._start_segment(now)
 
     def _enter_tl(self, now: int, wait_t0: int) -> None:
+        if self._emit is not None:
+            self._emit(now, TraceEvent.LOCK_BEGIN, self.core, arg="tl")
         self._bill(TimeCat.WAITLOCK, now - wait_t0)
         self.tx.begin(_TL, now)
         self.stats.tx_attempts += 1
@@ -748,6 +776,7 @@ class CPU:
         tx = self.tx
         mode = tx.mode
         if mode is _HTM:
+            tx.committing = True
             self.memsys.publish(tx)
             self.memsys.retire_tx(self.core)
             self.engine.schedule_after(
@@ -779,6 +808,8 @@ class CPU:
             raise SimulationError(f"commit in mode {mode}")
 
     def _commit_done(self, now: int, cat: TimeCat, kind: str) -> None:
+        if self._emit is not None:
+            self._emit(now, TraceEvent.TX_COMMIT, self.core, arg=kind)
         self._bill(cat, now - self._attempt_t0)
         self.stats.commit_latency_hist.record(now - self._attempt_t0)
         if kind == "htm":

@@ -17,6 +17,7 @@ from repro.common.errors import (
     LivelockError,
     SimulationError,
 )
+from repro.common.events import TraceEvent
 from repro.common.params import SystemParams
 from repro.common.stats import AbortReason, CoreStats
 from repro.coherence.memsys import MemorySystem
@@ -99,6 +100,13 @@ class Machine:
         #: granularity of transactions".
         self.global_lock = self.fallback_lock
 
+        #: Telemetry event slot: ``emit(time, kind, core, line, arg)``
+        #: while a :class:`~repro.telemetry.events.TelemetryHub` has
+        #: subscribers, else None.  The hub owns it and the CPUs' and
+        #: memory system's slots alike.
+        self._emit = None
+        self._telemetry_hub = None
+
         #: Deterministic fault injector (repro.resilience.faults); None
         #: when no plan — or an *empty* plan — is armed, so default runs
         #: pay nothing and time identically.
@@ -130,10 +138,12 @@ class Machine:
         ``reset()`` contract; only the CPUs and per-core stats — whose
         objects escape into the returned :class:`RunStats` — are rebuilt.
         A reset machine must be bit-identical to a freshly constructed
-        one (pinned by the pooled-vs-fresh equivalence suite).  Fault
-        plans are deliberately unsupported here: the injector monkey-
-        wires chaos hooks across components, so fault-injected runs
-        always build fresh machines.
+        one (pinned by the pooled-vs-fresh equivalence suite); like a
+        fresh one it has no telemetry hub and every event slot is None.
+        Fault plans are deliberately unsupported here: the injector
+        sets the components' declared chaos slots, which this method
+        does not clear, so fault-injected runs always build fresh
+        machines.
         """
         if len(programs) > self.params.num_cores:
             raise ConfigError(
@@ -146,6 +156,8 @@ class Machine:
             "system": self.spec.name,
             "fault_plan": None,
         }
+        self._emit = None
+        self._telemetry_hub = None
         self.engine.reset()
         self.network.reset()
         self.core_stats = [CoreStats() for _ in range(len(programs))]
@@ -173,15 +185,17 @@ class Machine:
     def teardown(self) -> None:
         """Break the machine's reference cycles; it is unusable after.
 
-        The CPUs, the queued events and parked callbacks, and the
-        victim-abort hook point back at the machine.  A machine that
-        is dropped instead of going back to a pool calls this, so
-        refcounting frees it at once rather than the cyclic collector
-        some time later.  The per-core stats, which a run's
-        :class:`RunStats` shares, are left alone.
+        The CPUs, the queued events and parked callbacks, the
+        victim-abort hook and the telemetry hub point back at the
+        machine.  A machine that is dropped instead of going back to a
+        pool calls this, so refcounting frees it at once rather than
+        the cyclic collector some time later.  The per-core stats,
+        which a run's :class:`RunStats` shares, are left alone.
         """
         self.engine.reset()
         self.cpus = []
+        self._emit = self.memsys._emit = None
+        self._telemetry_hub = None
         self.memsys.abort_core = MemorySystem._unwired_abort
         self.wakeups.reset()
         self.hl_arbiter.reset()
@@ -201,6 +215,8 @@ class Machine:
             )
         if tx.mode is not TxMode.HTM or tx.aborted:
             return
+        if self._emit is not None and not tx.committing:
+            self._emit(now, TraceEvent.TX_ABORT, core, arg=reason.value)
         tx.mark_aborted(reason)
         self.memsys.discard_tx(core)
         self.drain_wakeups(core, now)
@@ -220,6 +236,12 @@ class Machine:
 
     def drain_wakeups(self, holder: int, now: int) -> None:
         """Commit/abort-time flush of the holder's wake-up table entry."""
+        if self._emit is not None:
+            # Counted before the drain: waiters whose wake-up the fault
+            # injector drops were still pending on ``holder``.
+            pending = self.wakeups.pending_for(holder)
+            if pending:
+                self._emit(now, TraceEvent.WAKEUP, holder, arg=pending)
         waiters = self.wakeups.drain(holder)
         if not waiters:
             return

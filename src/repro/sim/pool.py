@@ -17,8 +17,8 @@ bit-identical to a run on a fresh one.
 Machines are only returned to the pool after a *successful* run
 (:func:`repro.sim.runner.run_workload` drops the machine on any error,
 since a half-run machine's state is unknown), and fault-injected runs
-never use the pool at all — the injector monkey-wires chaos hooks
-across components.  Every machine the pool drops (a full free list,
+never use the pool at all — the injector sets the components' declared
+chaos slots, which :meth:`Machine.reset` does not clear.  Every machine the pool drops (a full free list,
 :meth:`MachinePool.clear`) is torn down first, so refcounting frees it
 without waiting for the cyclic collector.
 """

@@ -47,7 +47,7 @@ class RunConfig:
     fault_plan: Optional[object] = None
     watchdog: Optional[object] = None
     #: Optional observability session (repro.telemetry.Telemetry).
-    #: None (the default) leaves the machine completely unwrapped —
+    #: None (the default) leaves every event slot None —
     #: telemetry-off runs are bit-identical to the seed goldens.
     telemetry: Optional[object] = None
     #: Share WorkloadBuilds through the process-wide build cache: the
@@ -61,9 +61,9 @@ class RunConfig:
     #: clean run; ``False`` always constructs fresh; a MachinePool
     #: instance uses that pool.  Pooled runs are bit-identical to fresh
     #: ones (pinned by the pooled-vs-fresh equivalence suite).  The
-    #: pool is bypassed when a fault plan is armed — the injector
-    #: monkey-wires chaos hooks across components, so those runs build
-    #: fresh machines.
+    #: pool is bypassed when a fault plan is armed — the injector sets
+    #: the components' declared chaos slots, which ``Machine.reset``
+    #: does not clear, so those runs build fresh machines.
     machine_pool: Optional[object] = None
 
 
@@ -169,7 +169,7 @@ def _run_machine(
     except BaseException:
         # Pull metrics / close the timeline even on failed runs —
         # livelock diagnosis is telemetry's best customer — then
-        # restore the wrapped callbacks.
+        # clear the event slots.
         if telemetry is not None:
             telemetry.finalize(
                 RunStats(

@@ -5,14 +5,13 @@ provides an opt-in trace recorder for the machine's transaction
 lifecycle and conflict events, plus a per-line contention profile.  The
 recorder is **off by default** and costs nothing when disabled.
 
-Since the introduction of :mod:`repro.telemetry`, the tracer no longer
-wraps machine callbacks itself: it subscribes to the machine's
-:class:`~repro.telemetry.events.TelemetryHub`, which installs one set
-of wraps shared by every consumer (tracer, timeline, metrics).  That
-makes :meth:`Tracer.attach` idempotent — attaching twice to the same
-machine is a no-op — and gives :meth:`Tracer.detach` exact restore
-semantics: when the last hub subscriber leaves, the original callbacks
-are put back and the machine is wrap-free again.
+The tracer subscribes to the machine's
+:class:`~repro.telemetry.events.TelemetryHub`, which points the event
+slots the machine, memory system and CPUs declare at one fan-out shared
+by every consumer (tracer, timeline, metrics).  That makes
+:meth:`Tracer.attach` idempotent — attaching twice to the same machine
+is a no-op — and :meth:`Tracer.detach` exact: when the last hub
+subscriber leaves, every slot is None again.
 
 Typical use::
 
@@ -22,7 +21,7 @@ Typical use::
     machine.run()
     print(tracer.render_tail(20))
     hot = tracer.contention_profile().hottest(5)
-    tracer.detach()   # machine callbacks restored
+    tracer.detach()   # event slots cleared
 """
 
 from __future__ import annotations
@@ -145,8 +144,8 @@ class Tracer:
         return self
 
     def detach(self) -> None:
-        """Unsubscribe; the hub restores wrapped callbacks when the
-        last subscriber leaves.  Safe to call when not attached.
+        """Unsubscribe; the hub clears the machine's event slots when
+        the last subscriber leaves.  Safe to call when not attached.
         Recorded history is kept."""
         if self._machine is None:
             return

@@ -6,8 +6,9 @@ Four layers, composable a-la-carte:
   gauges, log2 histograms) under dotted namespaces (``core.N.*``,
   ``dir.bank.N.*``, ``noc.link.X_Y.*``, ``htm.nack.*``, ``lock_tx.*``).
 - :mod:`repro.telemetry.events` — the per-machine event bus
-  (:class:`TelemetryHub`) that wraps lifecycle callbacks only while
-  subscribers exist; canonical home of :class:`TraceEvent`.
+  (:class:`TelemetryHub`) that points the components' declared event
+  slots at its fan-out only while subscribers exist; re-exports
+  :class:`TraceEvent`.
 - :mod:`repro.telemetry.timeline` — per-transaction span
   reconstruction; :mod:`repro.telemetry.chrometrace` renders spans as
   Chrome trace-event JSON for Perfetto.

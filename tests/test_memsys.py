@@ -321,7 +321,7 @@ class TestOverflowAndSignatures:
         # Reference: spill by hand, then issue the access into the
         # freed way; the spill path must add only the LLC notification.
         ref = tl_machine()
-        ref.memsys.spill_to_signature(0, 0)
+        ref.memsys.spill_to_signature(0, 0, 0)
         plain = ref.memsys.access(0, line_addr(8), True, 0)
         extra = ref.network.control_latency(
             ref.tile_of_core(0), ref.topology.home_tile(0)
@@ -347,7 +347,7 @@ class TestOverflowAndSignatures:
         tl = m.cpus[0].tx
         tl.begin(TxMode.TL, 0)
         ms.access(0, line_addr(0), True, 0)
-        ms.spill_to_signature(0, 0)
+        ms.spill_to_signature(0, 0, 0)
         h = m.cpus[1].tx
         h.begin(TxMode.HTM, 0)
         res = ms.access(1, line_addr(0), False, 10)
@@ -363,7 +363,7 @@ class TestOverflowAndSignatures:
         tl = m.cpus[0].tx
         tl.begin(TxMode.TL, 0)
         ms.access(0, line_addr(0), False, 2)
-        ms.spill_to_signature(0, 0)
+        ms.spill_to_signature(0, 0, 0)
         h = m.cpus[1].tx
         h.begin(TxMode.HTM, 0)
         # Other copies exist -> a shared read grant is safe (§III-B).
@@ -381,7 +381,7 @@ class TestOverflowAndSignatures:
         tl = m.cpus[0].tx
         tl.begin(TxMode.TL, 0)
         ms.access(0, line_addr(0), False, 0)
-        ms.spill_to_signature(0, 0)
+        ms.spill_to_signature(0, 0, 0)
         h = m.cpus[1].tx
         h.begin(TxMode.HTM, 0)
         # No other copy: granting would hand out exclusive data that the
@@ -397,7 +397,7 @@ class TestOverflowAndSignatures:
         tl = m.cpus[0].tx
         tl.begin(TxMode.TL, 0)
         ms.access(0, line_addr(0), True, 0)
-        ms.spill_to_signature(0, 0)
+        ms.spill_to_signature(0, 0, 0)
         ms.retire_tx(0)
         assert ms.sig_owner == -1
         assert ms.of_wr_sig.empty and ms.of_rd_sig.empty
@@ -408,7 +408,7 @@ class TestOverflowAndSignatures:
         tx.begin(TxMode.HTM, 0)
         m.memsys.access(0, line_addr(0), True, 0)
         with pytest.raises(ProtocolInvariantError):
-            m.memsys.spill_to_signature(0, 0)
+            m.memsys.spill_to_signature(0, 0, 0)
 
     def test_llc_back_invalidation_aborts_tx_holder(self):
         params = SystemParams(

@@ -5,8 +5,9 @@ The service has one FIFO queue of cells under one bound,
 admission at and over the bound, a zero bound over HTTP, cancel
 returning queue room, resumed jobs counted but not re-gated, cancel
 mid-run and resubmit dedup, nine concurrent campaigns deduplicated
-onto twelve executions, and SIGTERM or SIGKILL mid-campaign followed by
-a restart that resumes the journal.
+onto twelve executions, SIGTERM or SIGKILL mid-campaign followed by
+a restart that resumes the journal (a SIGKILL leaves no pool worker
+behind), and discovery skipping a dead server's ``server.json``.
 """
 
 from __future__ import annotations
@@ -340,11 +341,47 @@ def spawn_service(state_dir):
     )
 
 
+def live_group_members(pgid: int) -> list:
+    """Pids in process group ``pgid`` that have not exited.
+
+    An exited orphan stays a zombie until its new parent reaps it,
+    and ``killpg(pgid, 0)`` still finds zombies, so read ``/proc``.
+    """
+    live = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp.
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(name))
+    return live
+
+
 def wait_for_cells_done(client, job_id, cells: int) -> None:
     deadline = time.monotonic() + 120
     while client.status(job_id)["progress"]["cells_done"] < cells:
         assert time.monotonic() < deadline, "no progress"
         time.sleep(0.01)
+
+
+class TestDiscover:
+    def test_dead_pid_counts_as_no_server(self, tmp_path):
+        from repro.service.client import discover
+
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid is not running
+        with open(tmp_path / "server.json", "w") as fh:
+            json.dump({"host": "127.0.0.1", "port": 1, "pid": child.pid}, fh)
+        t0 = time.monotonic()
+        with pytest.raises(FileNotFoundError, match=str(child.pid)):
+            discover(str(tmp_path), wait_s=0.3)
+        assert time.monotonic() - t0 >= 0.3  # kept polling
 
 
 @pytest.mark.slow
@@ -416,11 +453,18 @@ class TestSigkillResume:
             wait_for_cells_done(client, job_id, 2)
             proc.kill()
             proc.wait(timeout=60)
+            # Its pool worker notices the lost parent and exits.
+            deadline = time.monotonic() + 10
+            while live_group_members(proc.pid):
+                assert time.monotonic() < deadline, (
+                    f"orphans left: {live_group_members(proc.pid)}"
+                )
+                time.sleep(0.1)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-            # The killed server's pool worker outlives it, orphaned.
+            # Fallback reaping, should the assertion above have failed.
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
@@ -428,8 +472,8 @@ class TestSigkillResume:
 
         with open(os.path.join(state_dir, "jobs", f"{job_id}.json")) as fh:
             assert json.load(fh)["state"] == "running"
-        # The killed server could not withdraw its advertisement.
-        os.unlink(os.path.join(state_dir, "server.json"))
+        # The killed server's server.json is still there; discover
+        # skips it because its pid is dead.
 
         proc = spawn_service(state_dir)
         try:

@@ -14,13 +14,15 @@ import os
 import pytest
 
 from repro.common.params import typical_params
+from repro.core.extensions import extension_systems
 from repro.harness.cli import main as cli_main
 from repro.harness.export import fingerprint
 from repro.harness.multiseed import trace_seed
 from repro.harness.runcache import RunCache
 from repro.harness.sweeps import Sweep
-from repro.harness.systems import get_system, resolve_system
+from repro.harness.systems import TABLE_ORDER, get_system, resolve_system
 from repro.sim.machine import Machine
+from repro.sim.pool import MachinePool
 from repro.sim.runner import RunConfig, run_workload
 from repro.telemetry import (
     ARTIFACT_SUFFIXES,
@@ -28,6 +30,7 @@ from repro.telemetry import (
     NULL_METRIC,
     Telemetry,
     TelemetryHub,
+    TraceEvent,
     artifact_path,
     chrome_trace,
     read_jsonl,
@@ -36,6 +39,7 @@ from repro.telemetry import (
     write_jsonl_atomic,
 )
 from repro.workloads.registry import get_workload
+from conftest import make_machine, simple_txn
 
 #: Same pinned cell as tests/test_golden_determinism.py.
 GOLD_CYCLES, GOLD_FP, GOLD_COMMITS, GOLD_ABORTS = (
@@ -129,23 +133,102 @@ class TestHub:
         )
         assert TelemetryHub.of(m) is TelemetryHub.of(m)
 
-    def test_subscribe_wires_unsubscribe_restores(self):
+    def test_subscribe_sets_slots_unsubscribe_clears(self):
         m = Machine(
             typical_params(), get_system("Baseline"), [[] for _ in range(2)]
         )
         hub = TelemetryHub.of(m)
-        orig_access = m.memsys.access
-        orig_xbegin = m.cpus[0]._xbegin
+        slots = [m, m.memsys, *m.cpus]
+        assert all(c._emit is None for c in slots)
         sub = lambda ev: None
         hub.subscribe(sub)
         hub.subscribe(sub)  # idempotent
         assert hub.wired and hub.subscriber_count == 1
-        assert m.memsys.access is not orig_access
+        assert all(c._emit == hub._emit for c in slots)
+        # Subscribing shadows no method with an instance attribute.
+        for name in ("access", "spill_to_signature", "_nack"):
+            assert name not in vars(m.memsys)
+        assert "drain_wakeups" not in vars(m)
+        assert "abort_externally" not in vars(m)
+        for name in ("_xbegin", "_commit_done", "_local_abort", "_cgl_locked"):
+            assert name not in vars(m.cpus[0])
         hub.unsubscribe(sub)
         assert not hub.wired
-        assert m.memsys.access.__func__ is orig_access.__func__
-        assert m.cpus[0]._xbegin.__func__ is orig_xbegin.__func__
+        assert all(c._emit is None for c in slots)
         hub.unsubscribe(sub)  # safe when already gone
+
+    def test_two_subscribers_get_one_event_each(self):
+        m = make_machine([[simple_txn([1], [2])]])
+        hub = TelemetryHub.of(m)
+        seen_a, seen_b = [], []
+        hub.subscribe(seen_a.append)
+        hub.subscribe(seen_b.append)
+        m.run()
+        kinds = [e.kind for e in seen_a]
+        assert kinds == [TraceEvent.TX_BEGIN, TraceEvent.TX_COMMIT]
+        assert seen_b == seen_a
+
+    def test_pooled_release_and_reacquire_leave_slots_clear(self):
+        pool = MachinePool()
+        tel = Telemetry()
+        config = RunConfig(
+            spec=get_system("LockillerTM"),
+            threads=2,
+            scale=0.05,
+            seed=1,
+            telemetry=tel,
+            machine_pool=pool,
+        )
+        run_workload(get_workload("kmeans+"), config)
+        (machine,) = [m for free in pool._free.values() for m in free]
+        assert machine._emit is None and machine.memsys._emit is None
+        # A subscriber left behind does not survive the reset either.
+        TelemetryHub.of(machine).subscribe(lambda ev: None)
+        again = pool.acquire(
+            machine.params, machine.spec, [[] for _ in range(2)], seed=1
+        )
+        assert again is machine
+        assert all(c._emit is None for c in [again, again.memsys, *again.cpus])
+        assert TelemetryHub.of(again).subscriber_count == 0
+
+
+#: Every Table-II system plus the LockillerTM-XF extension.
+_RECONCILE_SYSTEMS = [
+    *[get_system(name) for name in TABLE_ORDER],
+    extension_systems()["LockillerTM-XF"],
+]
+
+
+class TestReconciliation:
+    """The event stream accounts for every abort and commit.
+
+    Each abort ``CoreStats`` counts — including the classic fallback's
+    ``mutex`` kills — is one ``TX_ABORT``; each commit, CGL sections
+    included, is one ``TX_COMMIT``; every span closes.
+    """
+
+    @pytest.mark.parametrize("workload", ["intruder", "kmeans+"])
+    @pytest.mark.parametrize(
+        "spec", _RECONCILE_SYSTEMS, ids=lambda s: s.name
+    )
+    def test_events_match_core_stats(self, workload, spec):
+        tel = Telemetry()
+        stats = run_workload(
+            get_workload(workload),
+            RunConfig(spec=spec, threads=8, scale=0.05, seed=42,
+                      telemetry=tel),
+        )
+        reg = tel.registry
+
+        def events(kind):
+            name = f"events.{kind}"
+            return reg.value(name) if name in reg else 0
+
+        aborts = stats.merged().total_aborts
+        assert events("tx_abort") == aborts
+        assert events("tx_commit") == stats.commits
+        assert [s for s in tel.timeline.spans if s.outcome == "open"] == []
+        assert len(tel.timeline.spans) == stats.commits + aborts
 
 
 class TestBitIdentity:

@@ -66,7 +66,7 @@ class TestRecorder:
         assert counts.get(TraceEvent.SWITCH_OK, 0) == 1
 
     def test_stl_deny_path_recorded(self):
-        # The denial branch of the _stl_result wrap: drive the wrapped
+        # The denial branch of _stl_result's emit site: drive the
         # callback directly (a machine-level denial needs a racing STL
         # owner, which is timing-fragile to stage).
         m = make_machine([[simple_txn([1], [2])]], system="LockillerTM")
@@ -133,7 +133,7 @@ class TestRecorder:
         m = make_machine([[simple_txn([1], [2])]])
         tracer = Tracer()
         tracer.attach(m)
-        tracer.attach(m)  # no-op, no double-wrapping
+        tracer.attach(m)  # no-op, no second subscription
         m.run()
         # Each lifecycle event recorded exactly once.
         assert tracer.counts()[TraceEvent.TX_COMMIT] == 1
@@ -146,31 +146,23 @@ class TestRecorder:
         with pytest.raises(RuntimeError):
             tracer.attach(m2)
 
-    def test_detach_restores_callbacks(self):
+    def test_detach_clears_every_slot(self):
         from repro.telemetry.events import TelemetryHub
 
         m = make_machine([[simple_txn([1], [2])]])
-        originals = (
-            m.memsys.access,
-            m.memsys.abort_core,
-            m.drain_wakeups,
-            m.cpus[0]._xbegin,
-            m.cpus[0]._commit_done,
-        )
         tracer = Tracer()
         tracer.attach(m)
         hub = TelemetryHub.of(m)
         assert hub.wired
-        assert m.memsys.access is not originals[0]
+        slots = [m, m.memsys, *m.cpus]
+        assert all(c._emit == hub._emit for c in slots)
         tracer.detach()
         assert not hub.wired
-        assert (
-            m.memsys.access,
-            m.memsys.abort_core,
-            m.drain_wakeups,
-            m.cpus[0]._xbegin,
-            m.cpus[0]._commit_done,
-        ) == originals
+        assert all(c._emit is None for c in slots)
+        # Nothing is wrapped: every method is still the class's own.
+        assert "access" not in vars(m.memsys)
+        assert "drain_wakeups" not in vars(m)
+        assert "_xbegin" not in vars(m.cpus[0])
         # Detached tracer records nothing; the machine still runs.
         m.run()
         assert len(tracer) == 0
@@ -187,16 +179,22 @@ class TestRecorder:
         assert second.counts()[TraceEvent.TX_COMMIT] == 2
         assert len(first) == 0
 
-    def test_two_tracers_share_one_set_of_wraps(self):
+    def test_two_tracers_share_one_hub(self):
+        from repro.telemetry.events import TelemetryHub
+
         m = make_machine([[simple_txn([1], [2])]])
         a, b = Tracer(), Tracer()
         a.attach(m)
-        access_wrapped = m.memsys.access
         b.attach(m)
-        # Second subscriber must not re-wrap the callbacks.
-        assert m.memsys.access is access_wrapped
+        assert TelemetryHub.of(m).subscriber_count == 2
         m.run()
+        # Each subscriber sees each event exactly once.
+        assert a.counts()[TraceEvent.TX_COMMIT] == 1
         assert a.counts() == b.counts()
+        b.detach()
+        assert m.cpus[0]._emit is not None  # ``a`` still listens
+        a.detach()
+        assert m.cpus[0]._emit is None
 
 
 class TestQueries:
