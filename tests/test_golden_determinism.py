@@ -14,9 +14,12 @@ Two guarantees are load-bearing for the whole harness:
    through the run cache must be *bit-identical* to the plain serial
    loop — parallelism and caching are pure plumbing.
 
-The pinned cell (intruder, 4 threads, scale 0.05, seed 3) is chosen
-because it distinguishes all nine Table-II systems: enough contention
-that every recovery policy takes a different path.
+The golden cell (intruder, 4 threads, scale 0.05, seed 3) has enough
+contention that most recovery policies take different paths, but it
+does not tell the whole ladder apart: RWI, RWIL and LockillerTM share
+one fingerprint there.  The ladder cell (labyrinth, 8 threads, scale
+0.1, seed 42) gives nine distinct fingerprints, so together the two
+pins catch a change to any rung.
 """
 
 from collections import Counter
@@ -62,6 +65,35 @@ GOLD_COUNTS = {
 }
 
 
+#: The ladder cell: labyrinth / 8 threads / scale 0.1 / seed 42.  Same
+#: layout as GOLD and GOLD_COUNTS; every fingerprint is distinct.
+LADDER = {
+    "CGL": (557345, "c1f8073f4c8ca280", 16, 0),
+    "Baseline": (476852, "8d5ec865b6041710", 16, 110),
+    "LosaTM-SAFU": (433530, "65c2887da6e412a5", 16, 86),
+    "LockillerTM-RAI": (490171, "290802b1c74a1fda", 16, 107),
+    "LockillerTM-RRI": (451056, "981b16fc98bfd5b6", 16, 94),
+    "LockillerTM-RWI": (451007, "0cd3ccddf145e5f2", 16, 94),
+    "LockillerTM-RWL": (294908, "d8b3fa67b74d9b1c", 16, 35),
+    "LockillerTM-RWIL": (295122, "d3f97a96553838eb", 16, 38),
+    "LockillerTM": (283975, "be0859e45d7ecf8a", 16, 29),
+}
+
+LADDER_COUNTS = {
+    "CGL": (4928, 8869, 26129, 37530),
+    "Baseline": (14322, 27092, 80632, 116766),
+    "LosaTM-SAFU": (15973, 30492, 90592, 131182),
+    "LockillerTM-RAI": (13437, 25345, 75193, 109606),
+    "LockillerTM-RRI": (18349, 35226, 101342, 152146),
+    "LockillerTM-RWI": (17510, 33555, 99763, 143955),
+    "LockillerTM-RWL": (10023, 19027, 56247, 81898),
+    "LockillerTM-RWIL": (10250, 19464, 57504, 83954),
+    "LockillerTM": (9690, 18393, 54365, 78776),
+}
+
+LADDER_CELL = dict(workload="labyrinth", threads=8, scale=0.1, seed=42)
+
+
 def _run(system: str):
     return run_workload(
         get_workload("intruder"),
@@ -86,6 +118,24 @@ class TestGoldenPins:
     def test_back_to_back_runs_identical(self):
         a, b = _run("LockillerTM"), _run("LockillerTM")
         assert fingerprint(a) == fingerprint(b)
+
+
+class TestLadderPin:
+    def test_ladder_covers_table2_with_distinct_fingerprints(self):
+        assert set(LADDER) == set(LADDER_COUNTS) == set(TABLE_ORDER)
+        assert len({fp for _, fp, _, _ in LADDER.values()}) == len(LADDER)
+
+    @pytest.mark.parametrize("system", sorted(LADDER))
+    def test_ladder_cell(self, system):
+        cycles, fp, commits, aborts = LADDER[system]
+        out = _run_priced(system, per_message=False, **LADDER_CELL)
+        assert out == (cycles, fp) + LADDER_COUNTS[system]
+        stats = run_workload(
+            get_workload("labyrinth"),
+            RunConfig(spec=get_system(system), threads=8, scale=0.1, seed=42),
+        )
+        merged = stats.merged()
+        assert (merged.commits, merged.total_aborts) == (commits, aborts)
 
 
 #: Fused-vs-per-message cells beyond the golden one.  At 16 threads
