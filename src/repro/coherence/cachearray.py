@@ -174,10 +174,22 @@ class CacheArray:
     def state_map(self) -> Dict[int, int]:
         """The live line -> MESI state map, for probes without a call.
 
-        Read-only for callers: every change goes through this class.
-        ``reset`` clears it in place, so a held reference stays valid.
+        Read-only for callers, except the memory system's inline L1/LLC
+        fills and abort flash-invalidation, which pair each change with
+        the matching :meth:`set_lists` update.  ``reset`` clears it in
+        place, so a held reference stays valid.
         """
         return self._state
+
+    def set_lists(self) -> Dict[int, List[int]]:
+        """The live set index -> LRU list map (oldest line first).
+
+        The companion of :meth:`state_map`, under the same rule: the
+        memory system's inline fills apply exactly the updates
+        :meth:`insert` would (``tests/test_memsys.py`` pins them against
+        it).  ``reset`` clears it in place.
+        """
+        return self._sets
 
     def resident_states(self):
         """(line, MESI state) view over resident lines — one dict walk."""

@@ -1,10 +1,17 @@
 """Directory state for the shared, inclusive LLC.
 
 One :class:`DirEntry` per line records the owner (a core holding E/M) or
-the sharer set (cores holding S), plus ``busy_until`` — the end of the
+the sharers (cores holding S), plus ``busy_until`` — the end of the
 line's current protocol transaction, which serializes the blocking
 directory exactly like SLICC transient states do: a request arriving
 while the line is busy starts service only at ``busy_until``.
+
+Sharers are a per-line bit vector, as in a real full-map directory: one
+int with bit ``1 << core`` set per sharing core, like the memory
+system's transactional ``tx_readers`` / ``tx_writers`` masks.  A first
+touch allocates no set, and membership updates are integer bit ops.
+:meth:`DirEntry.copies` and :meth:`Directory.other_copies` still return
+sets; :func:`cores_of` walks a mask in ascending core order.
 
 The Single-Writer-Multiple-Readers invariant is checked structurally by
 :meth:`Directory.check_swmr` against the actual L1 arrays.
@@ -12,10 +19,18 @@ The Single-Writer-Multiple-Readers invariant is checked structurally by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.common.errors import ProtocolInvariantError
 from repro.coherence.states import MESI
+
+
+def cores_of(mask: int) -> Iterator[int]:
+    """The cores whose bits are set in ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        mask -= low
+        yield low.bit_length() - 1
 
 
 class DirEntry:
@@ -23,13 +38,14 @@ class DirEntry:
 
     def __init__(self) -> None:
         self.owner: int = -1
-        self.sharers: Set[int] = set()
+        #: Bitmask of the cores holding the line in S (bit ``1 << core``).
+        self.sharers: int = 0
         self.busy_until: int = 0
 
     def copies(self) -> Set[int]:
         if self.owner >= 0:
             return {self.owner}
-        return set(self.sharers)
+        return set(cores_of(self.sharers))
 
     @property
     def is_idle(self) -> bool:
@@ -66,7 +82,7 @@ class Directory:
     def set_exclusive(self, line: int, core: int) -> None:
         e = self.entry(line)
         e.owner = core
-        e.sharers.clear()
+        e.sharers = 0
 
     def add_sharer(self, line: int, core: int) -> None:
         e = self.entry(line)
@@ -76,13 +92,13 @@ class Directory:
             raise ProtocolInvariantError(
                 f"adding sharer {core} to owned line {line:#x}"
             )
-        e.sharers.add(core)
+        e.sharers |= 1 << core
 
     def demote_owner_to_sharer(self, line: int) -> None:
         e = self.entry(line)
         if e.owner < 0:
             raise ProtocolInvariantError(f"no owner to demote on {line:#x}")
-        e.sharers.add(e.owner)
+        e.sharers |= 1 << e.owner
         e.owner = -1
 
     def remove_copy(self, line: int, core: int) -> None:
@@ -91,7 +107,7 @@ class Directory:
             return
         if e.owner == core:
             e.owner = -1
-        e.sharers.discard(core)
+        e.sharers &= ~(1 << core)
 
     def copies(self, line: int) -> Set[int]:
         e = self._entries.get(line)
@@ -112,10 +128,7 @@ class Directory:
         owner = e.owner
         if owner >= 0:
             return owner != core
-        sharers = e.sharers
-        if not sharers:
-            return False
-        return core not in sharers or len(sharers) > 1
+        return e.sharers & ~(1 << core) != 0
 
     def owner_of(self, line: int) -> int:
         e = self._entries.get(line)
@@ -129,9 +142,9 @@ class Directory:
         * at most one core in E/M per line, and then no sharers;
         * every L1 copy is recorded at the directory and vice versa.
 
-        Allocation-free: membership and integer tests only.  Two E/M
-        copies of one line cannot both match the directory's single
-        owner, so the owner check also enforces the single writer.
+        Membership and integer tests only.  Two E/M copies of one line
+        cannot both match the directory's single owner, so the owner
+        check also enforces the single writer.
         """
         held = [arr.resident_lines() for arr in l1_arrays]
         n = len(held)
@@ -139,10 +152,10 @@ class Directory:
             owner = e.owner
             sharers = e.sharers
             if owner >= 0:
-                if sharers and (len(sharers) > 1 or owner not in sharers):
+                if sharers and sharers != 1 << owner:
                     raise ProtocolInvariantError(
                         f"line {line:#x}: owner {owner} plus sharers "
-                        f"{sorted(sharers)}"
+                        f"{list(cores_of(sharers))}"
                     )
                 if owner >= n or line not in held[owner]:
                     raise ProtocolInvariantError(
@@ -150,7 +163,7 @@ class Directory:
                         "hold it"
                     )
             else:
-                for core in sharers:
+                for core in cores_of(sharers):
                     if core >= n or line not in held[core]:
                         raise ProtocolInvariantError(
                             f"directory sharer {core} of {line:#x} does "
@@ -173,7 +186,10 @@ class Directory:
                             f"{recorded.owner}"
                         )
                 elif st == S:
-                    if core not in recorded.sharers and recorded.owner != core:
+                    if (
+                        not recorded.sharers >> core & 1
+                        and recorded.owner != core
+                    ):
                         raise ProtocolInvariantError(
                             f"L1[{core}] shares {line:#x} unknown to "
                             "directory"

@@ -36,7 +36,7 @@ from repro.common.events import TraceEvent
 from repro.common.params import SystemParams
 from repro.common.stats import AbortReason, CoreStats
 from repro.coherence.cachearray import CacheArray
-from repro.coherence.directory import DirEntry, Directory
+from repro.coherence.directory import DirEntry, Directory, cores_of
 from repro.coherence.states import MESI
 from repro.core.conflict import (
     ConflictManager,
@@ -211,13 +211,21 @@ class MemorySystem:
                 params.l1.hit_latency + params.l2private.hit_latency,
                 hit=True,
             )
-        #: Live views of the L1s' line -> state maps (``reset`` clears
-        #: them in place): the access path's L1 probe without a call.
+        #: Live views of the L1s' line -> state maps and LRU set lists
+        #: (``reset`` clears them in place): the access path's L1 probe,
+        #: the two-level miss path's inline fill and the abort path's
+        #: flash-invalidation, without a call.
         self._l1_states = [l1.state_map() for l1 in self.l1s]
+        self._l1_sets = [l1.set_lists() for l1 in self.l1s]
+        self._l1_nsets = params.l1.num_sets
+        self._l1_assoc = params.l1.assoc
         self.llc = CacheArray(params.llc)
-        #: Live view of the LLC's resident lines (``reset`` clears the
-        #: array in place): the miss path's presence test without a call.
-        self._llc_lines = self.llc.resident_lines()
+        #: Live views of the LLC's state map and set lists: the miss
+        #: path's presence test and its fill into a free way.
+        self._llc_states = self.llc.state_map()
+        self._llc_sets = self.llc.set_lists()
+        self._llc_nsets = params.llc.num_sets
+        self._llc_assoc = params.llc.assoc
         self._l1_latency = params.l1.hit_latency
         #: Data-source latency of a miss: an LLC hit, or an LLC miss
         #: that also reads memory.
@@ -240,12 +248,13 @@ class MemorySystem:
         self._nack_flits = 2 * ctrl_flits
         self._forward_flits = 2 * ctrl_flits + data_flits
         self._victim_flits = 3 * ctrl_flits + data_flits
-        #: Ways of the outermost private level, which holds the
-        #: transactional lines (the overflow pre-check's set size).
-        self._outer_assoc = (
-            params.l1.assoc if params.l2private is None
-            else params.l2private.assoc
-        )
+        #: The outermost private level, which holds the transactional
+        #: lines: its set lists, set count and ways (the overflow
+        #: pre-check's occupancy read).
+        outer = self.l1s if self.l2s is None else self.l2s
+        self._outer_sets = [arr.set_lists() for arr in outer]
+        self._outer_nsets = outer[0].params.num_sets
+        self._outer_assoc = outer[0].params.assoc
         self.directory = Directory()
         #: The directory's own line -> DirEntry map (cleared in place by
         #: ``Directory.reset``), probed inline on the miss path.
@@ -370,30 +379,34 @@ class MemorySystem:
         """
         tx = self.tx_states[core]
         tx.last_write_count = len(tx.write_set)
-        readers = self.tx_readers
-        writers = self.tx_writers
-        directory = self.directory
         nbit = ~(1 << core)
-        for line in tx.read_set:
-            m = readers.get(line)
-            if m is not None:
-                m &= nbit
-                if m:
-                    readers[line] = m
-                else:
-                    del readers[line]
-            self._purge_private(core, line)
-            directory.remove_copy(line, core)
-        for line in tx.write_set:
-            m = writers.get(line)
-            if m is not None:
-                m &= nbit
-                if m:
-                    writers[line] = m
-                else:
-                    del writers[line]
-            self._purge_private(core, line)
-            directory.remove_copy(line, core)
+        entries = self._dir_entries
+        states = self._l1_states[core]
+        sets = self._l1_sets[core]
+        nsets = self._l1_nsets
+        l2 = self.l2s[core] if self.l2s is not None else None
+        for holders, lines in (
+            (self.tx_readers, tx.read_set),
+            (self.tx_writers, tx.write_set),
+        ):
+            for line in lines:
+                m = holders.get(line)
+                if m is not None:
+                    m &= nbit
+                    if m:
+                        holders[line] = m
+                    else:
+                        del holders[line]
+                # Inline _purge_private and Directory.remove_copy.
+                if states.pop(line, _I) != _I:
+                    sets[line % nsets].remove(line)
+                if l2 is not None:
+                    l2.invalidate(line)
+                e = entries.get(line)
+                if e is not None:
+                    if e.owner == core:
+                        e.owner = -1
+                    e.sharers &= nbit
         tx.read_set.clear()
         tx.write_set.clear()
         if self.sig_owner == core:
@@ -402,25 +415,19 @@ class MemorySystem:
     def retire_tx(self, core: int) -> None:
         """Commit: clear tracking, keeping cache lines (now committed)."""
         tx = self.tx_states[core]
-        readers = self.tx_readers
-        writers = self.tx_writers
         nbit = ~(1 << core)
-        for line in tx.read_set:
-            m = readers.get(line)
-            if m is not None:
-                m &= nbit
-                if m:
-                    readers[line] = m
-                else:
-                    del readers[line]
-        for line in tx.write_set:
-            m = writers.get(line)
-            if m is not None:
-                m &= nbit
-                if m:
-                    writers[line] = m
-                else:
-                    del writers[line]
+        for holders, lines in (
+            (self.tx_readers, tx.read_set),
+            (self.tx_writers, tx.write_set),
+        ):
+            for line in lines:
+                m = holders.get(line)
+                if m is not None:
+                    m &= nbit
+                    if m:
+                        holders[line] = m
+                    else:
+                        del holders[line]
         tx.read_set.clear()
         tx.write_set.clear()
         if self.sig_owner == core:
@@ -585,7 +592,8 @@ class MemorySystem:
         # -- L1 hit with sufficient permission --------------------------
         # One probe serves both the hit test and, on a miss, the
         # two-level fill decision below.
-        st = self._l1_states[core].get(line, _I)
+        l1_states = self._l1_states[core]
+        st = l1_states.get(line, _I)
         if st != _I and (st != _S or not is_write):
             l1.touch(line)
             if is_write and st == _E:
@@ -645,7 +653,8 @@ class MemorySystem:
             needs_insert
             and tx.mode in _TRACK_MODES
             and (tx.read_set or tx.write_set)
-            and outer.set_occupancy(line) >= self._outer_assoc
+            and len(self._outer_sets[core].get(line % self._outer_nsets, ()))
+            >= self._outer_assoc
         ):
             pinned = self._pinned_pred(core, tx)
             if outer.find_unpinned_victim(line, pinned) is None:
@@ -762,7 +771,7 @@ class MemorySystem:
                 self.abort_core(vcore, reason, now)
 
         owner_before = entry.owner
-        llc_hit = line in self._llc_lines
+        llc_hit = line in self._llc_states
         data_lat = self._llc_latency if llc_hit else self._mem_latency
 
         if owner_before >= 0 and owner_before != core:
@@ -803,10 +812,20 @@ class MemorySystem:
                     ) + net.data_latency(owner_tile, self._tile_of[core])
                 if is_write:
                     self._purge_private(owner_before, line)
-                    self.directory.remove_copy(line, owner_before)
+                    entry.owner = -1
+                    entry.sharers &= ~(1 << owner_before)
                 else:
-                    self._demote_private(owner_before, line)
-                    self.directory.demote_owner_to_sharer(line)
+                    # Inline Directory.demote_owner_to_sharer, and in
+                    # two-level mode _demote_private: the owner's L1
+                    # copy turns S.
+                    if l2s is None:
+                        owner_states = self._l1_states[owner_before]
+                        if line in owner_states:
+                            owner_states[line] = _S
+                    else:
+                        self._demote_private(owner_before, line)
+                    entry.owner = -1
+                    entry.sharers |= 1 << owner_before
         elif fused:
             # The direct round trip: request in, data back.
             data_lat += row.data
@@ -817,25 +836,36 @@ class MemorySystem:
             data_lat += net.data_latency(home, self._tile_of[core])
 
         if is_write:
-            # Inline directory.copies()/remove_copy() on the held entry
-            # (set/list churn otherwise; entries are never replaced, so
-            # the reference stays current across the nested calls above).
+            # Invalidate every other copy (mask arithmetic on the held
+            # entry; entries are never replaced, so the reference stays
+            # current across the nested calls above).
             owner_now = entry.owner
             if owner_now >= 0:
                 if owner_now != core:
                     self._purge_private(owner_now, line)
                     entry.owner = -1
-                    entry.sharers.discard(owner_now)
-            elif entry.sharers:
-                for c in [c for c in entry.sharers if c != core]:
-                    self._purge_private(c, line)
-                    entry.sharers.discard(c)
+                    entry.sharers &= ~(1 << owner_now)
+            else:
+                others = entry.sharers & ~own_bit
+                if others:
+                    entry.sharers &= own_bit
+                    for c in cores_of(others):
+                        self._purge_private(c, line)
 
-        # Inclusive LLC fill (may back-invalidate on eviction).
+        # Inclusive LLC fill.  A set with a free way takes the line
+        # inline (CacheArray.insert's non-evicting case); a full set
+        # evicts through insert and back-invalidates the victim.
         if not llc_hit:
-            llc_victim = self.llc.insert(line, _M)
-            if llc_victim is not None:
-                self._back_invalidate(llc_victim.line, now)
+            idx = line % self._llc_nsets
+            ways = self._llc_sets.get(idx)
+            if ways is None:
+                self._llc_sets[idx] = [line]
+                self._llc_states[line] = _M
+            elif len(ways) < self._llc_assoc:
+                ways.append(line)
+                self._llc_states[line] = _M
+            else:
+                self._back_invalidate(self.llc.insert(line, _M).line, now)
 
         # Private fill / upgrade + directory stable state.
         if needs_insert:
@@ -847,19 +877,48 @@ class MemorySystem:
                 if owner_now >= 0:
                     other = owner_now != core
                 else:
-                    sh = entry.sharers
-                    other = bool(sh) and (core not in sh or len(sh) > 1)
+                    other = entry.sharers & ~own_bit
                 new_state = _S if other else _E
-            victim = outer.insert(line, new_state, pinned)
-            if victim is not None:
-                if victim.was_pinned:
-                    raise ProtocolInvariantError(
-                        "pinned victim after overflow pre-check"
-                    )
-                if l2s is not None and l1.probe(victim.line) != _I:
+            if l2s is None:
+                # Inline CacheArray.insert of an absent line into the L1,
+                # dropping the victim's directory copy.  Pinned lines are
+                # skipped in LRU order, as insert does.
+                sets = self._l1_sets[core]
+                idx = line % self._l1_nsets
+                ways = sets.get(idx)
+                if ways is None:
+                    sets[idx] = [line]
+                else:
+                    if len(ways) >= self._l1_assoc:
+                        if pinned is None:
+                            victim = ways[0]
+                        else:
+                            for victim in ways:
+                                if not pinned(victim):
+                                    break
+                            else:
+                                raise ProtocolInvariantError(
+                                    "pinned victim after overflow pre-check"
+                                )
+                        ways.remove(victim)
+                        del l1_states[victim]
+                        l1.evictions += 1
+                        ve = entries.get(victim)
+                        if ve is not None:
+                            if ve.owner == core:
+                                ve.owner = -1
+                            ve.sharers &= ~own_bit
+                    ways.append(line)
+                l1_states[line] = new_state
+            else:
+                victim = outer.insert(line, new_state, pinned)
+                if victim is not None:
+                    if victim.was_pinned:
+                        raise ProtocolInvariantError(
+                            "pinned victim after overflow pre-check"
+                        )
                     l1.invalidate(victim.line)  # inclusion
-                self.directory.remove_copy(victim.line, core)
-            if l2s is not None:
+                    self.directory.remove_copy(victim.line, core)
                 # Fill the L1 too; its victim stays in the middle cache.
                 l1.insert(line, new_state, pinned=None)
         else:
@@ -876,14 +935,14 @@ class MemorySystem:
         if is_write or new_state == _E:
             # Inline directory.set_exclusive on the held entry.
             entry.owner = core
-            entry.sharers.clear()
+            entry.sharers = 0
         elif entry.owner != core:
             # Inline directory.add_sharer on the held entry.
             if entry.owner >= 0:
                 raise ProtocolInvariantError(
                     f"adding sharer {core} to owned line {line:#x}"
                 )
-            entry.sharers.add(core)
+            entry.sharers |= own_bit
 
         # Blocking directory: the line stays in its transient state until
         # the requester's unblock arrives — i.e. the whole data path.
@@ -948,26 +1007,21 @@ class MemorySystem:
 
     def _purge_private(self, core: int, line: int) -> None:
         """Invalidate a line from every private level of ``core``."""
-        if self.l1s[core].probe(line) != _I:
-            self.l1s[core].invalidate(line)
-        if self.l2s is not None and self.l2s[core].probe(line) != _I:
+        self.l1s[core].invalidate(line)  # a no-op when absent
+        if self.l2s is not None:
             self.l2s[core].invalidate(line)
 
     def _demote_private(self, core: int, line: int) -> None:
-        """Downgrade an owner to shared.
+        """Downgrade a three-level owner to shared.
 
-        Two-level: the L1 copy simply turns S.  Three-level reproduces
-        the gem5 protocol's odd behaviour §IV-A criticizes: the L1 copy
-        is *flushed to the middle cache* (invalidated) even though the
-        remote request was only a load, leaving the middle-cache copy in
-        S — subsequent local reads pay the L2 latency again.
+        (Two-level, the L1 copy simply turns S, inline in ``access``.)
+        This reproduces the gem5 protocol's odd behaviour §IV-A
+        criticizes: the L1 copy is *flushed to the middle cache*
+        (invalidated) even though the remote request was only a load,
+        leaving the middle-cache copy in S — subsequent local reads pay
+        the L2 latency again.
         """
-        if self.l2s is None:
-            if self.l1s[core].probe(line) != _I:
-                self.l1s[core].set_state(line, _S)
-            return
-        if self.l1s[core].probe(line) != _I:
-            self.l1s[core].invalidate(line)
+        self.l1s[core].invalidate(line)
         if self.l2s[core].probe(line) != _I:
             self.l2s[core].set_state(line, _S)
         else:  # pragma: no cover - inclusion guarantees presence
@@ -975,16 +1029,15 @@ class MemorySystem:
 
     def _back_invalidate(self, line: int, now: int) -> None:
         """Inclusion victim: purge upstream copies; tx holders overflow."""
-        # Read the held entry directly instead of materializing a set
-        # copy per call; the snapshot list is still needed because the
-        # purge/spill/abort calls below mutate the sharer set.
-        e = self.directory.peek(line)
+        # Snapshot the holders in ascending core order: the
+        # purge/spill/abort calls below mutate the entry.
+        e = self._dir_entries.get(line)
         if e is None:
             return
         if e.owner >= 0:
             cores = (e.owner,)
         elif e.sharers:
-            cores = list(e.sharers)
+            cores = list(cores_of(e.sharers))
         else:
             return
         for c in cores:
@@ -1031,7 +1084,7 @@ class MemorySystem:
             bank = self.topology.home_tile(line)
             stats = per_bank.setdefault(bank, [0, 0])
             stats[0] += 1
-            stats[1] += len(entry.sharers)
+            stats[1] += bin(entry.sharers).count("1")
         for bank, (lines, sharers) in sorted(per_bank.items()):
             bank_scope = dir_scope.scope(f"bank.{bank}")
             bank_scope.set("lines", lines)

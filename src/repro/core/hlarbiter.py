@@ -88,10 +88,14 @@ class HLArbiter:
             self.owner = core
             self.owner_is_stl = True
             self.stl_grants += 1
-            self._engine.schedule_after(latency, lambda t: on_result(t, True))
+            self._engine.schedule_after_nocancel(
+                latency, lambda t: on_result(t, True)
+            )
         else:
             self.stl_denials += 1
-            self._engine.schedule_after(latency, lambda t: on_result(t, False))
+            self._engine.schedule_after_nocancel(
+                latency, lambda t: on_result(t, False)
+            )
 
     def request_tl(self, core: int, on_granted: Callable[[int], None]) -> None:
         """Typical HTMLock entry (fallback-lock holder executing hlbegin)."""
@@ -100,7 +104,7 @@ class HLArbiter:
             self.owner = core
             self.owner_is_stl = False
             self.tl_grants += 1
-            self._engine.schedule_after(latency, on_granted)
+            self._engine.schedule_after_nocancel(latency, on_granted)
         else:
             self._tl_queue.append((core, on_granted))
 
@@ -127,4 +131,4 @@ class HLArbiter:
             self.owner = nxt
             self.owner_is_stl = False
             self.tl_grants += 1
-            self._engine.schedule_after(self._latency_for(nxt), cb)
+            self._engine.schedule_after_nocancel(self._latency_for(nxt), cb)

@@ -66,8 +66,9 @@ class ProfileReport:
     wall_seconds: float
     execution_cycles: int
     events_processed: int
-    #: Function calls cProfile recorded over the run (pstats
-    #: ``total_calls``); 0 in reports saved before it was recorded.
+    #: Function calls cProfile recorded over the run, summed over the
+    #: profiler's own entries; 0 in reports saved before it was
+    #: recorded.
     total_calls: int = 0
     #: Cyclic-collector passes during the profiled region and their
     #: wall time; 0 in reports saved before they were recorded.
@@ -326,7 +327,11 @@ def profile_run(
         wall_seconds=wall,
         execution_cycles=cycles,
         events_processed=machine.engine.events_processed,
-        total_calls=stats.total_calls,
+        # Not pstats' total_calls: pstats keys functions by (file,
+        # line, name), and functions sharing a label (every dataclass
+        # __init__ is ("<string>", 2, "__init__")) collapse into one
+        # row that keeps only one of them, chosen by memory layout.
+        total_calls=sum(entry.callcount for entry in profiler.getstats()),
         gc_passes=gc_passes.passes,
         gc_ms=gc_passes.seconds * 1e3,
         subsystems=subsystem_breakdown(registry.snapshot()),

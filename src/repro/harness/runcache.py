@@ -16,6 +16,10 @@ sharded by the first hash byte.  The root defaults to
 ``$REPRO_RUN_CACHE_DIR``, falling back to
 ``<XDG_CACHE_HOME|~/.cache>/repro-lockillertm/runcache``.
 
+A writer killed between creating its temp file and the rename leaves
+``<key>.json.tmp.<pid>.<n>`` behind.  Opening a cache removes every such
+file whose pid is not running; a live writer's temp file is kept.
+
 Because runs are pure and writes atomic, the cache is also the resume
 journal of the crash-tolerant harness (:mod:`repro.resilience.harness`):
 re-running an interrupted campaign against the same cache serves every
@@ -35,6 +39,7 @@ from enum import Enum
 from typing import Callable, Dict, NamedTuple, Optional, TypeVar
 
 from repro.common.params import SystemParams
+from repro.common.procs import pid_alive
 from repro.common.stats import RunStats
 from repro.core.policies import SystemSpec
 from repro.harness.export import (
@@ -205,6 +210,31 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self._remove_stale_temps()
+
+    def _remove_stale_temps(self) -> None:
+        """Unlink the temp files of writers that are no longer running.
+
+        See :meth:`_write_entry` for the name; a file whose pid is alive
+        may be a put in progress and stays.
+        """
+        try:
+            shards = [e.path for e in os.scandir(self.root) if e.is_dir()]
+        except OSError:
+            return  # no cache directory yet
+        for shard in shards:
+            try:
+                names = os.listdir(shard)
+            except OSError:
+                continue
+            for name in names:
+                _, sep, tail = name.partition(".json.tmp.")
+                pid = tail.split(".", 1)[0]
+                if sep and pid.isdigit() and not pid_alive(int(pid)):
+                    try:
+                        os.unlink(os.path.join(shard, name))
+                    except OSError:
+                        pass  # another opener removed it first
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")

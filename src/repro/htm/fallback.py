@@ -89,7 +89,7 @@ class LockManager:
             )
             self.holder = core
             self.acquisitions += 1
-            self._engine.schedule_after(latency, on_granted)
+            self._engine.schedule_after_nocancel(latency, on_granted)
         else:
             self.contended_acquisitions += 1
             self._queue.append((core, on_granted))
@@ -109,14 +109,14 @@ class LockManager:
             )
             self.holder = nxt
             self.acquisitions += 1
-            self._engine.schedule_after(max(1, latency), cb)
+            self._engine.schedule_after_nocancel(max(1, latency), cb)
         if self._elision_waiters and self.holder is None:
             waiters, self._elision_waiters = self._elision_waiters, []
             for wcore, wcb in waiters:
                 latency = self._network.control_latency(
                     self._tile_of_core(core), self._tile_of_core(wcore)
                 )
-                self._engine.schedule_after(max(1, latency), wcb)
+                self._engine.schedule_after_nocancel(max(1, latency), wcb)
 
     def publish_telemetry(self, registry, prefix: str = "lock_tx") -> None:
         """Publish lock counters under ``lock_tx.<name>.*``."""
@@ -134,7 +134,7 @@ class LockManager:
         If currently free, resumes next cycle.
         """
         if not self.held:
-            self._engine.schedule_after(1, on_free)
+            self._engine.schedule_after_nocancel(1, on_free)
         else:
             self._elision_waiters.append((core, on_free))
 

@@ -26,6 +26,8 @@ import socket
 import time
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.common.procs import pid_alive
+
 DEFAULT_TIMEOUT = 60.0
 _RECV = 65536
 
@@ -220,7 +222,7 @@ def discover(state_dir: str, timeout: float = DEFAULT_TIMEOUT,
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            if _pid_alive(doc["pid"]):
+            if pid_alive(doc["pid"]):
                 return ServiceClient(
                     doc["host"], doc["port"], timeout=timeout
                 )
@@ -238,13 +240,3 @@ def discover(state_dir: str, timeout: float = DEFAULT_TIMEOUT,
                 "is the service running?"
             )
         time.sleep(0.05)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # running, under another user
-    return True

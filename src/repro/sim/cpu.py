@@ -47,6 +47,13 @@ _STL = TxMode.STL
 _FALLBACK = TxMode.FALLBACK
 #: The irrevocable HTMLock modes (``TxMode.is_lock_mode``, inlined).
 _LOCK_MODES = (_TL, _STL)
+#: Committing mode -> (time category, telemetry commit kind).
+_COMMIT_KIND = {
+    _HTM: (TimeCat.HTM, "htm"),
+    _STL: (TimeCat.SWITCH_LOCK, "switched"),
+    _TL: (TimeCat.LOCK, "lock"),
+    _FALLBACK: (TimeCat.LOCK, "lock"),
+}
 
 
 class CPU:
@@ -127,8 +134,12 @@ class CPU:
         self._emit = None
 
         self._bursts = [seg._bursts for seg in program]
-        #: Cancellable token of the in-flight transactional continuation
-        #: (only set while elided compute boundaries exist to checkpoint).
+        #: The CPU's one cancellable continuation token, used for bursts
+        #: with elided compute boundaries to checkpoint.  Live while such
+        #: a continuation is in flight; after it fires, re-armed for the
+        #: next one (:meth:`SimEngine.schedule_after_virtual`); dropped
+        #: (None) when cancelled, since its dead entry may still be in
+        #: the heap.
         self._burst_token = None
 
     # ------------------------------------------------------------------
@@ -171,7 +182,7 @@ class CPU:
                 # Transient core stall (noisy neighbour, DVFS glitch):
                 # billed as plain time, outside any critical section.
                 self._bill(TimeCat.NON_TRAN, stall)
-                self.engine.schedule_after(stall, self._advance)
+                self.engine.schedule_after_nocancel(stall, self._advance)
                 return
         self._advance(now)
 
@@ -347,7 +358,7 @@ class CPU:
             tx.pending_steps = steps
             tx.pending_alloc = now
             self._burst_token = self.engine.schedule_after_virtual(
-                lat + c, self._tx_step, lat + c - c_last
+                lat + c, self._tx_step, lat + c - c_last, self._burst_token
             )
         else:
             self.engine.schedule_after_nocancel(lat, self._tx_step)
@@ -357,7 +368,6 @@ class CPU:
         if self.done:
             return
         tx = self.tx
-        self._burst_token = None
         if tx.pending_anchor is not None:
             # Fold the lazily-billed computes of the burst that just
             # completed (every boundary is <= now here).  Offsets are
@@ -396,7 +406,13 @@ class CPU:
         if res.status == GRANT:
             if is_write:
                 self.stats.stores += 1
-                self.memsys.functional_store(self.core, op[1], op[2])
+                if tx.mode is _HTM:
+                    # Inline TxState.buffer_store: speculative deltas.
+                    buf = tx.write_buffer
+                    addr = op[1]
+                    buf[addr] = buf.get(addr, 0) + op[2]
+                else:
+                    self.memsys.functional_store(self.core, op[1], op[2])
             else:
                 self.stats.loads += 1
             tx.insts_in_attempt += 1
@@ -412,7 +428,10 @@ class CPU:
                     tx.pending_steps = steps
                     tx.pending_alloc = now
                     self._burst_token = self.engine.schedule_after_virtual(
-                        lat + c, self._tx_step, lat + c - c_last
+                        lat + c,
+                        self._tx_step,
+                        lat + c - c_last,
+                        self._burst_token,
                     )
                     return
             self.engine.schedule_after_nocancel(lat, self._tx_step)
@@ -451,10 +470,7 @@ class CPU:
         if target is None:
             return  # past every elided boundary: the live event observes
         b, vtime = target
-        tok = self._burst_token
-        if tok is not None:
-            tok.cancel()
-            self._burst_token = None
+        self._drop_burst()
         tx.pending_anchor = None
         tx.pending_steps = ()
         attempt_seq = tx.attempt_seq
@@ -532,7 +548,7 @@ class CPU:
                     if res.reject_by_lock
                     else AbortReason.CONFLICT_HTM
                 )
-                self.engine.schedule_after(
+                self.engine.schedule_after_nocancel(
                     res.latency, lambda t: self._local_abort(t, reason)
                 )
                 return
@@ -540,7 +556,7 @@ class CPU:
                 # The NACK was lost in transit: the requester never
                 # learns it was rejected and re-issues the access after
                 # a hardware timeout.
-                self.engine.schedule_after(
+                self.engine.schedule_after_nocancel(
                     res.latency + chaos.plan.nack_loss_delay, self._tx_step
                 )
                 return
@@ -551,7 +567,7 @@ class CPU:
                 if res.reject_by_lock
                 else AbortReason.CONFLICT_HTM
             )
-            self.engine.schedule_after(
+            self.engine.schedule_after_nocancel(
                 res.latency, lambda t: self._local_abort(t, reason)
             )
         elif policy is RequesterPolicy.RETRY_LATER:
@@ -560,7 +576,7 @@ class CPU:
                 + self.htm_params.retry_delay
                 + self.rng.below(self.htm_params.retry_delay)
             )
-            self.engine.schedule_after(delay, self._tx_step)
+            self.engine.schedule_after_nocancel(delay, self._tx_step)
         else:  # WAIT_WAKEUP
             self._park(now, res.reject_holder)
 
@@ -613,7 +629,7 @@ class CPU:
         """External abort while parked: resume so the abort is processed."""
         if self._parked is not None:
             self._end_park()
-            self.engine.schedule_after(1, self._tx_step)
+            self.engine.schedule_after_nocancel(1, self._tx_step)
 
     @property
     def is_parked(self) -> bool:
@@ -687,12 +703,16 @@ class CPU:
             self.machine.drain_wakeups(self.core, now)
         self._rollback(now)
 
-    def _rollback(self, now: int) -> None:
-        tx = self.tx
+    def _drop_burst(self) -> None:
+        """Cancel an in-flight burst continuation and drop its token."""
         tok = self._burst_token
-        if tok is not None:  # defensive: an in-flight burst dies with us
+        if tok is not None and not tok.cancelled:
             tok.cancel()
             self._burst_token = None
+
+    def _rollback(self, now: int) -> None:
+        tx = self.tx
+        self._drop_burst()  # defensive: an in-flight burst dies with us
         reason = tx.abort_reason or AbortReason.EXPLICIT
         self.stats.aborts[reason] += 1
         self._bill(TimeCat.ABORTED, now - self._attempt_t0)
@@ -708,7 +728,7 @@ class CPU:
             self.capacity_retries_left -= 1
             if self.capacity_retries_left < 0:
                 self._bill(TimeCat.ROLLBACK, penalty)
-                self.engine.schedule_after(penalty, self._go_fallback)
+                self.engine.schedule_after_nocancel(penalty, self._go_fallback)
                 return
         else:
             # Conflict and exception aborts burn Listing 1's num_retries
@@ -716,7 +736,7 @@ class CPU:
             self.retries_left -= 1
         if self.retries_left <= 0:
             self._bill(TimeCat.ROLLBACK, penalty)
-            self.engine.schedule_after(penalty, self._go_fallback)
+            self.engine.schedule_after_nocancel(penalty, self._go_fallback)
             return
         shift = min(self.attempts_this_txn, 6)
         cap = min(
@@ -725,7 +745,7 @@ class CPU:
         backoff = self.rng.below(cap) if cap > 0 else 0
         total = penalty + backoff
         self._bill(TimeCat.ROLLBACK, total)
-        self.engine.schedule_after(total, self._tx_try)
+        self.engine.schedule_after_nocancel(total, self._tx_try)
 
     # -- fallback path --------------------------------------------------------
 
@@ -775,39 +795,31 @@ class CPU:
     def _tx_commit(self, now: int) -> None:
         tx = self.tx
         mode = tx.mode
+        latency = self.htm_params.commit_latency
         if mode is _HTM:
             tx.committing = True
             self.memsys.publish(tx)
             self.memsys.retire_tx(self.core)
-            self.engine.schedule_after(
-                self.htm_params.commit_latency,
-                lambda t: self._commit_done(t, TimeCat.HTM, "htm"),
-            )
         elif mode is _STL:
             self.memsys.publish(tx)  # buffered while it was still HTM
             self.memsys.retire_tx(self.core)
             self.machine.hl_arbiter.release(self.core)
-            self.engine.schedule_after(
-                self.htm_params.commit_latency,
-                lambda t: self._commit_done(t, TimeCat.SWITCH_LOCK, "switched"),
-            )
         elif mode is _TL:
             self.memsys.retire_tx(self.core)
             self.machine.hl_arbiter.release(self.core)
             self.machine.fallback_lock.release(self.core, now)
-            self.engine.schedule_after(
-                self.htm_params.commit_latency,
-                lambda t: self._commit_done(t, TimeCat.LOCK, "lock"),
-            )
         elif mode is _FALLBACK:
             self.machine.fallback_lock.release(self.core, now)
-            self.engine.schedule_after(
-                1, lambda t: self._commit_done(t, TimeCat.LOCK, "lock")
-            )
+            latency = 1
         else:  # pragma: no cover
             raise SimulationError(f"commit in mode {mode}")
+        # Nothing cancels a commit, and the mode holds until
+        # _commit_done clears it, so the bound method needs no token and
+        # no closure.
+        self.engine.schedule_after_nocancel(latency, self._commit_done)
 
-    def _commit_done(self, now: int, cat: TimeCat, kind: str) -> None:
+    def _commit_done(self, now: int) -> None:
+        cat, kind = _COMMIT_KIND[self.tx.mode]
         if self._emit is not None:
             self._emit(now, TraceEvent.TX_COMMIT, self.core, arg=kind)
         self._bill(cat, now - self._attempt_t0)

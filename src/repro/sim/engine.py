@@ -36,6 +36,13 @@ its event fires, making a late ``cancel()`` a harmless no-op instead of
 an accounting leak.  Events that are never cancelled can skip the
 per-event token allocation entirely via the ``*_nocancel`` scheduling
 variants, which share one immortal token.
+
+A consumed token can be **re-armed**: :meth:`SimEngine.schedule_after_virtual`
+takes it back and schedules a new entry under it, so a caller with one
+cancellable continuation in flight at a time (each CPU's burst chain)
+allocates one token, not one per event.  A cancelled token is never
+re-armed: its dead entry may still sit in the heap, and re-arming would
+bring it back to life.
 """
 
 from __future__ import annotations
@@ -64,10 +71,13 @@ class EventToken:
     def cancel(self) -> None:
         # Consumed (already-fired) tokens have cancelled == True, so a
         # late cancel falls through without corrupting the live count.
+        # Dropping the engine marks the token cancelled rather than
+        # consumed, which is what forbids re-arming it.
         if not self.cancelled:
             self.cancelled = True
             eng = self._engine
             if eng is not None:
+                self._engine = None
                 eng._note_cancel()
 
 
@@ -173,7 +183,11 @@ class SimEngine:
         self._seq += 1
 
     def schedule_after_virtual(
-        self, delay: int, fn: EventFn, vdelay: int
+        self,
+        delay: int,
+        fn: EventFn,
+        vdelay: int,
+        token: Optional[EventToken] = None,
     ) -> EventToken:
         """Schedule with an explicit virtual allocation time.
 
@@ -184,13 +198,27 @@ class SimEngine:
         replaying an already-past allocation point).  ``vdelay`` must
         not exceed ``delay``: an event cannot be allocated after it
         fires.
+
+        ``token``, when given, is a consumed token of this engine to
+        re-arm for the new entry instead of allocating one; a live or
+        cancelled token raises :class:`SimulationError`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         if vdelay > delay:
             raise SimulationError(f"vdelay {vdelay} > delay {delay}")
         now = self.now
-        token = EventToken(self)
+        if token is None:
+            token = EventToken(self)
+        elif token.cancelled and token._engine is self:
+            token.cancelled = False  # fired: its entry left the heap
+        else:
+            state = (
+                "live" if not token.cancelled
+                else "cancelled" if token._engine is None
+                else "another engine's"
+            )
+            raise SimulationError(f"cannot re-arm a {state} token")
         heappush(
             self._heap, (now + delay, now + vdelay, self._seq, token, fn)
         )

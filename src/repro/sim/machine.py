@@ -251,7 +251,7 @@ class Machine:
             latency = self.network.control_latency(
                 holder_tile, self.tile_of_core(w.core)
             )
-            self.engine.schedule_after(max(1, latency), w.resume)
+            self.engine.schedule_after_nocancel(max(1, latency), w.resume)
 
     def core_finished(self, core: int, now: int) -> None:
         self.finish_times[core] = now
@@ -328,7 +328,9 @@ class Machine:
                 f"no commit progress for {now - self._wd_stall_t0} cycles "
                 f"(stall horizon {self.watchdog.horizon})"
             )
-        self.engine.schedule_after(self.watchdog.period, self._watchdog_tick)
+        self.engine.schedule_after_nocancel(
+            self.watchdog.period, self._watchdog_tick
+        )
 
     def run(self, max_cycles: Optional[int] = None) -> int:
         """Execute to completion; returns total execution cycles."""

@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.common.params import typical_params
-from repro.common.stats import AbortReason, TimeCat
+from repro.common.stats import AbortReason, RunStats, TimeCat
 from repro.harness.systems import get_system
 from repro.htm.isa import Plain, Txn, compute, fault, load, op_layout, store
 from repro.htm.txstate import TxState
@@ -310,3 +310,46 @@ def test_profile_run_smoke():
     rendered = report.render()
     assert "hottest functions" in rendered
     assert "ncalls" in rendered
+
+
+def test_kills_inside_bursts_agree_fresh_pooled_and_one_op(monkeypatch):
+    """External aborts that land inside elided bursts.
+
+    Each such kill cancels the in-flight continuation
+    (``CPU.note_external_abort``), and the CPU drops its recycled
+    continuation token.  A fresh machine, a pooled machine run twice
+    (the second run reuses it) and the one-op layout must agree.
+    """
+    from repro.sim.cpu import CPU
+    from repro.sim.pool import MachinePool
+
+    cancels = []
+    drop = CPU._drop_burst
+
+    def counting_drop(self):
+        tok = self._burst_token
+        if tok is not None and not tok.cancelled:
+            cancels.append(self.core)
+        drop(self)
+
+    monkeypatch.setattr(CPU, "_drop_burst", counting_drop)
+    threads, scale, seed = 8, 0.05, 42
+    build = get_workload("vacation+").build(threads, scale, seed)
+    spec = get_system("Baseline")
+    m = Machine(RunConfig(spec=spec).params, spec, build.programs, seed=seed)
+    cycles = m.run()
+    fresh = _stats_fingerprint(
+        RunStats(execution_cycles=cycles, cores=m.core_stats)
+    )
+    assert len(cancels) > 100  # guard the guard: the cancel path runs
+    pool = MachinePool()
+    config = RunConfig(spec=spec, threads=threads, scale=scale, seed=seed,
+                       machine_pool=pool)
+    pooled = [_stats_fingerprint(run_workload(build, config))
+              for _ in range(2)]
+    assert pool.reuses == 1
+    one_op = _stats_fingerprint(run_workload(
+        replace(build, programs=op_layout(build.programs)), config
+    ))
+    assert pooled == [fresh, fresh]
+    assert one_op == fresh

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ProtocolInvariantError
 from repro.common.params import CacheParams
 from repro.coherence.cachearray import CacheArray
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, cores_of
 from repro.coherence.states import MESI
 
 
@@ -46,7 +46,8 @@ class TestTransitions:
         directory.set_exclusive(1, 2)
         directory.demote_owner_to_sharer(1)
         e = directory.entry(1)
-        assert e.owner == -1 and e.sharers == {2}
+        assert e.owner == -1 and e.sharers == 1 << 2
+        assert directory.copies(1) == {2}
 
     def test_demote_without_owner_raises(self, directory):
         directory.add_sharer(1, 0)
@@ -74,6 +75,20 @@ class TestTransitions:
         directory.add_sharer(1, 3)
         assert directory.other_copies(1, 0) == {3}
         assert directory.other_copies(1, 5) == {0, 3}
+
+    def test_sharers_beyond_core_eight_walk_in_core_order(self, directory):
+        # An eight-slot set files core 9 in slot 1, ahead of core 3, so
+        # it iterates {3, 9} as 9, 3; the mask walk is ascending.
+        for core in (9, 3, 12):
+            directory.add_sharer(4, core)
+        e = directory.entry(4)
+        assert e.sharers == 1 << 3 | 1 << 9 | 1 << 12
+        assert list(cores_of(e.sharers)) == [3, 9, 12]
+        assert directory.other_copies(4, 9) == {3, 12}
+        assert directory.has_other_copies(4, 9)
+        directory.remove_copy(4, 3)
+        directory.remove_copy(4, 12)
+        assert not directory.has_other_copies(4, 9)
 
 
 class TestSwmrCheck:
@@ -119,7 +134,7 @@ class TestSwmrCheck:
     def test_owner_plus_sharer_entry_detected(self, directory):
         e = directory.entry(1)
         e.owner = 0
-        e.sharers = {1}
+        e.sharers = 1 << 1
         with pytest.raises(ProtocolInvariantError):
             directory.check_swmr(self._l1s())
 
@@ -130,7 +145,7 @@ class TestSwmrCheck:
         l1s[1].insert(1, MESI.S)
         e = directory.entry(1)
         e.owner = 0
-        e.sharers = {0, 1}
+        e.sharers = 1 << 0 | 1 << 1
         with pytest.raises(
             ProtocolInvariantError, match=r"owner 0 plus sharers \[0, 1\]"
         ):
@@ -141,7 +156,7 @@ class TestSwmrCheck:
         l1s[0].insert(1, MESI.M)
         e = directory.entry(1)
         e.owner = 0
-        e.sharers = {0}
+        e.sharers = 1 << 0
         directory.check_swmr(l1s)
 
     def test_stale_sharer_detected(self, directory):

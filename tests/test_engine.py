@@ -338,3 +338,82 @@ class TestCalendarRingEdgeCases:
         assert eng.ring_events == 0
         eng.reset()
         assert eng.heap_events == 0
+
+
+class TestTokenRearm:
+    """A fired token may be re-armed; a live or cancelled one may not."""
+
+    def test_fired_token_rearms(self):
+        eng = SimEngine()
+        seen = []
+        tok = eng.schedule_after_virtual(5, seen.append, 5)
+        eng.run()
+        assert tok.cancelled  # consumed by firing
+        again = eng.schedule_after_virtual(3, seen.append, 1, tok)
+        assert again is tok and not tok.cancelled
+        assert eng.pending() == 1
+        eng.run()
+        assert seen == [5, 8]
+        assert eng.pending() == 0 and eng.events_processed == 2
+
+    def test_rearmed_token_cancels_like_a_fresh_one(self):
+        eng = SimEngine()
+        seen = []
+        tok = eng.schedule_after_virtual(1, seen.append, 0)
+        eng.run()
+        eng.schedule_after_virtual(4, seen.append, 0, tok)
+        tok.cancel()
+        assert eng.pending() == 0 and eng.resident() == 1
+        eng.run()
+        assert seen == [1]
+        assert eng.resident() == 0
+
+    def test_rearming_a_live_token_raises(self):
+        eng = SimEngine()
+        tok = eng.schedule_after_virtual(5, lambda t: None, 0)
+        with pytest.raises(SimulationError, match="live"):
+            eng.schedule_after_virtual(2, lambda t: None, 0, tok)
+        assert eng.pending() == 1
+
+    def test_rearming_a_cancelled_resident_token_raises(self):
+        # The dead entry is still in the heap: re-arming would revive it.
+        eng = SimEngine()
+        seen = []
+        tok = eng.schedule_after_virtual(5, seen.append, 0)
+        tok.cancel()
+        assert eng.resident() == 1
+        with pytest.raises(SimulationError, match="cancelled"):
+            eng.schedule_after_virtual(2, seen.append, 0, tok)
+        eng.run()
+        assert seen == [] and eng.events_processed == 0
+
+    def test_token_of_another_engine_is_refused(self):
+        a, b = SimEngine(), SimEngine()
+        tok = a.schedule_after_virtual(1, lambda t: None, 0)
+        a.run()
+        with pytest.raises(SimulationError):
+            b.schedule_after_virtual(1, lambda t: None, 0, tok)
+
+    def test_compaction_keeps_a_rearmed_token(self):
+        from repro.sim.engine import _COMPACT_MIN
+
+        eng = SimEngine()
+        seen = []
+        tok = eng.schedule_after_virtual(1, lambda t: None, 0)
+        eng.run()
+        eng.schedule_after_virtual(5000, seen.append, 0, tok)
+        doomed = [
+            eng.schedule_after(1000 + i, seen.append)
+            for i in range(2 * _COMPACT_MIN)
+        ]
+        for d in doomed:
+            d.cancel()
+        assert eng.heap_compactions >= 1
+        assert eng.pending() == 1
+        assert eng.resident() < 2 * _COMPACT_MIN
+        eng.run()
+        assert seen == [5001]
+        # Fired again, it re-arms again.
+        eng.schedule_after_virtual(2, seen.append, 2, tok)
+        eng.run()
+        assert seen == [5001, 5003]

@@ -1,5 +1,8 @@
 """Unit tests driving MemorySystem directly (through an idle machine)."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.common.errors import ProtocolInvariantError
@@ -9,6 +12,7 @@ from repro.common.params import (
     typical_params,
 )
 from repro.common.stats import AbortReason
+from repro.coherence.cachearray import CacheArray
 from repro.coherence.memsys import GRANT, OVERFLOW, REJECT
 from repro.coherence.states import MESI
 from repro.htm.txstate import TxMode
@@ -479,3 +483,89 @@ class TestSharedResults:
             assert (
                 res.status, res.latency, res.hit, res.reject_holder
             ) == before
+
+
+class TestInlineFillMatchesInsert:
+    """The two-level miss path fills the L1, and the LLC when its set has
+    a free way, inline instead of through ``CacheArray.insert``.  Random
+    access sequences, with transactions pinning lines, must leave every
+    array in exactly the state and LRU order that ``insert`` leaves."""
+
+    @staticmethod
+    def _copy(arr, params):
+        shadow = CacheArray(params)
+        shadow._state.update(arr._state)
+        shadow._sets.update({i: list(w) for i, w in arr._sets.items()})
+        shadow.evictions = arr.evictions
+        return shadow
+
+    @staticmethod
+    def _same(real, shadow):
+        assert real._state == shadow._state
+        assert real._sets == shadow._sets
+        assert real.evictions == shadow.evictions
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sequences(self, seed):
+        rng = random.Random(seed)
+        params = SystemParams(
+            num_cores=3,
+            l1=CacheParams(4 * 2 * 64, 2, 2),  # 4 sets x 2 ways
+            llc=CacheParams(16 * 2 * 64, 2, 12),  # 16 sets x 2 ways
+        )
+        m = make_machine([[] for _ in range(3)], params=params)
+        ms = m.memsys
+        seen = Counter()
+        for step in range(600):
+            core = rng.randrange(3)
+            tx = m.cpus[core].tx
+            if tx.mode is TxMode.HTM and (tx.aborted or rng.random() < 0.03):
+                if not tx.aborted:
+                    ms.retire_tx(core)
+                tx.clear()
+            elif tx.mode is TxMode.NONE and core < 2 and rng.random() < 0.3:
+                tx.begin(TxMode.HTM, step)
+            l1 = ms.l1s[core]
+            line = rng.randrange(48)
+            is_write = rng.random() < 0.4
+            if (
+                tx.mode is TxMode.HTM
+                and l1.set_occupancy(line) == 2
+                and rng.random() < 0.3
+            ):
+                # A transaction's own accesses keep its tracked lines
+                # the most recent of each set; track the set's LRU line
+                # too, so that pinning skips it for the next way.
+                ms._track(core, l1.lru_line(line), False, tx)
+            tracked = frozenset(tx.read_set | tx.write_set)
+            before = l1.probe(line)
+            l1_shadow = self._copy(l1, params.l1)
+            llc_shadow = self._copy(ms.llc, params.llc)
+            llc_evictions = ms.llc.evictions
+            res = ms.access(core, line_addr(line), is_write, 10 * step)
+            if line not in llc_shadow._state and res.status == GRANT:
+                llc_shadow.insert(line, MESI.M)
+                seen["llc_fill"] += 1
+            self._same(ms.llc, llc_shadow)
+            if ms.llc.evictions != llc_evictions:
+                # A back-invalidation may also have purged this L1.
+                seen["llc_evict"] += 1
+                continue
+            if res.status != GRANT:
+                seen["overflow" if res.status == OVERFLOW else "reject"] += 1
+            elif before == MESI.I:
+                ways = l1_shadow._sets.get(line % 4, [])
+                if len(ways) == 2:
+                    seen["pinned" if ways[0] in tracked else "evict"] += 1
+                l1_shadow.insert(
+                    line,
+                    l1.probe(line),
+                    pinned=lambda x: x in tracked,
+                )
+            else:
+                l1_shadow.set_state(line, l1.probe(line))
+                l1_shadow.touch(line)
+            self._same(l1, l1_shadow)
+            ms.directory.check_swmr(ms.l1s)
+        for case in ("llc_fill", "llc_evict", "overflow", "pinned", "evict"):
+            assert seen[case] > 0, seen

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +252,83 @@ def test_entry_bytes_are_sorted_json_dumps(store_cls, tmp_path):
     else:
         got = fingerprint(got)
     assert got == fingerprint(stats)
+
+
+#: A child that opens a cache and blocks inside ``put`` after creating
+#: its temp file, until it is killed.
+_STUCK_PUT = """
+import sys, time
+from repro.common.stats import RunStats
+from repro.harness import runcache
+
+def stuck(stats, meta):
+    print("in put", flush=True)
+    time.sleep(600)
+
+runcache.run_stats_to_dict = stuck
+cache = runcache.RunCache(sys.argv[1])
+cache.put(sys.argv[2], RunStats(execution_cycles=1, cores=[]))
+"""
+
+
+class TestStaleTempFiles:
+    """A writer killed mid-put leaves its temp file; the next open of
+    the cache removes it unless the writer is still running."""
+
+    @staticmethod
+    def _stuck_writer(root, key):
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _STUCK_PUT, root, key],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        assert proc.stdout.readline() == "in put\n"
+        return proc
+
+    @staticmethod
+    def _temps(root):
+        return sorted(
+            name
+            for _dir, _subdirs, names in os.walk(root)
+            for name in names
+            if ".json.tmp." in name
+        )
+
+    def test_sigkill_mid_put_then_open_removes_only_dead_writers(
+        self, tmp_path
+    ):
+        root = str(tmp_path)
+        key = cell_key(**_cell())
+        dead = self._stuck_writer(root, key)
+        live = self._stuck_writer(root, key)
+        try:
+            dead.kill()  # SIGKILL: no handler, no cleanup
+            dead.wait()
+            dead.stdout.close()
+            assert len(self._temps(root)) == 2
+            store = ShardedStore(root)
+            (kept,) = self._temps(root)
+            assert f".json.tmp.{live.pid}." in kept
+            assert store.get(key) is None
+        finally:
+            live.kill()
+            live.wait()
+            live.stdout.close()
+        RunCache(root)
+        assert self._temps(root) == []
+
+    def test_open_of_missing_root_creates_nothing(self, tmp_path):
+        root = tmp_path / "absent"
+        RunCache(str(root))
+        assert not root.exists()
 
 
 class TestCoerceCache:
