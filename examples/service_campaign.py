@@ -13,7 +13,8 @@ properties:
   ``Sweep.run`` of the same campaign.
 
 It exits non-zero if either property, or the event stream, does not
-hold, so it doubles as an end-to-end smoke check.
+hold, or if the client needed more than one connection for all of its
+requests, so it doubles as an end-to-end smoke check.
 
 Run:  python examples/service_campaign.py
 """
@@ -82,6 +83,13 @@ def main() -> None:
                   f"{service_fps == serial_fps}")
             if service_fps != serial_fps:
                 raise SystemExit("service results differ from Sweep.run")
+
+            # Every request above went over the client's one connection.
+            stats = client.stats()
+            print(f"requests: {stats['requests_served']} over "
+                  f"{stats['connections_accepted']} connection(s)")
+            if stats["connections_accepted"] != 1:
+                raise SystemExit("the client did not keep its connection")
 
 
 if __name__ == "__main__":

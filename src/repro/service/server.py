@@ -16,7 +16,10 @@ long-running experiment backend:
   misses fan out to the :func:`repro.harness.parallel.execute_cell`
   process pool, bounded by the worker count.
 * **Stream** (``GET /v1/jobs/<id>/events?follow=1``) tails the job's
-  JSONL event feed over chunked-free ``Connection: close`` NDJSON.
+  JSONL event feed as one chunked NDJSON response.
+* **Connections** are persistent HTTP/1.1: each serves requests until
+  the peer closes it, asks for ``Connection: close`` or speaks
+  HTTP/1.0, sends a malformed request, or the service drains.
 * **Drain** — SIGTERM (or :meth:`request_stop`) stops admission (503),
   stops scheduling, lets in-flight cells finish and land in the store,
   journals every non-terminal job, and exits.  On restart the service
@@ -162,6 +165,14 @@ class ReproService:
         self._stopped: Optional[asyncio.Event] = None
         self._scheduler_task: Optional[asyncio.Task] = None
         self._cell_tasks: "set[asyncio.Task]" = set()
+        self.connections_accepted = 0
+        self.requests_served = 0
+        #: Connection handlers, and the writers of those waiting for
+        #: their next request.
+        self._conn_tasks: "set[asyncio.Task]" = set()
+        self._idle: "set[asyncio.StreamWriter]" = set()
+        #: Set by the drain: streams end and connections close.
+        self._closing = False
         #: Jobs that emitted since the last :meth:`_publish`.
         self._emitted: Dict[str, Job] = {}
 
@@ -256,6 +267,9 @@ class ReproService:
                 job.state = JobState.QUEUED
                 job.save_journal()
                 self._emit(job, "drained", resumable=True)
+        # Follow streams end after the lines published here, with their
+        # terminating chunk, and no connection waits for a new request.
+        self._closing = True
         self._publish()
         for job in self.jobs.values():
             job.close_events()
@@ -263,6 +277,11 @@ class ReproService:
             self._scheduler_task.cancel()
         if self._server is not None:
             self._server.close()
+            # On Python >= 3.12.1 wait_closed() waits for every
+            # connection, so idle keep-alive ones are hung up first.
+            for writer in list(self._idle):
+                _hang_up(writer)
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
             await self._server.wait_closed()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
@@ -520,6 +539,8 @@ class ReproService:
             "workers": self.workers,
             "cells_executed": self.cells_executed,
             "cells_inflight": self._executing,
+            "connections_accepted": self.connections_accepted,
+            "requests_served": self.requests_served,
             "store": {
                 "root": self.store.root,
                 "hits": self.store.hits,
@@ -601,33 +622,41 @@ class ReproService:
 
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
+        self.connections_accepted += 1
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            await self._route(*request, writer)
+            while not self._closing:
+                self._idle.add(writer)
+                try:
+                    request = await self._read_request(reader)
+                finally:
+                    self._idle.discard(writer)
+                if request is None:
+                    return
+                *request, keep_alive = request
+                await self._route(*request, writer)
+                self.requests_served += 1
+                if not keep_alive or self.draining:
+                    return
         except ConnectionError:
             pass
         except Exception as exc:  # noqa: BLE001 - one bad conn, not us
+            if writer.is_closing():  # hung up by the drain mid-request
+                return
+            if isinstance(exc, BadRequest):
+                status, error = 400, str(exc)
+            else:
+                status, error = 500, f"{type(exc).__name__}: {exc}"
             try:
-                if isinstance(exc, BadRequest):
-                    _write_response(writer, 400, {"error": str(exc)})
-                else:
-                    _write_response(writer, 500, {
-                        "error": f"{type(exc).__name__}: {exc}"
-                    })
+                _write_response(writer, status, {"error": error},
+                                {"Connection": "close"})
             except ConnectionError:
                 pass
         finally:
-            # Half-close first: a pool worker forked while this
-            # connection was open holds a copy of its socket, so close
-            # alone would not end a close-delimited body.
+            self._conn_tasks.discard(task)
+            _hang_up(writer)
             try:
-                writer.write_eof()
-            except OSError:
-                pass
-            try:
-                writer.close()
                 await writer.wait_closed()
             except ConnectionError:
                 pass
@@ -637,7 +666,7 @@ class ReproService:
         if not line:
             return None
         try:
-            method, target, _version = line.decode("latin-1").split()
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
             raise BadRequest(f"malformed request line {line!r}") from None
         headers: Dict[str, str] = {}
@@ -650,7 +679,9 @@ class ReproService:
         length = _nonnegative_int(
             headers.get("content-length") or "0", "Content-Length")
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, body
+        keep_alive = (version.upper() == "HTTP/1.1"
+                      and "close" not in headers.get("connection", "").lower())
+        return method.upper(), target, body, keep_alive
 
     async def _route(self, method: str, target: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
@@ -741,19 +772,25 @@ class ReproService:
         follow = query.get("follow", ["0"])[0] not in ("0", "")
         cursor = _nonnegative_int(query.get("cursor", ["0"])[0] or "0",
                                   "cursor")
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n\r\n"
-        )
+        out = (b"HTTP/1.1 200 OK\r\n"
+               b"Content-Type: application/x-ndjson\r\n"
+               b"Cache-Control: no-store\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n")
         while True:
             if cursor < len(job.event_lines):
-                writer.write(b"".join(job.event_lines[cursor:]))
+                lines = b"".join(job.event_lines[cursor:])
                 cursor = len(job.event_lines)
-            await writer.drain()
-            if not follow or job.state.terminal:
+                out += b"%x\r\n%s\r\n" % (len(lines), lines)
+            if not follow or job.state.terminal or self._closing:
+                # The last lines and the zero-length chunk go out in
+                # one write: a reader that stops at the terminal event
+                # has already read the end of the body.
+                writer.write(out + b"0\r\n\r\n")
+                await writer.drain()
                 return
+            writer.write(out)
+            out = b""
+            await writer.drain()
             await job.wait_events(cursor)
 
 
@@ -786,13 +823,26 @@ def _write_body(writer: asyncio.StreamWriter, status: int, body: bytes,
         f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
-        "Connection: close",
     ]
     for name, value in (extra_headers or {}).items():
         head.append(f"{name}: {value}")
     writer.write(
         ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
     )
+
+
+def _hang_up(writer: asyncio.StreamWriter) -> None:
+    """Half-close, then close.
+
+    Half-close first: a pool worker forked while the connection was
+    open holds a copy of its socket, so close alone would not send the
+    peer its end of stream.
+    """
+    try:
+        writer.write_eof()
+    except OSError:
+        pass
+    writer.close()
 
 
 def run_service(config: ServiceConfig) -> int:

@@ -531,3 +531,120 @@ class TestDrainResume:
             assert fps == [fingerprint(r.stats) for r in serial.records]
         finally:
             handle.stop()
+
+
+def read_response(sock: socket.socket, buf: bytes = b""):
+    """One Content-Length response off ``sock``: (status, headers,
+    decoded body, bytes read past it)."""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed before a response"
+        buf += chunk
+    head, _, rest = buf.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers["content-length"])
+    while len(rest) < length:
+        rest += sock.recv(65536)
+    return (int(lines[0].split()[1]), headers, json.loads(rest[:length]),
+            rest[length:])
+
+
+def at_eof(sock: socket.socket) -> bool:
+    sock.settimeout(10)
+    return sock.recv(65536) == b""
+
+
+class TestPersistentConnections:
+    def test_requests_share_one_connection(self, service):
+        with socket.create_connection((service.host, service.port),
+                                      30) as sock:
+            for _ in range(3):
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, headers, body, extra = read_response(sock)
+                assert (status, body["ok"], extra) == (200, True, b"")
+                assert "connection" not in headers
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\n\r\n")
+            assert read_response(sock)[0] == 200
+            assert at_eof(sock)
+        assert service.service.connections_accepted == 1
+        assert service.service.requests_served == 4
+
+    def test_http10_request_closes_after_its_response(self, service):
+        with socket.create_connection((service.host, service.port),
+                                      30) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+            assert read_response(sock)[0] == 200
+            assert at_eof(sock)
+
+    def test_malformed_request_is_answered_then_closed(self, service):
+        with socket.create_connection((service.host, service.port),
+                                      30) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                         b"garbage\r\n\r\n")
+            status, _, _, extra = read_response(sock)
+            assert status == 200
+            status, headers, body, _ = read_response(sock, extra)
+            assert status == 400
+            assert "malformed request line" in body["error"]
+            assert headers["connection"] == "close"
+            assert at_eof(sock)
+
+    def test_round_trip_pattern_uses_one_connection(self, service):
+        """The benchmark's round trip: 3 submits, 3 streams left at
+        ``job_done``, 3 results fetches — 9 requests, 1 connection."""
+        client = client_of(service)
+        ids = [client.submit(campaign, tenant=tenant)["job_id"]
+               for campaign, tenant in ((TINY, "a"), (ONE_CELL, "a"),
+                                        (ONE_CELL, "b"))]
+        for job_id in ids:
+            for event in client.stream(job_id, follow=True):
+                if event["event"] == "job_done":
+                    break
+            else:
+                pytest.fail("stream ended without job_done")
+            assert client.results(job_id)["state"] == "done"
+        stats = client.stats()
+        assert stats["connections_accepted"] == 1
+        assert stats["requests_served"] == 9
+        client.close()
+
+    def test_drain_hangs_up_idle_connections_and_ends_streams(
+            self, tmp_path, caplog):
+        handle = ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ).start()
+        client = client_of(handle)
+        try:
+            # The one worker runs the slow cell, so this job stays queued.
+            slow = client.submit(TestBrokenPool.SLOW)["job_id"]
+            queued = client.submit(ONE_CELL)["job_id"]
+            assert client.status(queued)["state"] == "queued"
+            events, following = [], threading.Event()
+
+            def follow() -> None:
+                with client_of(handle) as follower:
+                    for event in follower.stream(queued, follow=True):
+                        events.append(event)
+                        following.set()
+
+            follower = threading.Thread(target=follow)
+            follower.start()
+            assert following.wait(timeout=30)
+            assert client.healthz()["ok"]  # leaves an idle connection
+        finally:
+            start = time.monotonic()
+            handle.stop()
+            stopped_s = time.monotonic() - start
+        follower.join(timeout=30)
+        assert not follower.is_alive()
+        assert stopped_s < 20
+        assert [e["event"] for e in events][-1] == "drained"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        # The idle socket was hung up; its retry finds no server.
+        with pytest.raises(ConnectionRefusedError):
+            client.status(slow)
