@@ -27,7 +27,7 @@ def test_engine_event_dispatch(benchmark):
             if count[0] < 10_000:
                 engine.schedule_after(1, tick)
 
-        engine.schedule(0, tick)
+        engine.schedule_after(0, tick)
         engine.run()
         return count[0]
 

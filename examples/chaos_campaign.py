@@ -4,8 +4,8 @@
 Walks the three layers of ``repro.resilience``:
 
 1. arm a composable :class:`FaultPlan` on a single run and show that the
-   functional result survives (and that the same seed reproduces the
-   exact same injected faults);
+   functional result survives, and that the same seed reproduces the
+   exact same injected faults on a machine reused from the pool;
 2. provoke a genuine livelock with an adversarial reject storm and catch
    the watchdog's structured :class:`LivelockError` — then rerun with
    the bounded-retry escape hatch and watch the machine degrade
@@ -15,7 +15,9 @@ Walks the three layers of ``repro.resilience``:
    cell from the cache and retries only the quarantined one.
 
 Run:  python examples/chaos_campaign.py
-(exits non-zero if the resumed pass re-runs a good cell)
+(exits non-zero if the second fault-planned run differs from the first
+or did not reuse a pooled machine, or if the resumed pass re-runs a
+good cell)
 """
 
 import sys
@@ -32,20 +34,26 @@ from repro import (
     run_workload,
 )
 from repro.common.errors import ConfigError
+from repro.harness.export import fingerprint
 from repro.harness.sweeps import Sweep
 from repro.htm.isa import Txn, compute, store
 from repro.resilience import FaultPlan
 from repro.resilience.harness import RetryPolicy
 from repro.sim.fuzz import fuzz_params
+from repro.sim.pool import global_pool
 
 SEED = 2024
 
 
-def layer1_fault_injection() -> None:
+def layer1_fault_injection() -> bool:
+    """Returns whether the second run reproduced the first on a
+    reused pooled machine."""
     print("=== 1. deterministic fault injection ===")
     plan = get_plan("jitter") | get_plan("lossy")
     print(f"plan: {plan.describe()}")
+    runs = []
     for attempt in ("first", "second"):
+        reuses = global_pool().reuses
         stats = run_workload(
             get_workload("intruder"),
             RunConfig(
@@ -57,11 +65,17 @@ def layer1_fault_injection() -> None:
                 watchdog=WatchdogConfig(),
             ),
         )
+        reused = global_pool().reuses > reuses
+        runs.append((stats.execution_cycles, fingerprint(stats)))
         print(
             f"{attempt} run: {stats.execution_cycles} cycles, "
-            f"commit rate {stats.commit_rate:.2f}"
+            f"commit rate {stats.commit_rate:.2f}, "
+            f"{'reused' if reused else 'new'} pooled machine"
         )
-    print("same seed, same plan -> identical cycles (bit-reproducible)\n")
+    same = runs[0] == runs[1]
+    verdict = "identical cycles and fingerprint" if same else "DIFFERENT runs"
+    print(f"same seed, same plan -> {verdict}\n")
+    return same and reused
 
 
 def layer2_watchdog() -> None:
@@ -136,7 +150,8 @@ def layer3_resilient_sweep() -> int:
 
 
 if __name__ == "__main__":
-    layer1_fault_injection()
+    if not layer1_fault_injection():
+        sys.exit("the second fault-planned run differed or was not pooled")
     layer2_watchdog()
     if layer3_resilient_sweep() != 0:
         sys.exit("resume re-ran good cells instead of serving them")

@@ -65,12 +65,10 @@ class CacheArray:
             )
         self._state: Dict[int, int] = {}
         self._sets: Dict[int, List[int]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.reset()
 
     def reset(self) -> None:
-        """Empty the array and zero its counters (machine-pool reuse)."""
+        """Set the run state: the array empty, its counters zeroed."""
         self._state.clear()
         self._sets.clear()
         self.hits = 0

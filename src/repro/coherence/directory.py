@@ -59,9 +59,10 @@ class Directory:
 
     def __init__(self) -> None:
         self._entries: Dict[int, DirEntry] = {}
+        self.reset()
 
     def reset(self) -> None:
-        """Forget every line (machine-pool reuse)."""
+        """Set the run state: no line tracked."""
         self._entries.clear()
 
     def entry(self, line: int) -> DirEntry:

@@ -181,14 +181,12 @@ class MemorySystem:
         topology: MeshTopology,
         network: NetworkModel,
         manager: ConflictManager,
-        core_stats: List[CoreStats],
         tile_of_core: Callable[[int], int],
     ) -> None:
         self.params = params
         self.topology = topology
         self.network = network
         self.manager = manager
-        self.core_stats = core_stats
         self.tile_of_core = tile_of_core
         n = params.num_cores
         #: Hot-path constants: core->tile map and tile count, lifted out
@@ -265,8 +263,6 @@ class MemorySystem:
         #: set (bit ``1 << core``); absent line == empty mask.
         self.tx_readers: Dict[int, int] = {}
         self.tx_writers: Dict[int, int] = {}
-        #: Registered per-core transactional state (wired by Machine).
-        self.tx_states: List[TxState] = []
         #: HTMLock overflow signatures; valid while ``sig_owner >= 0``.
         self.of_rd_sig = BloomSignature(
             params.htm.signature_bits, params.htm.signature_hashes, seed=1
@@ -274,33 +270,25 @@ class MemorySystem:
         self.of_wr_sig = BloomSignature(
             params.htm.signature_bits, params.htm.signature_hashes, seed=2
         )
-        self.sig_owner: int = -1
         #: Victim-abort callback, wired by Machine:
         #: abort_core(core, reason, now).
         self.abort_core: Callable[[int, AbortReason, int], None] = (
             self._unwired_abort
         )
-        #: Debug mode: run SWMR checks after every access (slow).
-        self.paranoid = False
-        self.signature_spills = 0
-        self.signature_rejects = 0
-        #: Fault injector (reject storm), wired by the Machine when a
-        #: FaultPlan is armed; None = no injection, zero overhead.
-        self.chaos = None
-        #: Telemetry event slot, set by the machine's TelemetryHub while
-        #: it has subscribers (see :mod:`repro.telemetry.events`).
-        self._emit = None
+        self.reset([])
 
     @staticmethod
     def _unwired_abort(core: int, reason: AbortReason, now: int) -> None:
         raise ProtocolInvariantError("abort callback not wired")
 
     def reset(self, core_stats: List[CoreStats]) -> None:
-        """Return to the just-constructed state (machine-pool reuse).
+        """Set the run state, charging the run's accesses to ``core_stats``.
 
-        Caches, directory, functional memory, tracking maps, signatures
-        and counters all start over; the caller re-wires ``tx_states``
-        after rebuilding its CPUs.
+        Caches, directory, functional memory, tracking maps, signatures,
+        counters and the telemetry and fault-injection slots all start
+        over; the caller wires ``tx_states`` after building its CPUs.
+        The pricing rows and the shared grant results are pure functions
+        of the geometry and survive.
         """
         self.core_stats = core_stats
         for l1 in self.l1s:
@@ -313,15 +301,21 @@ class MemorySystem:
         self.memory.clear()
         self.tx_readers.clear()
         self.tx_writers.clear()
-        self.tx_states = []
+        #: Registered per-core transactional state (wired by Machine).
+        self.tx_states: List[TxState] = []
         self._pinned_preds.clear()
-        self.of_rd_sig.clear()
-        self.of_wr_sig.clear()
-        self.sig_owner = -1
+        self.of_rd_sig.reset()
+        self.of_wr_sig.reset()
+        self.sig_owner: int = -1
+        #: Debug mode: run SWMR checks after every access (slow).
         self.paranoid = False
         self.signature_spills = 0
         self.signature_rejects = 0
+        #: Fault injector (reject storm), wired by the Machine when a
+        #: FaultPlan is armed; None = no injection, zero overhead.
         self.chaos = None
+        #: Telemetry event slot, set by the machine's TelemetryHub while
+        #: it has subscribers (see :mod:`repro.telemetry.events`).
         self._emit = None
 
     # ------------------------------------------------------------------

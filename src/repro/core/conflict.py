@@ -79,11 +79,10 @@ class ConflictManager:
         self.priority_provider: PriorityProvider = make_priority_provider(
             spec.priority_kind
         )
-        self.grants = 0
-        self.rejects = 0
+        self.reset()
 
     def reset(self) -> None:
-        """Zero the decision counters (machine-pool reuse); the spec and
+        """Set the run state: decision counters zeroed.  The spec and
         priority provider are stateless and survive."""
         self.grants = 0
         self.rejects = 0

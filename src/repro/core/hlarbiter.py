@@ -49,16 +49,12 @@ class HLArbiter:
         self._network = network
         self._tile_of_core = tile_of_core
         self.arbiter_tile = arbiter_tile
-        self.owner: Optional[int] = None
-        self.owner_is_stl = False
         self._tl_queue: Deque[Tuple[int, Callable[[int], None]]] = deque()
-        self.stl_grants = 0
-        self.stl_denials = 0
-        self.tl_grants = 0
+        self.reset()
 
     def reset(self) -> None:
-        """Release ownership, drop the queue, zero counters (pool reuse)."""
-        self.owner = None
+        """Set the run state: no owner, an empty queue, counters zeroed."""
+        self.owner: Optional[int] = None
         self.owner_is_stl = False
         self._tl_queue.clear()
         self.stl_grants = 0

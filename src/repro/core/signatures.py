@@ -34,10 +34,13 @@ class BloomSignature:
             raise ConfigError("need at least one hash function")
         self.bits = bits
         self.hashes = hashes
-        self._field = 0
-        self.inserted = 0
         #: The seed's share of the hash input (golden-ratio multiple).
         self._salt = (seed * 0x9E3779B97F4A7C15) & _M64
+        self.reset()
+
+    def reset(self) -> None:
+        """Set the run state: empty, with no fault-injection hook."""
+        self.clear()
         #: Fault-injection hook: () -> bool, True forces a spurious
         #: membership hit.  Safe by construction — Bloom signatures are
         #: conservative, so extra false positives only cost retries.
@@ -83,6 +86,7 @@ class BloomSignature:
         return True
 
     def clear(self) -> None:
+        """Empty the filter; the fault-injection hook stays wired."""
         self._field = 0
         self.inserted = 0
 

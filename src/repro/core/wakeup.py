@@ -28,20 +28,17 @@ class WakeupTable:
 
     def __init__(self) -> None:
         self._table: Dict[int, List[Waiter]] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Set the run state: no waiters, counters zeroed, no chaos hook."""
+        self._table.clear()
         self.registered = 0
         self.drained = 0
         #: Fault-injection hook: () -> bool, True to lose the wake-up
         #: message for one waiter.  Wired by the Machine when a FaultPlan
         #: is armed; the stranded waiter must recover via its timeout.
         self.chaos_drop: Optional[Callable[[], bool]] = None
-        self.dropped = 0
-
-    def reset(self) -> None:
-        """Drop all waiters, counters and chaos hooks (machine-pool reuse)."""
-        self._table.clear()
-        self.registered = 0
-        self.drained = 0
-        self.chaos_drop = None
         self.dropped = 0
 
     def register(

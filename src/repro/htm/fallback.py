@@ -52,17 +52,15 @@ class LockManager:
         self._engine = engine
         self._network = network
         self._tile_of_core = tile_of_core
-        self.holder: Optional[int] = None
         #: FIFO of (core, grant_callback) waiting for ownership.
         self._queue: Deque[Tuple[int, Callable[[int], None]]] = deque()
         #: Elision subscribers: (core, callback) resumed on next release.
         self._elision_waiters: List[Tuple[int, Callable[[int], None]]] = []
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
+        self.reset()
 
     def reset(self) -> None:
-        """Free the lock, drop all waiters, zero counters (pool reuse)."""
-        self.holder = None
+        """Set the run state: lock free, no waiters, counters zeroed."""
+        self.holder: Optional[int] = None
         self._queue.clear()
         self._elision_waiters.clear()
         self.acquisitions = 0

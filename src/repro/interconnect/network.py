@@ -83,20 +83,14 @@ class NetworkModel:
         # class statically, so they can skip the enum-keyed dict hop.
         self._ctrl_by_hops = self._lat_by_hops[MessageClass.CONTROL]
         self._data_by_hops = self._lat_by_hops[MessageClass.DATA]
-        self.messages_sent = 0
-        self.flits_sent = 0
-        self.hops_traversed = 0
         #: Simulation clock; wired by the Machine when contention
         #: modeling is armed (defaults to a constant 0 = relative time).
         self.clock: Optional[Callable[[], int]] = None
         self._link_busy: Dict[Tuple[int, int], int] = {}
-        self.link_stalls = 0
-        #: Fault-injection hook (latency -> perturbed latency); wired by
-        #: the Machine when a FaultPlan is armed, else None (no cost).
-        self.chaos: Optional[Callable[[int], int]] = None
+        self.reset()
 
     def reset(self) -> None:
-        """Zero counters and link state (machine-pool reuse).
+        """Set the run state: counters zeroed, links idle, no chaos hook.
 
         The latency tables are pure functions of (geometry, params) and
         survive; the wired :attr:`clock` closure stays valid because the
@@ -107,7 +101,9 @@ class NetworkModel:
         self.hops_traversed = 0
         self._link_busy.clear()
         self.link_stalls = 0
-        self.chaos = None
+        #: Fault-injection hook (latency -> perturbed latency); wired by
+        #: the Machine when a FaultPlan is armed, else None (no cost).
+        self.chaos: Optional[Callable[[int], int]] = None
 
     def latency(self, src_tile: int, dst_tile: int, msg_class: MessageClass) -> int:
         """Cycles for one message from ``src_tile`` to ``dst_tile``."""

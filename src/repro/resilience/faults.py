@@ -212,6 +212,9 @@ class FaultInjector:
         "sig_false_positives",
         "storm_rejects",
         "escapes_taken",
+        # Weak-referenceable: a machine must not outlive its run's hold
+        # on the injector, and lifetime checks watch for that.
+        "__weakref__",
     )
 
     def __init__(self, plan: FaultPlan, seed: int) -> None:

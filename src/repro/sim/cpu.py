@@ -156,7 +156,7 @@ class CPU:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        self.engine.schedule(0, self._advance)
+        self.engine.schedule_after_nocancel(0, self._advance)
 
     def _advance(self, now: int) -> None:
         if self.done:

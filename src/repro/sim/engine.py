@@ -108,15 +108,8 @@ class SimEngine:
     def __init__(self, max_events: int = 200_000_000) -> None:
         #: Heap of (time, vtime, seq, token, fn) tuples.
         self._heap: List[tuple] = []
-        self._seq = 0
-        self.now = 0
-        #: vtime of the event currently being processed.
-        self.now_vtime = 0
-        self.events_processed = 0
         self._max_events = max_events
-        #: Cancelled entries still physically resident.
-        self._cancelled_resident = 0
-        self.heap_compactions = 0
+        self.reset()
 
     @property
     def heap_events(self) -> int:
@@ -128,35 +121,25 @@ class SimEngine:
         return self._seq
 
     def reset(self) -> None:
-        """Return to the just-constructed state (machine-pool reuse).
+        """Set the run state: an empty heap at cycle 0, counters zeroed.
 
-        Everything observable — clock, sequence counter, the heap,
-        live/cancelled accounting, telemetry counters — starts over, so
-        a run on a reset engine is bit-identical to a run on a fresh one.
+        The only place the clock, sequence counter and live/cancelled
+        accounting are set, so a run on a reset engine is bit-identical
+        to a run on a fresh one.
         """
         self._heap.clear()
         self._seq = 0
         self.now = 0
+        #: vtime of the event currently being processed.
         self.now_vtime = 0
         self.events_processed = 0
+        #: Cancelled entries still physically resident.
         self._cancelled_resident = 0
         self.heap_compactions = 0
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-
-    def schedule(self, when: int, fn: EventFn) -> EventToken:
-        """Schedule ``fn`` to fire at absolute cycle ``when``."""
-        now = self.now
-        if when < now:
-            raise SimulationError(
-                f"scheduling into the past: {when} < now {now}"
-            )
-        token = EventToken(self)
-        heappush(self._heap, (when, now, self._seq, token, fn))
-        self._seq += 1
-        return token
 
     def schedule_after(self, delay: int, fn: EventFn) -> EventToken:
         if delay < 0:

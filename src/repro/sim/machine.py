@@ -48,23 +48,8 @@ class Machine:
         fault_plan=None,
         watchdog=None,
     ) -> None:
-        if len(programs) > params.num_cores:
-            raise ConfigError(
-                f"{len(programs)} threads > {params.num_cores} cores"
-            )
         self.params = params
         self.spec = spec
-        self.seed = seed
-        #: Forward-progress watchdog config (repro.resilience.watchdog.
-        #: WatchdogConfig or None); armed in run().
-        self.watchdog = watchdog
-        #: Replay coordinates carried on structured errors; harnesses
-        #: (fuzz, sweeps) add their own keys (case, workload, ...).
-        self.replay_info: Dict[str, object] = {
-            "seed": seed,
-            "system": spec.name,
-            "fault_plan": fault_plan.name if fault_plan is not None else None,
-        }
         self.engine = SimEngine()
         self.topology = MeshTopology(params.network)
         self.network = NetworkModel(self.topology, params.network)
@@ -72,16 +57,15 @@ class Machine:
             # Close over the engine, not the machine: no cycle.
             engine = self.engine
             self.network.clock = lambda: engine.now
-        self.core_stats = [CoreStats() for _ in range(len(programs))]
         self.manager = build_conflict_manager(spec)
         self.memsys = MemorySystem(
             params,
             self.topology,
             self.network,
             self.manager,
-            self.core_stats,
             self.tile_of_core,
         )
+        self.memsys.abort_core = self.abort_externally
         self.wakeups = WakeupTable()
         self.hl_arbiter = HLArbiter(
             self.engine, self.network, self.tile_of_core, arbiter_tile=0
@@ -99,63 +83,48 @@ class Machine:
         #: paper compares "coarse-grained locking with the same
         #: granularity of transactions".
         self.global_lock = self.fallback_lock
-
-        #: Telemetry event slot: ``emit(time, kind, core, line, arg)``
-        #: while a :class:`~repro.telemetry.events.TelemetryHub` has
-        #: subscribers, else None.  The hub owns it and the CPUs' and
-        #: memory system's slots alike.
-        self._emit = None
-        self._telemetry_hub = None
-
-        #: Deterministic fault injector (repro.resilience.faults); None
-        #: when no plan — or an *empty* plan — is armed, so default runs
-        #: pay nothing and time identically.
-        self.injector = None
-        if fault_plan is not None and not fault_plan.empty:
-            self.injector = fault_plan.injector(seed)
-            self.injector.wire(self)
-
-        self.cpus: List[CPU] = [
-            CPU(i, self.tile_of_core(i), self, prog, seed)
-            for i, prog in enumerate(programs)
-        ]
-        self.memsys.tx_states = [cpu.tx for cpu in self.cpus]
-        self.memsys.abort_core = self.abort_externally
-        self._finished = 0
-        self.finish_times: List[Optional[int]] = [None] * len(programs)
-
-    # ------------------------------------------------------------------
+        self.reset(programs, seed, fault_plan, watchdog)
 
     def reset(
         self,
         programs: List[list],
         seed: int = 0,
+        fault_plan=None,
         watchdog=None,
     ) -> None:
-        """Rewire this machine for a fresh run (machine-pool reuse).
+        """Set the run state for running ``programs``.
 
-        Every component returns to its just-constructed state via its
-        ``reset()`` contract; only the CPUs and per-core stats — whose
-        objects escape into the returned :class:`RunStats` — are rebuilt.
-        A reset machine must be bit-identical to a freshly constructed
-        one (pinned by the pooled-vs-fresh equivalence suite); like a
-        fresh one it has no telemetry hub and every event slot is None.
-        Fault plans are deliberately unsupported here: the injector
-        sets the components' declared chaos slots, which this method
-        does not clear, so fault-injected runs always build fresh
-        machines.
+        The only code that sets run state: the constructor builds the
+        geometry and wiring and then calls this, and the machine pool
+        calls it to reuse a machine and to scrub one it parks.  Every
+        component's ``reset()`` sets its counters, tables and event and
+        chaos slots; the CPUs and per-core stats, whose objects escape
+        into the returned :class:`RunStats`, are built anew.  So a reset
+        machine equals a fresh one by construction: no telemetry hub,
+        every event slot None, and the fault injector (when ``fault_plan``
+        perturbs anything) wired before the CPUs that read it.
         """
         if len(programs) > self.params.num_cores:
             raise ConfigError(
                 f"{len(programs)} threads > {self.params.num_cores} cores"
             )
         self.seed = seed
+        #: Forward-progress watchdog config (repro.resilience.watchdog.
+        #: WatchdogConfig or None); armed in run().
         self.watchdog = watchdog
-        self.replay_info = {
+        self._wd_commits = -1
+        self._wd_stall_t0 = 0
+        #: Replay coordinates carried on structured errors; harnesses
+        #: (fuzz, sweeps) add their own keys (case, workload, ...).
+        self.replay_info: Dict[str, object] = {
             "seed": seed,
             "system": self.spec.name,
-            "fault_plan": None,
+            "fault_plan": fault_plan.name if fault_plan is not None else None,
         }
+        #: Telemetry event slot: ``emit(time, kind, core, line, arg)``
+        #: while a :class:`~repro.telemetry.events.TelemetryHub` has
+        #: subscribers, else None.  The hub owns it and the CPUs' and
+        #: memory system's slots alike.
         self._emit = None
         self._telemetry_hub = None
         self.engine.reset()
@@ -166,14 +135,20 @@ class Machine:
         self.wakeups.reset()
         self.hl_arbiter.reset()
         self.fallback_lock.reset()
+        #: Deterministic fault injector (repro.resilience.faults); None
+        #: when no plan — or an *empty* plan — is armed, so default runs
+        #: pay nothing and time identically.
         self.injector = None
-        self.cpus = [
+        if fault_plan is not None and not fault_plan.empty:
+            self.injector = fault_plan.injector(seed)
+            self.injector.wire(self)
+        self.cpus: List[CPU] = [
             CPU(i, self.tile_of_core(i), self, prog, seed)
             for i, prog in enumerate(programs)
         ]
         self.memsys.tx_states = [cpu.tx for cpu in self.cpus]
         self._finished = 0
-        self.finish_times = [None] * len(programs)
+        self.finish_times: List[Optional[int]] = [None] * len(programs)
 
     # ------------------------------------------------------------------
 
@@ -189,17 +164,13 @@ class Machine:
         victim-abort hook and the telemetry hub point back at the
         machine.  A machine that is dropped instead of going back to a
         pool calls this, so refcounting frees it at once rather than
-        the cyclic collector some time later.  The per-core stats,
-        which a run's :class:`RunStats` shares, are left alone.
+        the cyclic collector some time later: a reset to no programs
+        drops all of them but the victim-abort hook, which is unwired.
+        The per-core stats, which a run's :class:`RunStats` shares, are
+        replaced, not cleared.
         """
-        self.engine.reset()
-        self.cpus = []
-        self._emit = self.memsys._emit = None
-        self._telemetry_hub = None
+        self.reset(())
         self.memsys.abort_core = MemorySystem._unwired_abort
-        self.wakeups.reset()
-        self.hl_arbiter.reset()
-        self.fallback_lock.reset()
 
     # ------------------------------------------------------------------
     # Cross-component operations
@@ -337,9 +308,9 @@ class Machine:
         for cpu in self.cpus:
             cpu.start()
         if self.watchdog is not None:
-            self._wd_commits = -1
-            self._wd_stall_t0 = 0
-            self.engine.schedule(self.watchdog.period, self._watchdog_tick)
+            self.engine.schedule_after_nocancel(
+                self.watchdog.period, self._watchdog_tick
+            )
         try:
             self.engine.run(until=max_cycles)
         except EventBudgetError as exc:

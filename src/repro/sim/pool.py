@@ -4,21 +4,23 @@ Building a :class:`~repro.sim.machine.Machine` allocates the event
 engine, the mesh/network model, per-core caches, the directory and all
 of the HTM mechanism objects.  For a single run that cost is noise; for
 a sweep executing thousands of cells per worker process it is pure
-overhead, because every component now supports an explicit ``reset()``
-contract returning it to its just-constructed state.
+overhead, because :meth:`Machine.reset` — which the constructor itself
+ends with — is the only code that sets a machine's run state.
 
 The pool keys machines by ``(spec, params)`` — both frozen dataclasses —
 so a reused machine always has the exact geometry and policy wiring the
-run needs; only the programs, seed and per-run knobs are re-wired by
-:meth:`Machine.reset`.  Determinism is load-bearing and pinned by the
-pooled-vs-fresh equivalence suite: a run on a pooled machine is
+run needs; only the programs, seed, fault plan and watchdog are set
+anew by :meth:`Machine.reset`.  Determinism is load-bearing and pinned
+by the pooled-vs-fresh equivalence suite: a run on a pooled machine is
 bit-identical to a run on a fresh one.
 
 Machines are only returned to the pool after a *successful* run
 (:func:`repro.sim.runner.run_workload` drops the machine on any error,
-since a half-run machine's state is unknown), and fault-injected runs
-never use the pool at all — the injector sets the components' declared
-chaos slots, which :meth:`Machine.reset` does not clear.  Every machine the pool drops (a full free list,
+since a half-run machine's state is unknown).  Fault-planned runs take
+the pool like any other: :meth:`Machine.reset` sets every chaos slot,
+wiring the run's injector or clearing the last one's.  A parked machine
+is reset to no programs, so it holds no CPUs, queued events, caches or
+injector.  Every machine the pool drops (a full free list,
 :meth:`MachinePool.clear`) is torn down first, so refcounting frees it
 without waiting for the cyclic collector.
 """
@@ -48,30 +50,27 @@ class MachinePool:
         spec: SystemSpec,
         programs: List[list],
         seed: int = 0,
+        fault_plan=None,
         watchdog=None,
     ) -> Machine:
         """A machine ready to run ``programs`` — reused when possible."""
         free = self._free.get((spec, params))
         if free:
             machine = free.pop()
-            machine.reset(programs, seed=seed, watchdog=watchdog)
+            machine.reset(programs, seed, fault_plan, watchdog)
             self.reuses += 1
             return machine
         self.builds += 1
-        return Machine(params, spec, programs, seed=seed, watchdog=watchdog)
+        return Machine(params, spec, programs, seed, fault_plan, watchdog)
 
     def release(self, machine: Machine) -> None:
         """Return a machine whose run completed cleanly."""
         key = (machine.spec, machine.params)
         free = self._free.setdefault(key, [])
         if len(free) < self.max_per_key:
-            # Drop the bulk run state now (event queues, caches,
-            # directory, functional memory, CPUs) so parked machines
-            # stay small; acquire() still runs the full reset()
-            # contract before handing the machine out again.
-            machine.engine.reset()
-            machine.memsys.reset([])
-            machine.cpus = []
+            # Parked machines stay small: no event queues, caches,
+            # functional memory, CPUs or injector.
+            machine.reset(())
             free.append(machine)
         else:
             machine.teardown()

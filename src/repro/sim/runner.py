@@ -11,8 +11,8 @@ short-lived objects, which used to trigger hundreds of collector passes
 per grid; refcounting already frees them, and a pooled run leaves no
 cyclic garbage (pinned by ``tests/test_gc_pause.py``), so the passes
 found nothing.  A machine that does not go back to the pool (an
-unpooled or fault-planned run, a raising run, a full pool) is torn
-down (:meth:`Machine.teardown`), so refcounting frees it too.
+unpooled run, a raising run, a full pool) is torn down
+(:meth:`Machine.teardown`), so refcounting frees it too.
 """
 
 from __future__ import annotations
@@ -60,10 +60,8 @@ class RunConfig:
     #: from the process-global pool and returns the machine after a
     #: clean run; ``False`` always constructs fresh; a MachinePool
     #: instance uses that pool.  Pooled runs are bit-identical to fresh
-    #: ones (pinned by the pooled-vs-fresh equivalence suite).  The
-    #: pool is bypassed when a fault plan is armed — the injector sets
-    #: the components' declared chaos slots, which ``Machine.reset``
-    #: does not clear, so those runs build fresh machines.
+    #: ones (pinned by the pooled-vs-fresh equivalence suite), with or
+    #: without a fault plan.
     machine_pool: Optional[object] = None
 
 
@@ -119,29 +117,21 @@ def _run_cell(
         build = workload.build(config.threads, config.scale, config.seed)
     params = config.params
     pool = config.machine_pool
-    if config.fault_plan is not None or pool is False:
+    if pool is False:
         pool = None
     elif pool is None:
         from repro.sim.pool import global_pool
 
         pool = global_pool()
-    if pool is not None:
-        machine = pool.acquire(
-            params,
-            config.spec,
-            build.programs,
-            seed=config.seed,
-            watchdog=config.watchdog,
-        )
-    else:
-        machine = Machine(
-            params,
-            config.spec,
-            build.programs,
-            seed=config.seed,
-            fault_plan=config.fault_plan,
-            watchdog=config.watchdog,
-        )
+    make = Machine if pool is None else pool.acquire
+    machine = make(
+        params,
+        config.spec,
+        build.programs,
+        config.seed,
+        config.fault_plan,
+        config.watchdog,
+    )
     try:
         stats = _run_machine(machine, build, config)
     except BaseException:

@@ -34,26 +34,26 @@ PINNED_PYTHON = (3, 11)
 #: (workload, threads, scale, seed) -> system -> (total_calls, events).
 CALL_COUNTS = {
     ("intruder", 4, 0.05, 3): {
-        "CGL": (8882, 409),
-        "Baseline": (20283, 804),
-        "LosaTM-SAFU": (11312, 432),
-        "LockillerTM-RAI": (13246, 522),
-        "LockillerTM-RRI": (11494, 436),
-        "LockillerTM-RWI": (11345, 432),
-        "LockillerTM-RWL": (11318, 435),
-        "LockillerTM-RWIL": (11300, 432),
-        "LockillerTM": (11300, 432),
+        "CGL": (9228, 409),
+        "Baseline": (20629, 804),
+        "LosaTM-SAFU": (11658, 432),
+        "LockillerTM-RAI": (13592, 522),
+        "LockillerTM-RRI": (11840, 436),
+        "LockillerTM-RWI": (11691, 432),
+        "LockillerTM-RWL": (11664, 435),
+        "LockillerTM-RWIL": (11646, 432),
+        "LockillerTM": (11646, 432),
     },
     ("labyrinth", 8, 0.1, 42): {
-        "CGL": (81830, 4928),
-        "Baseline": (295613, 14322),
-        "LosaTM-SAFU": (332024, 15973),
-        "LockillerTM-RAI": (274634, 13437),
-        "LockillerTM-RRI": (403817, 18349),
-        "LockillerTM-RWI": (366128, 17510),
-        "LockillerTM-RWL": (261249, 10023),
-        "LockillerTM-RWIL": (273470, 10250),
-        "LockillerTM": (265946, 9690),
+        "CGL": (82172, 4928),
+        "Baseline": (295955, 14322),
+        "LosaTM-SAFU": (332366, 15973),
+        "LockillerTM-RAI": (274976, 13437),
+        "LockillerTM-RRI": (404159, 18349),
+        "LockillerTM-RWI": (366470, 17510),
+        "LockillerTM-RWL": (261591, 10023),
+        "LockillerTM-RWIL": (273812, 10250),
+        "LockillerTM": (266288, 9690),
     },
 }
 

@@ -10,9 +10,9 @@ class TestScheduling:
     def test_fires_in_time_order(self):
         eng = SimEngine()
         order = []
-        eng.schedule(30, lambda t: order.append(("c", t)))
-        eng.schedule(10, lambda t: order.append(("a", t)))
-        eng.schedule(20, lambda t: order.append(("b", t)))
+        eng.schedule_after(30, lambda t: order.append(("c", t)))
+        eng.schedule_after(10, lambda t: order.append(("a", t)))
+        eng.schedule_after(20, lambda t: order.append(("b", t)))
         eng.run()
         assert order == [("a", 10), ("b", 20), ("c", 30)]
 
@@ -20,23 +20,24 @@ class TestScheduling:
         eng = SimEngine()
         order = []
         for name in "abc":
-            eng.schedule(5, lambda t, n=name: order.append(n))
+            eng.schedule_after(5, lambda t, n=name: order.append(n))
         eng.run()
         assert order == ["a", "b", "c"]
 
     def test_schedule_after_relative(self):
         eng = SimEngine()
         seen = []
-        eng.schedule(10, lambda t: eng.schedule_after(5, seen.append))
+        eng.schedule_after(10, lambda t: eng.schedule_after(5, seen.append))
         eng.run()
         assert seen == [15]
 
     def test_rejects_past(self):
         eng = SimEngine()
-        eng.schedule(10, lambda t: None)
+        eng.schedule_after(10, lambda t: None)
         eng.run()
         with pytest.raises(SimulationError):
-            eng.schedule(5, lambda t: None)
+            eng.schedule_after(-5, lambda t: None)
+        assert eng.resident() == 0
 
     def test_rejects_negative_delay(self):
         eng = SimEngine()
@@ -46,8 +47,8 @@ class TestScheduling:
     def test_run_until_stops(self):
         eng = SimEngine()
         seen = []
-        eng.schedule(10, seen.append)
-        eng.schedule(20, seen.append)
+        eng.schedule_after(10, seen.append)
+        eng.schedule_after(20, seen.append)
         eng.run(until=15)
         assert seen == [10]
         assert eng.pending() == 1
@@ -58,8 +59,8 @@ class TestScheduling:
         # A truncated run ends at the truncation point, not at the last
         # processed event: time has observably passed up to `until`.
         eng = SimEngine()
-        eng.schedule(10, lambda t: None)
-        eng.schedule(20, lambda t: None)
+        eng.schedule_after(10, lambda t: None)
+        eng.schedule_after(20, lambda t: None)
         eng.run(until=15)
         assert eng.now == 15
 
@@ -71,7 +72,7 @@ class TestScheduling:
     def test_run_until_exact_event_time_runs_event(self):
         eng = SimEngine()
         seen = []
-        eng.schedule(15, seen.append)
+        eng.schedule_after(15, seen.append)
         eng.run(until=15)
         assert seen == [15]
         assert eng.now == 15
@@ -81,7 +82,7 @@ class TestScheduling:
         # to the cutoff, so back-to-back run(until=...) windows compose.
         eng = SimEngine()
         seen = []
-        eng.schedule(10, lambda t: None)
+        eng.schedule_after(10, lambda t: None)
         eng.run(until=15)
         eng.schedule_after(5, seen.append)
         eng.run()
@@ -93,15 +94,15 @@ class TestCancellation:
     def test_cancelled_event_skipped(self):
         eng = SimEngine()
         seen = []
-        token = eng.schedule(10, seen.append)
-        eng.schedule(20, seen.append)
+        token = eng.schedule_after(10, seen.append)
+        eng.schedule_after(20, seen.append)
         token.cancel()
         eng.run()
         assert seen == [20]
 
     def test_cancel_is_idempotent(self):
         eng = SimEngine()
-        token = eng.schedule(10, lambda t: None)
+        token = eng.schedule_after(10, lambda t: None)
         token.cancel()
         token.cancel()
         eng.run()
@@ -114,21 +115,21 @@ class TestStepAndAccounting:
     def test_step_processes_one(self):
         eng = SimEngine()
         seen = []
-        eng.schedule(1, seen.append)
-        eng.schedule(2, seen.append)
+        eng.schedule_after(1, seen.append)
+        eng.schedule_after(2, seen.append)
         assert eng.step()
         assert seen == [1]
 
     def test_events_processed_counter(self):
         eng = SimEngine()
         for i in range(5):
-            eng.schedule(i, lambda t: None)
+            eng.schedule_after(i, lambda t: None)
         eng.run()
         assert eng.events_processed == 5
 
     def test_now_tracks_last_event(self):
         eng = SimEngine()
-        eng.schedule(42, lambda t: None)
+        eng.schedule_after(42, lambda t: None)
         eng.run()
         assert eng.now == 42
 
@@ -138,7 +139,7 @@ class TestStepAndAccounting:
         def respawn(t):
             eng.schedule_after(1, respawn)
 
-        eng.schedule(0, respawn)
+        eng.schedule_after(0, respawn)
         with pytest.raises(SimulationError):
             eng.run()
 
@@ -151,7 +152,7 @@ class TestStepAndAccounting:
             if t < 5:
                 eng.schedule_after(1, chain)
 
-        eng.schedule(0, chain)
+        eng.schedule_after(0, chain)
         eng.run()
         assert seen == [0, 1, 2, 3, 4, 5]
 
@@ -177,7 +178,7 @@ class TestCalendarRingEdgeCases:
 
             return fire
 
-        eng.schedule(7, spawn(0))
+        eng.schedule_after(7, spawn(0))
         eng.run()
         assert seen == [(d, 7) for d in range(51)]
         assert eng.now == 7
@@ -310,7 +311,7 @@ class TestCalendarRingEdgeCases:
         # a same-cycle event allocated (for real) in between.
         eng = SimEngine()
         seen = []
-        eng.schedule(10, lambda t: None)
+        eng.schedule_after(10, lambda t: None)
         eng.run()  # now = 10
         eng.schedule_after_virtual(5, lambda t: seen.append("early-v"), -3)
         eng.schedule_after(5, lambda t: seen.append("plain"))
@@ -324,7 +325,7 @@ class TestCalendarRingEdgeCases:
         # One heap holds every event: heap_events counts each schedule,
         # cancelled ones included, and the ring tier counter stays 0.
         eng = SimEngine()
-        eng.schedule(5, lambda t: None)
+        eng.schedule_after(5, lambda t: None)
         eng.schedule_after(0, lambda t: None)
         eng.schedule_after_nocancel(1, lambda t: None)
         eng.schedule_after_virtual(300, lambda t: None, -2)

@@ -85,7 +85,7 @@ class ProbePool(MachinePool):
     def acquire(self, *args, **kwargs):
         self.seen.append(("acquire", gc.isenabled()))
         machine = super().acquire(*args, **kwargs)
-        machine.engine.schedule(0, self._probe)
+        machine.engine.schedule_after(0, self._probe)
         return machine
 
     def _probe(self, now):

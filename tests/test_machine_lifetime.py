@@ -4,8 +4,9 @@ The CPUs, queued events and wired callbacks of a machine point back at
 it.  Every machine that does not go back to a pool is torn down
 (``Machine.teardown``), so these tests hold the collector off and
 require a weak reference to such a machine to die at once: after an
-unpooled, fault-planned or raising ``run_workload``, after a release
-into a full free list, and after ``MachinePool.clear()``.
+unpooled or raising ``run_workload``, after a release into a full free
+list, and after ``MachinePool.clear()``.  A machine parked in a pool
+keeps nothing of its last run, its fault injector included.
 """
 
 import gc
@@ -80,9 +81,29 @@ def test_unpooled_machine_dies_with_its_run(
     assert len(built) == 1 and built[0]() is None
 
 
-def test_fault_planned_machine_dies_with_its_run(built, collector_off):
-    _run(fault_plan=chaos_monkey())
-    assert len(built) == 1 and built[0]() is None
+class InjectorPool(MachinePool):
+    """A pool that keeps a weak reference to each run's injector."""
+
+    def __init__(self):
+        super().__init__()
+        self.injectors = []
+
+    def acquire(self, *args, **kwargs):
+        machine = super().acquire(*args, **kwargs)
+        self.injectors.append(weakref.ref(machine.injector))
+        return machine
+
+
+def test_parked_fault_planned_machine_drops_its_injector(
+    built, collector_off
+):
+    pool = InjectorPool()
+    _run(fault_plan=chaos_monkey(), machine_pool=pool)
+    (injector,) = pool.injectors
+    assert injector() is None
+    assert len(built) == 1 and built[0]() is not None  # parked, reusable
+    pool.clear()
+    assert built[0]() is None
 
 
 def test_raising_run_drops_its_machine(built, collector_off):

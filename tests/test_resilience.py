@@ -269,7 +269,7 @@ class TestStructuredErrors:
         def respawn(t):
             eng.schedule_after(1, respawn)
 
-        eng.schedule(0, respawn)
+        eng.schedule_after(0, respawn)
         with pytest.raises(EventBudgetError):
             for _ in range(100):
                 if not eng.step():

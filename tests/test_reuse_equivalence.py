@@ -1,17 +1,23 @@
 """Shared-build and pooled-machine equivalence suites.
 
-PR 7's structural reuse (shared WorkloadBuilds, the machine pool) is
-pure plumbing: a run on a shared build or a pooled machine must be
+Structural reuse (shared WorkloadBuilds, the machine pool) is pure
+plumbing: a run on a shared build or a pooled machine must be
 bit-identical to a run on a fresh one.  These tests pin that over the
 full Table-II system set on the same contended cell the golden pins use
-(intruder / 4 threads / scale 0.05 / seed 3).
+(intruder / 4 threads / scale 0.05 / seed 3), with and without a fault
+plan, and check field by field that a reset machine equals a fresh one.
 """
+
+import enum
+import types
+from collections import deque
 
 import pytest
 
 from repro.common.params import typical_params
 from repro.harness.export import fingerprint
 from repro.harness.systems import TABLE_ORDER, get_system
+from repro.resilience.faults import get_plan, plan_names
 from repro.sim.machine import Machine
 from repro.sim.pool import MachinePool
 from repro.sim.runner import RunConfig, run_workload
@@ -87,23 +93,6 @@ class TestPooledVsFresh:
         assert pool.reuses == 1
         assert fingerprint(pooled) == fingerprint(fresh)
 
-    def test_fault_plan_bypasses_pool(self):
-        from repro.resilience.faults import get_plan, plan_names
-
-        wl = get_workload("ssca2")
-        pool = MachinePool()
-        run_workload(
-            wl,
-            _cfg(
-                "CGL",
-                threads=2,
-                seed=1,
-                machine_pool=pool,
-                fault_plan=get_plan(plan_names()[0]),
-            ),
-        )
-        assert pool.builds == 0 and pool.reuses == 0 and pool.releases == 0
-
     def test_default_config_uses_global_pool(self):
         from repro.sim.pool import global_pool
 
@@ -166,3 +155,140 @@ class TestMachineReset:
         ) == fingerprint(
             RunStats(execution_cycles=want_cycles, cores=fresh.core_stats)
         )
+
+
+class TestPooledChaos:
+    """Fault-planned runs take the pool and stay bit-identical."""
+
+    @pytest.mark.parametrize("system", ["CGL", "Baseline", "LockillerTM"])
+    @pytest.mark.parametrize("plan", plan_names())
+    def test_pooled_equals_fresh(self, plan, system):
+        wl = get_workload("intruder")
+        pool = MachinePool()
+        fresh = run_workload(wl, _cfg(system, fault_plan=get_plan(plan)))
+        built = run_workload(
+            wl, _cfg(system, fault_plan=get_plan(plan), machine_pool=pool)
+        )
+        assert (pool.builds, pool.reuses) == (1, 0)
+        reused = run_workload(
+            wl, _cfg(system, fault_plan=get_plan(plan), machine_pool=pool)
+        )
+        assert (pool.builds, pool.reuses) == (1, 1)
+        for run in (built, reused):
+            assert run.execution_cycles == fresh.execution_cycles
+            assert fingerprint(run) == fingerprint(fresh)
+
+    def test_clean_run_after_sig_storm_matches_fresh(self):
+        # The overflow signatures' false-positive hook is a chaos slot:
+        # left wired to the sig-storm run's injector, the pooled machine
+        # runs this cell in 265 137 cycles instead of 283 975.
+        wl = get_workload("labyrinth")
+        pool = MachinePool()
+        cell = dict(threads=8, scale=0.1, seed=42)
+        run_workload(
+            wl,
+            _cfg(
+                "LockillerTM",
+                fault_plan=get_plan("sig-storm"),
+                machine_pool=pool,
+                **cell,
+            ),
+        )
+        pooled = run_workload(
+            wl, _cfg("LockillerTM", machine_pool=pool, **cell)
+        )
+        fresh = run_workload(wl, _cfg("LockillerTM", **cell))
+        assert pool.reuses == 1
+        assert pooled.execution_cycles == fresh.execution_cycles == 283_975
+        assert fingerprint(pooled) == fingerprint(fresh)
+
+
+#: Pure memos a run may fill and a reset keeps: (class name, attribute).
+PURE_MEMOS = {("MemorySystem", "_grants")}
+
+_SCALARS = (int, float, str, bytes, bool, type(None), enum.Enum)
+_CONTAINERS = (list, tuple, deque, set, frozenset, dict)
+
+
+def _fields(obj):
+    """Attribute name -> value over ``obj``'s slots and ``__dict__``."""
+    names = []
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.extend([slots] if isinstance(slots, str) else slots)
+    names.extend(getattr(obj, "__dict__", {}))
+    return {
+        n: getattr(obj, n)
+        for n in names
+        if n not in ("__dict__", "__weakref__") and hasattr(obj, n)
+    }
+
+
+def state_diff(a, b, path="machine"):
+    """Paths where the ``repro`` object graphs under ``a`` and ``b``
+    differ: scalars unequal, containers of unequal length, callables
+    pointing at different functions, or objects of different types."""
+    diffs = []
+    seen = set()
+
+    def walk(a, b, path):
+        if a is b:
+            return
+        if type(a) is not type(b):
+            diffs.append(f"{path}: {type(a).__name__} != {type(b).__name__}")
+        elif isinstance(a, _SCALARS):
+            if a != b:
+                diffs.append(f"{path}: {a!r} != {b!r}")
+        elif isinstance(a, types.MethodType):
+            if a.__func__ is not b.__func__:
+                diffs.append(f"{path}: {a.__func__} != {b.__func__}")
+        elif isinstance(a, types.FunctionType):
+            if a.__code__ is not b.__code__:
+                diffs.append(f"{path}: {a.__code__} != {b.__code__}")
+        elif isinstance(a, _CONTAINERS):
+            if len(a) != len(b):
+                diffs.append(f"{path}: len {len(a)} != {len(b)}")
+            elif isinstance(a, dict):
+                if a.keys() == b.keys():
+                    for k in a:
+                        walk(a[k], b[k], f"{path}[{k!r}]")
+                else:
+                    diffs.append(f"{path}: keys differ")
+            elif not isinstance(a, (set, frozenset)):
+                for i, (x, y) in enumerate(zip(a, b)):
+                    walk(x, y, f"{path}[{i}]")
+        elif type(a).__module__.startswith("repro."):
+            if (id(a), id(b)) in seen:
+                return
+            seen.add((id(a), id(b)))
+            fa, fb = _fields(a), _fields(b)
+            if fa.keys() != fb.keys():
+                diffs.append(f"{path}: fields {sorted(fa.keys() ^ fb.keys())}")
+            for name in fa:
+                if name in fb and (type(a).__name__, name) not in PURE_MEMOS:
+                    walk(fa[name], fb[name], f"{path}.{name}")
+
+    walk(a, b, path)
+    return sorted(diffs)
+
+
+class TestResetEqualsFresh:
+    """A reset machine equals a fresh one, field by field."""
+
+    @pytest.mark.parametrize("plan", plan_names())
+    def test_reset_after_fault_planned_run(self, plan):
+        params = typical_params()
+        spec = get_system("LockillerTM")
+        build = get_workload("intruder").build(4, 0.05, 3)
+        fresh = Machine(params, spec, build.programs, seed=3)
+        used = Machine(
+            params, spec, build.programs, seed=3, fault_plan=get_plan(plan)
+        )
+        used.run()
+        # The walk reaches the run's state, the declared chaos slots too.
+        assert (
+            "machine.memsys.of_rd_sig.chaos_fp: method != NoneType"
+            in state_diff(used, fresh)
+        )
+        used.reset(build.programs, seed=3)
+        assert state_diff(used, fresh) == []

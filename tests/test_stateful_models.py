@@ -321,13 +321,6 @@ class EngineModel(RuleBasedStateMachine):
 
     # -- rules ----------------------------------------------------------
 
-    @rule(offset=DELAYS, action=ACTIONS)
-    def schedule(self, offset, action):
-        eid = self._new_event(action)
-        when = self.eng.now + offset
-        self.tokens[eid] = self.eng.schedule(when, self._callback(eid))
-        self._push(eid, when, self.now)
-
     @rule(delay=DELAYS, action=ACTIONS)
     def schedule_after(self, delay, action):
         eid = self._new_event(action)
@@ -381,9 +374,6 @@ class EngineModel(RuleBasedStateMachine):
             eng.schedule_after_virtual_nocancel(
                 delay, lambda t: None, delay + 1
             )
-        if eng.now > 0:
-            with pytest.raises(SimulationError):
-                eng.schedule(eng.now - 1, lambda t: None)
 
     @rule()
     def step(self):
