@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 OP_COMPUTE = 0
 OP_LOAD = 1
@@ -52,11 +52,30 @@ OP_NAMES = {
 }
 
 
+#: Most distinct cycle counts :data:`_COMPUTE_OPS` holds.  The nine
+#: workloads use a few hundred; past the cap, ops are built fresh.
+MAX_COMPUTE_OPS = 4096
+
+#: One shared ``compute(n)`` op per exact-``int`` cycle count.  Ops are
+#: immutable, so every program can hold the same tuple.  Only exact
+#: ints are interned: ``2``, ``2.0`` and ``True`` are equal dict keys,
+#: and sharing would hand one caller another's operand type.
+_COMPUTE_OPS: Dict[int, Op] = {}
+
+
 def compute(cycles: int) -> Op:
-    """``cycles`` cycles of local computation."""
+    """``cycles`` cycles of local computation (one shared op per count)."""
+    exact = type(cycles) is int
+    if exact:
+        op = _COMPUTE_OPS.get(cycles)
+        if op is not None:
+            return op
     if cycles <= 0:
         raise ValueError("compute must take at least 1 cycle")
-    return (OP_COMPUTE, cycles, 0)
+    op = (OP_COMPUTE, cycles, 0)
+    if exact and len(_COMPUTE_OPS) < MAX_COMPUTE_OPS:
+        _COMPUTE_OPS[cycles] = op
+    return op
 
 
 def load(addr: int) -> Op:
@@ -164,6 +183,45 @@ Program = List[Segment]
 Burst = Tuple[int, Tuple[Tuple[int, int], ...], "Op | None", int]
 
 
+#: Most distinct step patterns each of :data:`_ONE_STEP` and
+#: :data:`_STEPS` holds.  The nine workloads use a few hundred;
+#: :mod:`repro.sim.fuzz` draws many more.  Past the cap, patterns are
+#: built fresh.
+MAX_STEP_PATTERNS = 8192
+
+#: Shared single-step ``steps`` tuples ``((0, n),)``, keyed by ``n``.
+#: Most bursts have one elided compute, so this table serves them
+#: without building the pair.  Exact-``int`` ``n`` only (see
+#: :data:`_COMPUTE_OPS`).
+_ONE_STEP: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+
+#: Shared multi-step ``steps`` tuples, keyed by themselves; every ``n``
+#: in a key is an exact ``int``.
+_STEPS: Dict[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]] = {}
+
+
+def _one_step(n: int) -> Tuple[Tuple[int, int], ...]:
+    if type(n) is not int:
+        return ((0, n),)
+    steps = _ONE_STEP.get(n)
+    if steps is None:
+        steps = ((0, n),)
+        if len(_ONE_STEP) < MAX_STEP_PATTERNS:
+            _ONE_STEP[n] = steps
+    return steps
+
+
+def _multi_step(pairs: List[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    steps = tuple(pairs)
+    if all(type(n) is int for _, n in steps):
+        shared = _STEPS.get(steps)
+        if shared is not None:
+            return shared
+        if len(_STEPS) < MAX_STEP_PATTERNS:
+            _STEPS[steps] = steps
+    return steps
+
+
 def coalesce_ops(ops: Sequence[Op]) -> Tuple[Burst, ...]:
     """Flatten an op stream into compute bursts.
 
@@ -171,21 +229,34 @@ def coalesce_ops(ops: Sequence[Op]) -> Tuple[Burst, ...]:
     at most one terminal memop/fault.  The CPU model schedules one
     continuation per burst instead of one per op; ``steps`` preserves
     every elided boundary so instruction retirement (priority input) and
-    abort/replay points are bit-identical to the one-op layout.
+    abort/replay points are bit-identical to the one-op layout.  Equal
+    ``steps`` tuples are shared across segments and builds.
     """
     bursts: List[Burst] = []
-    c = 0
-    steps: List[Tuple[int, int]] = []
+    c = 0  # compute cycles elided so far
+    k = 0  # compute ops elided so far
+    last = 0  # cycles of the last elided compute
+    pairs: List[Tuple[int, int]] = []  # (offset, n) once k >= 2
     for op in ops:
         if op[0] == OP_COMPUTE:
-            steps.append((c, op[1]))
-            c += op[1]
-        else:
-            bursts.append((c, tuple(steps), op, steps[-1][1] if steps else 0))
-            c = 0
-            steps = []
-    if steps:
-        bursts.append((c, tuple(steps), None, steps[-1][1]))
+            n = op[1]
+            if k == 1:
+                pairs = [(0, last), (c, n)]
+            elif k:
+                pairs.append((c, n))
+            c += n
+            k += 1
+            last = n
+            continue
+        if k == 0:
+            bursts.append((0, (), op, 0))
+            continue
+        steps = _one_step(last) if k == 1 else _multi_step(pairs)
+        bursts.append((c, steps, op, last))
+        c = k = last = 0
+    if k:
+        steps = _one_step(last) if k == 1 else _multi_step(pairs)
+        bursts.append((c, steps, None, last))
     return tuple(bursts)
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -43,6 +45,18 @@ PARAMS_TAGS = {
 }
 
 KINDS = ("sweep", "multiseed")
+
+#: Most campaigns :data:`_EXPANSIONS` holds; the least recently
+#: expanded goes first.
+MAX_EXPANSIONS = 256
+
+#: Expanded campaigns, keyed by the frozen spec's value, so every
+#: submit of one campaign shares one tuple of cells.  Equal specs
+#: expand to equal cells: the cell fields and keys coerce the numeric
+#: coordinates.
+_EXPANSIONS: "OrderedDict[CampaignSpec, Tuple[CellSpec, ...]]" = OrderedDict()
+#: The service's event loop and its callers' threads both expand.
+_EXPANSIONS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -121,8 +135,26 @@ class CampaignSpec:
             * len(self.params_tags)
         )
 
-    def cells(self) -> List[CellSpec]:
-        """Expand to cells in exactly ``Sweep.points`` order."""
+    def cells(self) -> Tuple[CellSpec, ...]:
+        """Expand to cells in exactly ``Sweep.points`` order.
+
+        Repeat campaigns are served from a bounded memo: the returned
+        tuple is shared, like the frozen cells in it.
+        """
+        with _EXPANSIONS_LOCK:
+            try:
+                cells = _EXPANSIONS.get(self)
+            except TypeError:  # a field holds a list: unhashable, unshared
+                return self._expand()
+            if cells is None:
+                cells = _EXPANSIONS[self] = self._expand()
+                if len(_EXPANSIONS) > MAX_EXPANSIONS:
+                    _EXPANSIONS.popitem(last=False)
+            else:
+                _EXPANSIONS.move_to_end(self)
+        return cells
+
+    def _expand(self) -> Tuple[CellSpec, ...]:
         specs = {s: resolve_system(s) for s in self.systems}
         params = {t: PARAMS_TAGS[t]() for t in self.params_tags}
         key_of = cell_keyer()
@@ -151,7 +183,7 @@ class CampaignSpec:
                     key=key_of(wl, spec, p, th, self.scale, seed),
                 )
             )
-        return out
+        return tuple(out)
 
     def to_sweep(self):
         """The equivalent serial :class:`~repro.harness.sweeps.Sweep`."""

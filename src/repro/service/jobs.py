@@ -31,7 +31,7 @@ import asyncio
 import json
 import os
 from enum import Enum
-from typing import BinaryIO, Dict, List, Optional
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from repro.harness.runcache import StoredResult
 from repro.service.campaigns import CampaignSpec, CellSpec
@@ -80,7 +80,7 @@ class Job:
         self.submit_seq = submit_seq
         self.state = JobState.QUEUED
         self.error: Optional[str] = None
-        self.cells: List[CellSpec] = campaign.cells()
+        self.cells: Tuple[CellSpec, ...] = campaign.cells()
         #: Per-cell record, set when the cell is delivered.
         self.results: List[Optional[StoredResult]] = (
             [None] * len(self.cells)

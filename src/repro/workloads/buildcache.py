@@ -4,11 +4,14 @@ A build is a pure function of ``(workload, threads, scale, seed)`` —
 :meth:`Workload.build` derives its RNG substream from exactly those
 coordinates — and nothing in the simulator mutates a build after
 construction: programs are read-only op lists, ``expected`` is only read
-by verification, and the per-segment burst plans the CPUs warm up are
-idempotent memos on the segment objects.  So the same build can back
-every cell of a sweep that shares its coordinates (every system of the
-Table-II grid, for one), and ``make_txn``'s RNG stream runs once per
-distinct key instead of once per cell.
+by verification, and each segment's burst plan (``_bursts``) is built
+once, by ``Segment.__post_init__``, and only read by the CPUs.  So the
+same build can back every cell of a sweep that shares its coordinates
+(every system of the Table-II grid, for one), and ``make_txn``'s RNG
+stream runs once per distinct key instead of once per cell.  Builds
+also share their compute ops and burst ``steps`` tuples with each other
+(:mod:`repro.htm.isa` interns them), so a cached build costs less than
+its op count suggests.
 
 Bit-identity of shared-vs-fresh builds is pinned by the golden
 equivalence test.  The cache is per-process (sweep workers each warm

@@ -33,6 +33,7 @@ def make_txn(
     ops: List[Op] = []
     if pre_compute > 0:
         ops.append(compute(pre_compute))
+    step = compute(per_op_compute) if per_op_compute > 0 else None
     stream: List[object] = [load(a) for a in reads] + [
         store(a, d) for a, d in writes
     ] + [("rmw", a, d) for a, d in rmw_pairs]
@@ -42,8 +43,8 @@ def make_txn(
     for i, op in enumerate(stream):
         if fault_at is not None and i == fault_at:
             ops.append(fault(persistent=fault_persistent))
-        if per_op_compute > 0:
-            ops.append(compute(per_op_compute))
+        if step is not None:
+            ops.append(step)
         if op[0] == "rmw":
             ops.append(load(op[1]))
             ops.append(store(op[1], op[2]))

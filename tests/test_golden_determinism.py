@@ -138,6 +138,33 @@ class TestLadderPin:
         assert (merged.commits, merged.total_aborts) == (commits, aborts)
 
 
+#: The cheapest headline-grid cell the PR-5 timing change moved (+0.02%),
+#: (workload, system, threads, scale, seed) -> (execution_cycles,
+#: fingerprint, commits, total_aborts).  The other seven are at 32
+#: threads.
+PR5_CELL = {
+    ("intruder", "LockillerTM", 8, 0.25, 42): (
+        33518, "e690fbce0464485e", 370, 103,
+    ),
+}
+
+
+class TestPr5CellPin:
+    @pytest.mark.parametrize("cell", sorted(PR5_CELL))
+    def test_pr5_cell(self, cell):
+        workload, system, threads, scale, seed = cell
+        stats = run_workload(
+            get_workload(workload),
+            RunConfig(spec=get_system(system), threads=threads, scale=scale,
+                      seed=seed),
+        )
+        merged = stats.merged()
+        assert (
+            stats.execution_cycles, fingerprint(stats), merged.commits,
+            merged.total_aborts,
+        ) == PR5_CELL[cell]
+
+
 #: Fused-vs-per-message cells beyond the golden one.  At 16 threads
 #: the contended kernels take cache-to-cache forwards, victim aborts
 #: and, on vacation+, NACKs; the last cell runs three-level caches.

@@ -20,6 +20,7 @@ import os
 import pstats
 import sys
 import threading
+from collections import OrderedDict
 from typing import List
 
 import pytest
@@ -43,6 +44,7 @@ from repro.harness.runcache import (
 from repro.harness.sweeps import Sweep
 from repro.harness.systems import get_system
 from repro.service import CampaignSpec, ServiceClient, ShardedStore
+from repro.service import campaigns
 from repro.service import store as store_mod
 from repro.service.campaigns import PARAMS_TAGS
 from repro.service.jobs import Job, JobState
@@ -82,6 +84,7 @@ def reference_cell_key(workload, spec, params, threads, scale, seed):
 class TestKeyOnce:
     def test_warm_campaign_canonicalizes_each_object_once(self):
         spec = CampaignSpec.from_dict(WARM)
+        campaigns._EXPANSIONS.pop(spec, None)  # count a cold expansion
         prof = cProfile.Profile()
         prof.enable()
         cells = spec.cells()
@@ -142,6 +145,109 @@ class TestKeyOnce:
         assert a == cell_key("ssca2", spec, p, 2, 0.05, 1)
         assert b == cell_key("ssca2", spec, as_float, 2, 0.05, 1)
         assert a != b
+
+
+#: A one-cell campaign; each field of it is varied in turn below.
+ONE_CELL = {
+    "kind": "sweep", "workloads": ["ssca2"], "systems": ["CGL"],
+    "threads": [1], "seeds": [1], "scale": 0.01,
+    "params_tags": ["typical"],
+}
+
+
+class TestExpansionMemo:
+    def test_repeat_campaign_shares_one_expansion(self):
+        cells = CampaignSpec.from_dict(WARM).cells()
+        assert isinstance(cells, tuple)
+        assert CampaignSpec.from_dict(dict(WARM)).cells() is cells
+
+    @pytest.mark.parametrize("field,value", [
+        ("kind", "multiseed"), ("workloads", ["genome"]),
+        ("systems", ["LockillerTM"]), ("threads", [2]), ("seeds", [2]),
+        ("scale", 0.02), ("params_tags", ["small"]),
+    ])
+    def test_any_changed_field_gets_its_own_expansion(self, field, value):
+        base = CampaignSpec.from_dict(ONE_CELL).cells()
+        other = CampaignSpec.from_dict(dict(ONE_CELL, **{field: value}))
+        assert other.cells() is not base
+        assert other.cells() is other.cells()
+        if field != "kind":
+            assert other.cells()[0].key != base[0].key
+
+    def test_spec_holding_lists_expands_unshared(self):
+        spec = CampaignSpec(kind="sweep", workloads=["ssca2"],
+                            systems=["CGL"])
+        cells = spec.cells()
+        assert cells == CampaignSpec.from_dict(
+            dict(ONE_CELL, threads=[8], seeds=[42], scale=0.25)).cells()
+        assert spec.cells() is not cells
+
+    def test_memo_stays_within_its_cap(self):
+        def spec(seed):
+            return CampaignSpec.from_dict(dict(ONE_CELL, seeds=[seed]))
+
+        flood = range(1000, 1000 + campaigns.MAX_EXPANSIONS + 20)
+        for seed in flood:
+            spec(seed).cells()
+            assert len(campaigns._EXPANSIONS) <= campaigns.MAX_EXPANSIONS
+        # The least recently expanded went first; the latest stayed.
+        assert spec(flood[-1]) in campaigns._EXPANSIONS
+        assert spec(flood[0]) not in campaigns._EXPANSIONS
+
+    def test_threads_expanding_past_the_cap_keep_it(self, monkeypatch):
+        """Eight threads expand three campaigns through a two-entry memo
+        with a tiny switch interval: every hit may be the entry another
+        thread is evicting.  No lookup fails and the cap holds."""
+        monkeypatch.setattr(campaigns, "MAX_EXPANSIONS", 2)
+        monkeypatch.setattr(campaigns, "_EXPANSIONS", OrderedDict())
+        specs = [
+            CampaignSpec.from_dict(dict(ONE_CELL, seeds=[2000 + seed]))
+            for seed in range(3)
+        ]
+        errors = []
+
+        def expand(offset):
+            try:
+                for i in range(1500):
+                    spec = specs[(i + offset) % len(specs)]
+                    assert spec.cells()[0].seed == spec.seeds[0]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=expand, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(campaigns._EXPANSIONS) == 2
+
+    def test_warm_submits_share_cells_and_results_bytes(self, tmp_path):
+        """The first submit runs the cell; the two warm ones, served
+        from the store, share its expansion and answer the same bytes."""
+        with ServiceThread(
+            ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
+        ) as handle, ServiceClient(handle.host, handle.port) as client:
+            jobs = []
+            for _ in range(3):
+                job_id = client.submit(ONE_CELL)["job_id"]
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+                jobs.append(handle.service.jobs[job_id])
+            assert jobs[0].cells is jobs[1].cells is jobs[2].cells
+            bodies = [
+                handle.service.results_body(job).replace(
+                    job.job_id.encode(), b"J")
+                for job in jobs[1:]
+            ]
+        assert bodies[0] == bodies[1]
+        assert json.loads(bodies[0])["progress"]["cells_from_cache"] == 1
 
 
 class TestKeyPayload:

@@ -1,5 +1,7 @@
 """Tests for the STAMP-like workload generators."""
 
+import hashlib
+
 import pytest
 
 from repro.htm.isa import OP_FAULT, OP_LOAD, OP_STORE, Plain, Txn, program_stats
@@ -195,3 +197,104 @@ class TestWorkloadProfiles:
         for name, wl in WORKLOADS.items():
             assert wl.metadata()["name"] == name
             assert wl.summary
+
+
+#: (workload, threads, scale) -> :func:`build_digest` at seed 42: every
+#: workload at scale 0.05 on 1, 4 and 16 threads, and at the two grid
+#: scales (0.25, 0.1) on 8 and 16 threads.
+BUILD_DIGESTS = {
+    ("genome", 1, 0.05): "46926e0f9d55f4c3",
+    ("genome", 4, 0.05): "d18275a707cc7069",
+    ("genome", 16, 0.05): "9fbe8d9ba3fa186c",
+    ("intruder", 1, 0.05): "34e2b3d230d3460e",
+    ("intruder", 4, 0.05): "5d5accaa9db6d3b6",
+    ("intruder", 16, 0.05): "3d7bdef9cf999b07",
+    ("kmeans+", 1, 0.05): "c5ebaee174ff4110",
+    ("kmeans+", 4, 0.05): "1b8f25b07ef456f0",
+    ("kmeans+", 16, 0.05): "9de23bd1a6443d94",
+    ("kmeans-", 1, 0.05): "69310ce3a6198959",
+    ("kmeans-", 4, 0.05): "341171099847c4cc",
+    ("kmeans-", 16, 0.05): "9840d67b1f7375b0",
+    ("labyrinth", 1, 0.05): "3f362dee012290de",
+    ("labyrinth", 4, 0.05): "11b84e3aef5e0145",
+    ("labyrinth", 16, 0.05): "1dd5654c7c4d5211",
+    ("ssca2", 1, 0.05): "b88dad1bab5f5a67",
+    ("ssca2", 4, 0.05): "12ff8570e580aa44",
+    ("ssca2", 16, 0.05): "3668d6f89a33614e",
+    ("vacation+", 1, 0.05): "ffdd062a982e97f5",
+    ("vacation+", 4, 0.05): "e952e7c53196b3d0",
+    ("vacation+", 16, 0.05): "451f81f1388ccd11",
+    ("vacation-", 1, 0.05): "07e6f4f2d81108dd",
+    ("vacation-", 4, 0.05): "ed9ba5852e4b30a6",
+    ("vacation-", 16, 0.05): "470c4f210fc95de9",
+    ("yada", 1, 0.05): "ac1a5ca2fbb38441",
+    ("yada", 4, 0.05): "3ee2543f54c3ebc9",
+    ("yada", 16, 0.05): "64bcba36458d0ade",
+    ("genome", 8, 0.25): "9d9c95ce133faa9a",
+    ("genome", 16, 0.25): "743accbd7fd64cb5",
+    ("intruder", 8, 0.25): "d07fc076e3945b89",
+    ("intruder", 16, 0.25): "e7a460c1a1e9463a",
+    ("kmeans+", 8, 0.25): "5594f6a86cd42ce9",
+    ("kmeans+", 16, 0.25): "2fc64a31e3873f23",
+    ("kmeans-", 8, 0.25): "d665a1987dcdef33",
+    ("kmeans-", 16, 0.25): "c9988f0091ffc87f",
+    ("labyrinth", 8, 0.25): "a81263c40b038b60",
+    ("labyrinth", 16, 0.25): "5bedc37ffb6a8e54",
+    ("ssca2", 8, 0.25): "48ca960aadf7f047",
+    ("ssca2", 16, 0.25): "0292bb7c43208773",
+    ("vacation+", 8, 0.25): "13f0ce0d77f1a0f7",
+    ("vacation+", 16, 0.25): "9ed4bcff4cc35f1c",
+    ("vacation-", 8, 0.25): "dc8c81b5c650e6c7",
+    ("vacation-", 16, 0.25): "874d477f03ee95ce",
+    ("yada", 8, 0.25): "f19c7c77c5a5a84b",
+    ("yada", 16, 0.25): "6c016bf8b010a9d9",
+    ("genome", 8, 0.1): "989d7855ec2b20a1",
+    ("genome", 16, 0.1): "09630ce20862bcd8",
+    ("intruder", 8, 0.1): "5d1f0a58ca7f2e24",
+    ("intruder", 16, 0.1): "1d2b4e4c77256ef1",
+    ("kmeans+", 8, 0.1): "5f6c63bc66d9f954",
+    ("kmeans+", 16, 0.1): "9c88951e314cb58a",
+    ("kmeans-", 8, 0.1): "b8cf56a0d3094d89",
+    ("kmeans-", 16, 0.1): "0fa02f6bc0b0cdb7",
+    ("labyrinth", 8, 0.1): "d1c367e388da532d",
+    ("labyrinth", 16, 0.1): "0152e6264ac83d37",
+    ("ssca2", 8, 0.1): "9032e3b2cd9f898f",
+    ("ssca2", 16, 0.1): "9f806ce9716f22a3",
+    ("vacation+", 8, 0.1): "2e5df4cd1dda72d5",
+    ("vacation+", 16, 0.1): "e129a3ce186d969a",
+    ("vacation-", 8, 0.1): "1343694f0d1a160f",
+    ("vacation-", 16, 0.1): "6a3a8ee1b118527c",
+    ("yada", 8, 0.1): "9d06e6507b4c2bc1",
+    ("yada", 16, 0.1): "4c0a445ac44d22d0",
+}
+
+
+def build_digest(build) -> str:
+    """Value digest of a build's programs and expected memory image.
+
+    Hashes the ``repr`` of each segment's kind, tag, ops and bursts, then
+    of the sorted expectation.  ``repr`` sees values only (``2``,
+    ``2.0`` and ``True`` differ); pickle would also see which equal
+    objects a build shares, which is no part of its content.
+    """
+    h = hashlib.sha256()
+    for program in build.programs:
+        for seg in program:
+            h.update(repr((type(seg).__name__, getattr(seg, "tag", None),
+                           seg.ops, seg._bursts)).encode())
+    h.update(repr(sorted(build.expected.items())).encode())
+    return h.hexdigest()[:16]
+
+
+class TestBuildDigest:
+    def test_digests_cover_every_workload(self):
+        assert {w for w, _t, _s in BUILD_DIGESTS} == set(PAPER_ORDER)
+        assert len(BUILD_DIGESTS) == len(PAPER_ORDER) * (3 + 2 * 2)
+
+    def test_builds_match_pinned_digests(self):
+        got = {
+            cell: build_digest(get_workload(cell[0]).build(cell[1], cell[2], 42))
+            for cell in BUILD_DIGESTS
+        }
+        moved = sorted(c for c in got if got[c] != BUILD_DIGESTS[c])
+        assert not moved, f"build content moved: {moved}"
