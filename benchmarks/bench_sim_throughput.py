@@ -159,9 +159,9 @@ def test_end_to_end_with_telemetry(benchmark):
     """Same cell as above with a full telemetry session attached.
 
     Compare against ``test_end_to_end_simulation_rate`` to read off the
-    observability overhead (docs/OBSERVABILITY.md records the budget:
-    telemetry-off must be within noise, telemetry-on is the price of
-    the event wraps + span building).
+    observability overhead (docs/OBSERVABILITY.md records it: the
+    telemetry-off path is one slot test per lifecycle site, telemetry-on
+    pays the session's event handler, span building and finalize).
     """
     from repro.telemetry import Telemetry
 

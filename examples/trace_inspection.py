@@ -11,9 +11,12 @@ debugging loop you would actually use when a workload misbehaves:
   per core plus live-set / signature-fill counter tracks;
 * the hierarchical metrics registry (``core.N.*``, ``htm.nack.*``,
   ``noc.*``, ``lock_tx.*``);
-* the classic event tracer, which now rides the same telemetry event
-  bus — note ``attach`` is idempotent and ``detach`` restores the
-  machine's callbacks.
+* the hottest contended lines, from the session's per-line REJECT
+  counts;
+* the lifecycle event counts (``events.*``).
+
+The session is the machine's one observer: ``attach`` points the
+machine's event slots at it and ``detach`` clears them.
 
 Run:  python examples/trace_inspection.py
 """
@@ -21,7 +24,6 @@ Run:  python examples/trace_inspection.py
 from repro.common.params import typical_params
 from repro.harness.systems import get_system
 from repro.sim.machine import Machine
-from repro.sim.trace import TraceEvent, Tracer
 from repro.telemetry import Telemetry
 from repro.workloads.registry import get_workload
 
@@ -30,28 +32,20 @@ TRACE_PATH = "trace_inspection.trace.json"
 
 def main() -> None:
     telemetry = Telemetry()
-    tracer = Tracer(capacity=200_000)
-
     build = get_workload("intruder").build(threads=6, scale=0.15, seed=42)
     machine = Machine(
         typical_params(), get_system("LockillerTM"), build.programs, seed=42
     )
-    # Both consumers subscribe to the machine's telemetry hub, which
-    # feeds them from the components' event slots; attaching either
-    # twice is a harmless no-op.
     telemetry.attach(machine)
-    tracer.attach(machine)
-    tracer.attach(machine)  # idempotent: no second subscription, no error
     cycles = machine.run()
     failures = build.verify(machine.memsys.memory)
     assert not failures, failures
     telemetry.finalize(None, build)
 
-    print(f"run finished in {cycles} cycles; {len(tracer)} trace records\n")
-
     # -- the transaction timeline ------------------------------------
     timeline = telemetry.timeline
     summary = timeline.summary()
+    print(f"run finished in {cycles} cycles\n")
     print(
         f"timeline: {summary['spans']} spans, outcomes {summary['by_outcome']},"
         f" {summary['nacks']} NACKs inside transactions"
@@ -80,21 +74,15 @@ def main() -> None:
         print(f"  {name:32s} {reg.value(name)}")
 
     print("\nhottest contended lines (by reject events):")
-    for line, hits in tracer.contention_profile().hottest(5):
+    for line, hits in telemetry.reject_lines.most_common(5):
         print(f"  line {line:#x}: {hits} rejected requests")
 
-    counts = tracer.counts()
     print("\nevent counts:")
-    for event in TraceEvent:
-        if counts.get(event):
-            print(f"  {event.value:15s} {counts[event]}")
+    for name, count in reg.query("events").items():
+        print(f"  {name[len('events.'):]:15s} {count}")
 
-    print("\nlast 8 trace records:")
-    print(tracer.render_tail(8))
-
-    # Restore the machine's callbacks (reverse order, exact originals).
-    tracer.detach()
-    telemetry.detach()
+    telemetry.detach()  # every event slot is None again
+    assert machine._emit is None
 
 
 if __name__ == "__main__":

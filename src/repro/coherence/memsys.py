@@ -314,8 +314,8 @@ class MemorySystem:
         #: Fault injector (reject storm), wired by the Machine when a
         #: FaultPlan is armed; None = no injection, zero overhead.
         self.chaos = None
-        #: Telemetry event slot, set by the machine's TelemetryHub while
-        #: it has subscribers (see :mod:`repro.telemetry.events`).
+        #: Telemetry event slot, set while a telemetry session is
+        #: attached (see :mod:`repro.telemetry.session`).
         self._emit = None
 
     # ------------------------------------------------------------------

@@ -23,15 +23,3 @@ class MESI:
     @staticmethod
     def name(state: int) -> str:
         return MESI.NAMES[state]
-
-    @staticmethod
-    def can_read(state: int) -> bool:
-        return state != MESI.I
-
-    @staticmethod
-    def can_write(state: int) -> bool:
-        return state in (MESI.E, MESI.M)
-
-    @staticmethod
-    def is_owner_state(state: int) -> bool:
-        return state in (MESI.E, MESI.M)

@@ -1,5 +1,13 @@
 """The transaction-lifecycle event vocabulary.
 
+Each lifecycle site calls its component's ``_emit(time, kind, core,
+line, arg)`` slot (see :mod:`repro.telemetry.session`).  ``line`` is
+the cache line of ``REJECT``, ``OVERFLOW`` and ``SPILL``, else -1;
+``arg`` is the abort reason value (``TX_ABORT``), commit kind
+(``TX_COMMIT``), rejecting holder core (``REJECT``), pending-waiter
+count (``WAKEUP``), ``"granted"``/``"denied"`` (``SWITCH_*``) or the
+entered mode (``LOCK_BEGIN``: ``"tl"``, ``"fallback"`` or ``"cgl"``).
+
 Kept out of :mod:`repro.telemetry` (which re-exports it) so the
 components that emit events do not import the telemetry package.
 """
@@ -10,7 +18,7 @@ from enum import Enum
 
 
 class TraceEvent(str, Enum):
-    """Machine-level lifecycle events observable on the bus."""
+    """Machine-level lifecycle events passed to the event slots."""
 
     TX_BEGIN = "tx_begin"
     TX_COMMIT = "tx_commit"

@@ -10,7 +10,6 @@ independent of call order elsewhere.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator
 
 import numpy as np
 
@@ -63,7 +62,3 @@ class SplitMix64:
         if prob >= 1.0:
             return True
         return self.next_u64() < prob * (1 << 64)
-
-    def stream(self) -> Iterator[int]:
-        while True:
-            yield self.next_u64()

@@ -304,8 +304,8 @@ def trace_cell(
     Runs are pure functions of the cell key, so the traced re-run
     reproduces the cached result bit for bit while capturing the *why*.
     The result is stored under the cell's key (``cache=None`` means the
-    default cache directory), and ``<key>.metrics.json`` and, with a
-    timeline, ``<key>.trace.json`` (named ``label`` inside) are written
+    default cache directory), and ``<key>.metrics.json`` and
+    ``<key>.trace.json`` (named ``label`` inside) are written
     atomically next to ``<key>.json``.  Returns ``{"result": path,
     "metrics": path, "trace": path}``.
     """
@@ -332,8 +332,7 @@ def trace_cell(
     ))
     out = {"result": rc.path_for(key)}
     out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))
-    if tel.timeline is not None:
-        out["trace"] = tel.write_trace(
-            artifact_path(rc, key, "trace"), run_label=label
-        )
+    out["trace"] = tel.write_trace(
+        artifact_path(rc, key, "trace"), run_label=label
+    )
     return out

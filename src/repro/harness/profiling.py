@@ -3,9 +3,9 @@
 Two complementary views of one run:
 
 * **cProfile** over the pure hot path (build excluded, no telemetry
-  subscriber, so every event slot is None and the numbers are the
-  numbers the sweeps actually pay),
-  reduced to a top-N table sorted by cumulative or internal time;
+  session, so every event slot is None and the numbers are the numbers
+  the sweeps actually pay), reduced to a top-N table sorted by
+  cumulative or internal time;
 * **per-subsystem event attribution** pulled *after* the run through the
   same ``publish_telemetry`` hooks the telemetry session uses — event
   and message counts per subsystem (scheduler tiers, NoC, memory

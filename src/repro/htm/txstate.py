@@ -197,8 +197,3 @@ class TxState:
     @property
     def footprint_lines(self) -> int:
         return len(self.read_set | self.write_set)
-
-    @property
-    def priority_base(self) -> int:
-        """Lock-mode transactions outrank all speculative ones."""
-        return LOCK_PRIORITY if self.mode.is_lock_mode else 0

@@ -2,6 +2,5 @@
 
 from repro.interconnect.topology import MeshTopology
 from repro.interconnect.network import NetworkModel
-from repro.interconnect.message import MessageClass
 
-__all__ = ["MeshTopology", "NetworkModel", "MessageClass"]
+__all__ = ["MeshTopology", "NetworkModel"]

@@ -14,10 +14,9 @@ in the coherence layer) is the first-order queueing effect for STAMP on
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.params import NetworkParams
-from repro.interconnect.message import MSG_CLASS, MessageClass, MsgType
 from repro.interconnect.topology import MeshTopology
 
 
@@ -40,7 +39,6 @@ class NetworkModel:
         "_hops_table",
         "_n_tiles",
         "_stateless",
-        "_lat_by_hops",
         "_ctrl_by_hops",
         "_data_by_hops",
         "messages_sent",
@@ -65,24 +63,8 @@ class NetworkModel:
         #: No link contention is modeled — latency is a pure function of
         #: (hops, class), so it can be memoized once per geometry.
         self._stateless = not params.model_contention
-        self._lat_by_hops = {
-            cls: [
-                (
-                    params.router_latency + tail
-                    if h == 0
-                    else h * self._per_hop + tail
-                )
-                for h in range(topology.max_hops + 1)
-            ]
-            for cls, tail in (
-                (MessageClass.CONTROL, self._ctrl_tail),
-                (MessageClass.DATA, self._data_tail),
-            )
-        }
-        # Direct per-class aliases: the dominant call sites know their
-        # class statically, so they can skip the enum-keyed dict hop.
-        self._ctrl_by_hops = self._lat_by_hops[MessageClass.CONTROL]
-        self._data_by_hops = self._lat_by_hops[MessageClass.DATA]
+        self._ctrl_by_hops = self._by_hops(self._ctrl_tail)
+        self._data_by_hops = self._by_hops(self._data_tail)
         #: Simulation clock; wired by the Machine when contention
         #: modeling is armed (defaults to a constant 0 = relative time).
         self.clock: Optional[Callable[[], int]] = None
@@ -105,27 +87,13 @@ class NetworkModel:
         #: the Machine when a FaultPlan is armed, else None (no cost).
         self.chaos: Optional[Callable[[int], int]] = None
 
-    def latency(self, src_tile: int, dst_tile: int, msg_class: MessageClass) -> int:
-        """Cycles for one message from ``src_tile`` to ``dst_tile``."""
-        hops = self._hops_table[src_tile * self._n_tiles + dst_tile]
-        if msg_class is MessageClass.DATA:
-            tail = self._data_tail
-        else:
-            tail = self._ctrl_tail
-        self.messages_sent += 1
-        self.flits_sent += tail + 1
-        self.hops_traversed += hops
-        if self._stateless:
-            # Memoized default path: latency is a pure (hops, class)
-            # function when no contention or chaos is armed.
-            lat = self._lat_by_hops[msg_class][hops]
-            if self.chaos is None:
-                return lat
-            return self.chaos(lat)
-        lat = self._traverse(src_tile, dst_tile, tail + 1, tail)
-        if self.chaos is not None:
-            lat = self.chaos(lat)
-        return lat
+    def _by_hops(self, tail: int) -> List[int]:
+        """Stateless latency of a ``tail + 1``-flit message by hop count."""
+        return [
+            self.params.router_latency + tail if h == 0
+            else h * self._per_hop + tail
+            for h in range(self.topology.max_hops + 1)
+        ]
 
     def _traverse(
         self, src_tile: int, dst_tile: int, flits: int, tail: int
@@ -164,12 +132,8 @@ class NetworkModel:
         for (a, b), busy_until in sorted(self._link_busy.items()):
             noc.set(f"link.{a}_{b}.busy_until", busy_until)
 
-    def latency_for(self, src_tile: int, dst_tile: int, mtype: MsgType) -> int:
-        return self.latency(src_tile, dst_tile, MSG_CLASS[mtype])
-
     def control_latency(self, src_tile: int, dst_tile: int) -> int:
-        # Statically-classed twin of latency(): identical counter updates
-        # and pricing, minus the per-call MessageClass dispatch.
+        """Cycles for one control message; counts it on the NoC."""
         hops = self._hops_table[src_tile * self._n_tiles + dst_tile]
         self.messages_sent += 1
         self.flits_sent += self._ctrl_tail + 1
@@ -187,6 +151,7 @@ class NetworkModel:
         return lat
 
     def data_latency(self, src_tile: int, dst_tile: int) -> int:
+        """Cycles for one data message; counts it on the NoC."""
         hops = self._hops_table[src_tile * self._n_tiles + dst_tile]
         self.messages_sent += 1
         self.flits_sent += self._data_tail + 1

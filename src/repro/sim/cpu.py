@@ -129,8 +129,8 @@ class CPU:
         self._park_timeout = None
         #: Fault ops already taken once (page mapped after first trip).
         self._faults_taken: Set[Tuple[int, int]] = set()
-        #: Telemetry event slot, set by the machine's TelemetryHub while
-        #: it has subscribers (see :mod:`repro.telemetry.events`).
+        #: Telemetry event slot, set while a telemetry session is
+        #: attached (see :mod:`repro.telemetry.session`).
         self._emit = None
 
         self._bursts = [seg._bursts for seg in program]
@@ -159,8 +159,6 @@ class CPU:
         self.engine.schedule_after_nocancel(0, self._advance)
 
     def _advance(self, now: int) -> None:
-        if self.done:
-            return
         if self.seg_idx >= len(self.program):
             self.done = True
             self.finish_time = now
@@ -311,8 +309,6 @@ class CPU:
     # -- HTM attempt (Listing 1 loop) -------------------------------------
 
     def _tx_try(self, now: int) -> None:
-        if self.done:
-            return
         lock = self.machine.fallback_lock
         if not self.spec.htmlock and lock.held:
             # Listing 1 line 8-9: the lock is subscribed; spin until free.
@@ -365,8 +361,6 @@ class CPU:
 
     def _tx_step(self, now: int) -> None:
         """Issue burst ``op_idx`` of the current transaction."""
-        if self.done:
-            return
         tx = self.tx
         if tx.pending_anchor is not None:
             # Fold the lazily-billed computes of the burst that just
@@ -609,8 +603,8 @@ class CPU:
 
     def _unpark(self, now: int, park_seq: int) -> None:
         """A wake-up message arrived; stale ones (an earlier park, an
-        aborted attempt) are ignored."""
-        if self.done or self._parked is None:
+        aborted attempt, a finished core) are ignored."""
+        if self._parked is None:
             return
         attempt_seq, cur_park = self._parked
         if cur_park != park_seq or attempt_seq != self.tx.attempt_seq:
@@ -752,8 +746,6 @@ class CPU:
     def _go_fallback(self, now: int) -> None:
         if self._emit is not None:
             self._emit(now, TraceEvent.FALLBACK, self.core)
-        if self.done:
-            return
         self.stats.fallback_entries += 1
         lock = self.machine.fallback_lock
         lock.acquire(

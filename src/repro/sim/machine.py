@@ -100,7 +100,7 @@ class Machine:
         component's ``reset()`` sets its counters, tables and event and
         chaos slots; the CPUs and per-core stats, whose objects escape
         into the returned :class:`RunStats`, are built anew.  So a reset
-        machine equals a fresh one by construction: no telemetry hub,
+        machine equals a fresh one by construction: no telemetry session,
         every event slot None, and the fault injector (when ``fault_plan``
         perturbs anything) wired before the CPUs that read it.
         """
@@ -122,11 +122,10 @@ class Machine:
             "fault_plan": fault_plan.name if fault_plan is not None else None,
         }
         #: Telemetry event slot: ``emit(time, kind, core, line, arg)``
-        #: while a :class:`~repro.telemetry.events.TelemetryHub` has
-        #: subscribers, else None.  The hub owns it and the CPUs' and
-        #: memory system's slots alike.
+        #: while a :class:`~repro.telemetry.session.Telemetry` session
+        #: is attached, else None.  The session sets it and the CPUs'
+        #: and memory system's slots alike.
         self._emit = None
-        self._telemetry_hub = None
         self.engine.reset()
         self.network.reset()
         self.core_stats = [CoreStats() for _ in range(len(programs))]
@@ -161,11 +160,12 @@ class Machine:
         """Break the machine's reference cycles; it is unusable after.
 
         The CPUs, the queued events and parked callbacks, the
-        victim-abort hook and the telemetry hub point back at the
-        machine.  A machine that is dropped instead of going back to a
-        pool calls this, so refcounting frees it at once rather than
-        the cyclic collector some time later: a reset to no programs
-        drops all of them but the victim-abort hook, which is unwired.
+        victim-abort hook and an attached telemetry session point back
+        at the machine.  A machine that is dropped instead of going
+        back to a pool calls this, so refcounting frees it at once
+        rather than the cyclic collector some time later: a reset to no
+        programs drops all of them but the victim-abort hook, which is
+        unwired.
         The per-core stats, which a run's :class:`RunStats` shares, are
         replaced, not cleared.
         """

@@ -8,13 +8,8 @@ resulting flat snapshot.  Histograms reuse
 :class:`repro.common.stats.LatencyHistogram` (streaming log2 buckets,
 O(1) memory) so per-core latency distributions merge for free.
 
-Pay-for-what-you-use: a registry constructed with ``enabled=False``
-(or the module singleton :data:`NULL_REGISTRY`) hands out one shared
-no-op metric object — ``inc``/``set``/``record`` on it do nothing and
-allocate nothing, so instrumented code can keep unconditional metric
-calls without any per-event cost growth beyond a no-op method call.
-Simulator hot paths go further and are not instrumented at all unless
-a telemetry session is attached (see :mod:`repro.telemetry.events`),
+Simulator hot paths carry no metric calls: components publish only
+when a telemetry session finalizes (see :mod:`repro.telemetry.session`),
 which is what keeps the seed goldens bit-identical.
 """
 
@@ -55,35 +50,7 @@ class Gauge:
         return self.value
 
 
-class _NullMetric:
-    """Shared do-nothing stand-in for every metric kind.
-
-    One instance serves a disabled registry's counters, gauges and
-    histograms alike: all mutators are no-ops, so disabled telemetry
-    performs zero allocation per event.
-    """
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def record(self, value: int) -> None:
-        pass
-
-    def merge(self, other) -> None:
-        pass
-
-    def as_value(self):
-        return None
-
-
-NULL_METRIC = _NullMetric()
-
-Metric = Union[Counter, Gauge, LatencyHistogram, _NullMetric]
+Metric = Union[Counter, Gauge, LatencyHistogram]
 
 
 def _hist_value(hist: LatencyHistogram) -> Dict[str, object]:
@@ -100,15 +67,12 @@ def _hist_value(hist: LatencyHistogram) -> Dict[str, object]:
 class MetricsRegistry:
     """Flat name -> metric map with dotted-namespace conveniences."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
     # -- creation ------------------------------------------------------
 
     def _get_or_create(self, name: str, cls):
-        if not self.enabled:
-            return NULL_METRIC
         if not name or name.startswith(".") or name.endswith("."):
             raise ValueError(f"bad metric name {name!r}")
         metric = self._metrics.get(name)
@@ -217,7 +181,3 @@ class Scope:
 
     def scope(self, prefix: str) -> "Scope":
         return Scope(self._registry, self._name(prefix))
-
-
-#: Shared always-disabled registry: safe to publish into from anywhere.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -1,79 +1,100 @@
-"""The telemetry session facade: one object per observed run.
+"""The telemetry session: the one observer of a run.
 
-``Telemetry`` bundles a :class:`MetricsRegistry` and a
-:class:`TimelineBuilder`, subscribes both to the machine's
-:class:`~repro.telemetry.events.TelemetryHub`, and at ``finalize`` time
-asks every component to publish its counters into the registry
-(pull-model, so the simulator's hot paths carry no metric calls).
-Typical use, via :func:`repro.sim.runner.run_workload`::
+:class:`~repro.sim.machine.Machine`,
+:class:`~repro.coherence.memsys.MemorySystem` and every
+:class:`~repro.sim.cpu.CPU` each declare one event slot, ``_emit``,
+None by default; each lifecycle site runs ``if self._emit is not None:
+self._emit(time, kind, core, line, arg)`` before it changes any state.
+``Telemetry.attach`` points every slot at the session's handler, which
+counts ``events.<kind>``, tallies REJECTs per line and folds the event
+into the :class:`TimelineBuilder`; ``detach`` (and ``Machine.reset``)
+set them back to None.  An unobserved machine pays one attribute test
+per lifecycle site and nothing on the access fast path.  Observation
+never schedules events or mutates architectural state, so an observed
+run is cycle-for-cycle identical to a bare one.
+
+At ``finalize`` time the session asks every component to publish its
+counters into the :class:`MetricsRegistry` (pull model, so the
+simulator's hot paths carry no metric calls).  Typical use, via
+:func:`repro.sim.runner.run_workload`::
 
     tel = Telemetry()
     stats = run_workload(RunConfig(spec, 4, 0.05, seed=3,
                                    telemetry=tel))
     tel.registry.snapshot()      # flat {name: value}
     tel.trace_dict("intruder")   # Chrome trace-event JSON (Perfetto)
+    tel.reject_lines.most_common(5)  # hottest contended lines
 
-Constructing with ``enabled=False`` yields a fully inert session:
-``attach`` is a no-op and the machine is never wrapped, which is the
-golden-preserving default path.
+``RunConfig(telemetry=None)`` is the unobserved run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from collections import Counter
+from typing import Dict
 
+from repro.common.events import TraceEvent
 from repro.telemetry.chrometrace import chrome_trace, validate_chrome_trace
-from repro.telemetry.events import TelemetryEvent, TelemetryHub
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sinks import write_json_atomic
 from repro.telemetry.timeline import TimelineBuilder
 
 
 class Telemetry:
-    """Registry + timeline + hub subscriptions for one run."""
+    """Registry, timeline and per-line reject counts for one run."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        timeline: bool = True,
-        capacity: int = 200_000,
-    ) -> None:
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.timeline: Optional[TimelineBuilder] = (
-            TimelineBuilder(capacity=capacity) if enabled and timeline else None
-        )
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.timeline = TimelineBuilder()
+        #: Line -> REJECT events on it: the run's contention profile.
+        self.reject_lines: Counter = Counter()
         self._machine = None
         self._finalized = False
 
     # -- lifecycle -----------------------------------------------------
 
     def attach(self, machine) -> "Telemetry":
-        """Wire this session to ``machine`` (idempotent per machine)."""
-        if not self.enabled or self._machine is machine:
+        """Point ``machine``'s event slots at this session.
+
+        Idempotent per machine.  A machine has at most one observer, so
+        attaching to a machine another session observes raises, as does
+        attaching this session to a second machine.
+        """
+        if self._machine is machine:
             return self
         if self._machine is not None:
             raise RuntimeError(
                 "telemetry session already attached to another machine"
             )
+        if machine._emit is not None:
+            raise RuntimeError("machine already has a telemetry session")
         self._machine = machine
-        hub = TelemetryHub.of(machine)
-        hub.subscribe(self._count_event)
-        if self.timeline is not None:
-            self.timeline.attach(machine)
+        self.timeline.machine = machine
+        self._set_slots(machine, self._on_event)
         return self
 
     def detach(self) -> None:
-        if self._machine is None:
+        """Clear the machine's event slots; safe when not attached."""
+        machine = self._machine
+        if machine is None:
             return
-        hub = TelemetryHub.of(self._machine)
-        if self.timeline is not None:
-            self.timeline.detach()
-        hub.unsubscribe(self._count_event)
+        self._set_slots(machine, None)
+        self.timeline.machine = None
         self._machine = None
 
-    def _count_event(self, ev: TelemetryEvent) -> None:
-        self.registry.counter(f"events.{ev.kind.value}").inc()
+    @staticmethod
+    def _set_slots(machine, emit) -> None:
+        machine._emit = machine.memsys._emit = emit
+        for cpu in machine.cpus:
+            cpu._emit = emit
+
+    def _on_event(
+        self, time: int, kind: TraceEvent, core: int, line: int = -1, arg=None
+    ) -> None:
+        self.registry.counter(f"events.{kind.value}").inc()
+        if kind is TraceEvent.REJECT:
+            self.reject_lines[line] += 1
+        self.timeline.handle(time, kind, core, line, arg)
 
     def finalize(self, stats=None, build=None) -> "Telemetry":
         """Pull component metrics into the registry; close the timeline.
@@ -84,7 +105,7 @@ class Telemetry:
         whatever is given gets published).  The machine stays attached
         until :meth:`detach`, so artifacts can still be rendered.
         """
-        if not self.enabled or self._finalized:
+        if self._finalized:
             return self
         self._finalized = True
         machine = self._machine
@@ -94,8 +115,7 @@ class Telemetry:
             end_time = stats.execution_cycles
         elif machine is not None:
             end_time = machine.engine.now
-        if self.timeline is not None:
-            self.timeline.close(end_time)
+        self.timeline.close(end_time)
         if machine is not None:
             machine.publish_telemetry(reg)
         if stats is not None:
@@ -119,8 +139,6 @@ class Telemetry:
         return self.registry.snapshot()
 
     def trace_dict(self, run_label: str = "repro") -> Dict[str, object]:
-        if self.timeline is None:
-            raise RuntimeError("telemetry session has no timeline")
         doc = chrome_trace(self.timeline, run_label=run_label)
         problems = validate_chrome_trace(doc)
         if problems:  # pragma: no cover - renderer bug guard
@@ -134,7 +152,3 @@ class Telemetry:
 
     def write_trace(self, path: str, run_label: str = "repro") -> str:
         return write_json_atomic(path, self.trace_dict(run_label))
-
-
-#: Disabled singleton: accepted anywhere ``telemetry=`` is, costs nothing.
-NULL_TELEMETRY = Telemetry(enabled=False)

@@ -1,4 +1,4 @@
-"""Telemetry sinks: atomic JSON/JSONL artifact writers.
+"""Telemetry sinks: the atomic JSON artifact writer.
 
 Mirrors the run-cache discipline (temp file + ``os.replace``; nothing
 half-written ever lands under a final name) so telemetry artifacts can
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
 from repro.harness.runcache import RunCache
 
@@ -20,7 +20,6 @@ from repro.harness.runcache import RunCache
 ARTIFACT_SUFFIXES = {
     "metrics": ".metrics.json",
     "trace": ".trace.json",
-    "spans": ".spans.jsonl",
 }
 
 
@@ -41,34 +40,6 @@ def write_json_atomic(path: str, doc, indent: Optional[int] = None) -> str:
             except OSError:
                 pass
     return path
-
-
-def write_jsonl_atomic(path: str, rows: Iterable[Dict]) -> str:
-    """Write one JSON object per line, atomically; returns ``path``."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True))
-                fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # pragma: no cover - error path
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-    return path
-
-
-def read_jsonl(path: str) -> Iterable[Dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 def artifact_path(cache: RunCache, key: str, kind: str) -> str:

@@ -1,7 +1,7 @@
 """Transaction timeline reconstruction from lifecycle events.
 
-Subscribes to the :class:`~repro.telemetry.events.TelemetryHub` and
-folds the event stream into per-transaction **spans**: one
+Fed by the :class:`~repro.telemetry.session.Telemetry` session, it
+folds the machine's event stream into per-transaction **spans**: one
 :class:`TxSpan` per critical-section attempt, from ``xbegin`` (or
 irrevocable lock entry) through its NACKs, stalls, spills and wake-ups
 to the commit or abort that closes it.  Spans carry the attempt's mode
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.events import TelemetryEvent, TelemetryHub, TraceEvent
+from repro.common.events import TraceEvent
 
 #: Span-boundary kinds that trigger a counter-track sample.
 _SAMPLE_KINDS = (
@@ -86,36 +86,16 @@ class TxSpan:
             return f"{self.mode} abort:{self.abort_reason}"
         return f"{self.mode} (open)"
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "core": self.core,
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "mode": self.mode,
-            "switched": self.switched,
-            "outcome": self.outcome,
-            "kind": self.kind,
-            "abort_reason": self.abort_reason,
-            "nacks": self.nacks,
-            "wakeups": self.wakeups,
-            "overflows": self.overflows,
-            "spills": self.spills,
-            "priority": self.priority,
-            "marks": [list(m) for m in self.marks],
-        }
-
 
 class TimelineBuilder:
     """Folds the telemetry event stream into spans + counter tracks."""
 
     #: Per-span annotation cap (runaway NACK storms stay bounded).
     MAX_MARKS_PER_SPAN = 64
+    #: Cap on spans, instants and counter samples each.
+    CAPACITY = 200_000
 
-    def __init__(self, capacity: int = 200_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.spans: List[TxSpan] = []
         #: Instant events outside any span (e.g. plain-access NACKs).
         self.instants: List[Tuple[int, int, str]] = []
@@ -124,114 +104,101 @@ class TimelineBuilder:
         self.dropped = 0
         self._open: Dict[int, TxSpan] = {}
         self._span_seq: Dict[int, int] = {}
-        self._machine = None
+        #: The observed machine, set by the session while attached; the
+        #: counter samples and close-time priorities read it.
+        self.machine = None
         self._last_sample_time = -1
-
-    # -- hub plumbing --------------------------------------------------
-
-    def attach(self, machine) -> "TimelineBuilder":
-        if self._machine is machine:
-            return self
-        if self._machine is not None:
-            raise RuntimeError("timeline already attached to another machine")
-        self._machine = machine
-        TelemetryHub.of(machine).subscribe(self.handle)
-        return self
-
-    def detach(self) -> None:
-        if self._machine is None:
-            return
-        TelemetryHub.of(self._machine).unsubscribe(self.handle)
-        self._machine = None
 
     # -- event folding -------------------------------------------------
 
-    def _begin(self, ev: TelemetryEvent, mode: str) -> None:
-        prev = self._open.pop(ev.core, None)
+    def _begin(self, time: int, core: int, mode: str) -> None:
+        prev = self._open.pop(core, None)
         if prev is not None:
             # Defensive: a begin with a span still open closes it as-is.
-            prev.end = ev.time
-        seq = self._span_seq.get(ev.core, 0)
-        self._span_seq[ev.core] = seq + 1
-        span = TxSpan(ev.core, seq, ev.time, mode)
-        self._open[ev.core] = span
+            prev.end = time
+        seq = self._span_seq.get(core, 0)
+        self._span_seq[core] = seq + 1
+        span = TxSpan(core, seq, time, mode)
+        self._open[core] = span
         self._record(span)
 
-    def _close(self, ev: TelemetryEvent, outcome: str) -> None:
-        span = self._open.pop(ev.core, None)
+    def _close(self, time: int, core: int, outcome: str, arg) -> None:
+        span = self._open.pop(core, None)
         if span is None:
             return
-        span.end = ev.time
+        span.end = time
         span.outcome = outcome
         if outcome == "commit":
-            span.kind = ev.arg
+            span.kind = arg
         else:
-            span.abort_reason = ev.arg
-        machine = self._machine
+            span.abort_reason = arg
+        machine = self.machine
         if machine is not None:
-            span.priority = machine.memsys.priority_of(ev.core, ev.time)
+            span.priority = machine.memsys.priority_of(core, time)
 
     def _mark(self, span: TxSpan, time: int, label: str) -> None:
         if len(span.marks) < self.MAX_MARKS_PER_SPAN:
             span.marks.append((time, label))
 
     def _record(self, span: TxSpan) -> None:
-        if len(self.spans) >= self.capacity:
+        if len(self.spans) >= self.CAPACITY:
             self.dropped += 1
             return
         self.spans.append(span)
 
-    def handle(self, ev: TelemetryEvent) -> None:
-        kind = ev.kind
+    def handle(
+        self, time: int, kind: TraceEvent, core: int, line: int, arg
+    ) -> None:
+        """Fold one lifecycle event (the event slot's arguments)."""
         if kind is TraceEvent.TX_BEGIN:
-            self._begin(ev, "htm")
+            self._begin(time, core, "htm")
         elif kind is TraceEvent.LOCK_BEGIN:
-            self._begin(ev, ev.arg or "lock")
+            self._begin(time, core, arg or "lock")
         elif kind is TraceEvent.TX_COMMIT:
-            self._close(ev, "commit")
+            self._close(time, core, "commit", arg)
         elif kind is TraceEvent.TX_ABORT:
-            self._close(ev, "abort")
+            self._close(time, core, "abort", arg)
         else:
-            span = self._open.get(ev.core)
+            span = self._open.get(core)
             if kind is TraceEvent.REJECT:
                 if span is not None:
                     span.nacks += 1
-                    self._mark(span, ev.time, f"nack by core{ev.arg}")
+                    self._mark(span, time, f"nack by core{arg}")
                 else:
-                    self._instant(ev.time, ev.core, f"nack by core{ev.arg}")
+                    self._instant(time, core, f"nack by core{arg}")
             elif kind is TraceEvent.WAKEUP:
                 if span is not None:
-                    span.wakeups += int(ev.arg or 0)
-                self._instant(ev.time, ev.core, f"wakeup x{ev.arg}")
+                    span.wakeups += int(arg or 0)
+                self._instant(time, core, f"wakeup x{arg}")
             elif kind is TraceEvent.OVERFLOW:
                 if span is not None:
                     span.overflows += 1
-                    self._mark(span, ev.time, f"overflow line={ev.line:#x}")
+                    self._mark(span, time, f"overflow line={line:#x}")
             elif kind is TraceEvent.SPILL:
                 if span is not None:
                     span.spills += 1
-                    self._mark(span, ev.time, f"spill line={ev.line:#x}")
+                    self._mark(span, time, f"spill line={line:#x}")
             elif kind is TraceEvent.FALLBACK:
-                self._instant(ev.time, ev.core, "fallback entry")
+                self._instant(time, core, "fallback entry")
             elif kind is TraceEvent.SWITCH_OK:
                 if span is not None:
                     span.switched = True
                     span.mode = "htm->stl"
-                    self._mark(span, ev.time, "switched to STL")
+                    self._mark(span, time, "switched to STL")
             elif kind is TraceEvent.SWITCH_ATTEMPT:
                 if span is not None:
-                    self._mark(span, ev.time, "STL application denied")
+                    self._mark(span, time, "STL application denied")
         if kind in _SAMPLE_KINDS:
-            self._sample(ev.time)
+            self._sample(time)
 
     def _instant(self, time: int, core: int, label: str) -> None:
-        if len(self.instants) < self.capacity:
+        if len(self.instants) < self.CAPACITY:
             self.instants.append((time, core, label))
         else:
             self.dropped += 1
 
     def _sample(self, time: int) -> None:
-        machine = self._machine
+        machine = self.machine
         if machine is None or time == self._last_sample_time:
             return
         self._last_sample_time = time
@@ -240,7 +207,7 @@ class TimelineBuilder:
             len(tx.read_set) + len(tx.write_set) for tx in memsys.tx_states
         )
         sig = memsys.of_rd_sig.popcount + memsys.of_wr_sig.popcount
-        if len(self.counter_samples) < self.capacity:
+        if len(self.counter_samples) < self.CAPACITY:
             self.counter_samples.append((time, live, sig))
 
     # -- finalization / queries ----------------------------------------
@@ -250,9 +217,6 @@ class TimelineBuilder:
         for span in self._open.values():
             span.end = end_time if end_time is not None else span.start
         self._open.clear()
-
-    def spans_for_core(self, core: int) -> List[TxSpan]:
-        return [s for s in self.spans if s.core == core]
 
     def committed(self) -> List[TxSpan]:
         return [s for s in self.spans if s.outcome == "commit"]
@@ -275,6 +239,3 @@ class TimelineBuilder:
             "counter_samples": len(self.counter_samples),
             "dropped": self.dropped,
         }
-
-    def __len__(self) -> int:
-        return len(self.spans)

@@ -67,9 +67,3 @@ def pick_lines(
         picks = rng.permutation(universe)[:count]
     return picks
 
-
-def zipf_line(rng: np.random.Generator, universe: int, skew: float) -> int:
-    """A skew-controlled hot/cold line pick (bounded Zipf-ish)."""
-    u = rng.random()
-    idx = int(universe * (u ** (1.0 + skew)))
-    return min(idx, universe - 1)

@@ -34,26 +34,26 @@ PINNED_PYTHON = (3, 11)
 #: (workload, threads, scale, seed) -> system -> (total_calls, events).
 CALL_COUNTS = {
     ("intruder", 4, 0.05, 3): {
-        "CGL": (9228, 409),
-        "Baseline": (20629, 804),
-        "LosaTM-SAFU": (11658, 432),
-        "LockillerTM-RAI": (13592, 522),
-        "LockillerTM-RRI": (11840, 436),
-        "LockillerTM-RWI": (11691, 432),
-        "LockillerTM-RWL": (11664, 435),
-        "LockillerTM-RWIL": (11646, 432),
-        "LockillerTM": (11646, 432),
+        "CGL": (9221, 409),
+        "Baseline": (20622, 804),
+        "LosaTM-SAFU": (11651, 432),
+        "LockillerTM-RAI": (13585, 522),
+        "LockillerTM-RRI": (11833, 436),
+        "LockillerTM-RWI": (11684, 432),
+        "LockillerTM-RWL": (11657, 435),
+        "LockillerTM-RWIL": (11639, 432),
+        "LockillerTM": (11639, 432),
     },
     ("labyrinth", 8, 0.1, 42): {
-        "CGL": (82172, 4928),
-        "Baseline": (295955, 14322),
-        "LosaTM-SAFU": (332366, 15973),
-        "LockillerTM-RAI": (274976, 13437),
-        "LockillerTM-RRI": (404159, 18349),
-        "LockillerTM-RWI": (366470, 17510),
-        "LockillerTM-RWL": (261591, 10023),
-        "LockillerTM-RWIL": (273812, 10250),
-        "LockillerTM": (266288, 9690),
+        "CGL": (82165, 4928),
+        "Baseline": (295948, 14322),
+        "LosaTM-SAFU": (332359, 15973),
+        "LockillerTM-RAI": (274969, 13437),
+        "LockillerTM-RRI": (404152, 18349),
+        "LockillerTM-RWI": (366463, 17510),
+        "LockillerTM-RWL": (261584, 10023),
+        "LockillerTM-RWIL": (273805, 10250),
+        "LockillerTM": (266281, 9690),
     },
 }
 

@@ -10,6 +10,9 @@ from repro.common.params import SystemParams, typical_params
 from repro.common.stats import AbortReason, TimeCat
 from repro.harness.systems import get_system
 from repro.htm.isa import Plain, Txn, compute, fault, load, store
+from repro.resilience import get_plan
+from repro.sim.cpu import CPU
+from repro.sim.fuzz import replay_case
 from repro.sim.machine import Machine
 from conftest import line_addr, make_machine
 
@@ -75,6 +78,28 @@ class TestWakeupTimeout:
         assert m.core_stats[1].wakeup_timeouts == 0
         assert m.engine.pending() == 0
         assert m.engine.now == max(m.finish_times)
+
+
+class TestStaleWakeup:
+    def test_wakeup_after_finish_is_ignored(self, monkeypatch):
+        # Under the nack-storm plan, chaos case 7 delivers a wake-up to
+        # core 0 after it has finished its program.  A finished core is
+        # never parked, so the stale-park test in _unpark drops it.
+        late = []
+        unpark = CPU._unpark
+
+        def spy(cpu, now, park_seq):
+            if cpu.done:
+                late.append((cpu.core, cpu.is_parked))
+            unpark(cpu, now, park_seq)
+
+        monkeypatch.setattr(CPU, "_unpark", spy)
+        m = replay_case(
+            seed=0, case=7, system="LockillerTM", plan=get_plan("nack-storm")
+        )
+        assert late and all(not parked for _core, parked in late)
+        assert all(cpu.done for cpu in m.cpus)
+        assert m.memsys.check_quiescent() == []
 
 
 class TestRetryLater:

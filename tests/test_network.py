@@ -1,9 +1,8 @@
-"""Unit tests for the NoC latency model and message vocabulary."""
+"""Unit tests for the NoC latency model."""
 
 import pytest
 
 from repro.common.params import NetworkParams
-from repro.interconnect.message import Message, MessageClass, MsgType
 from repro.interconnect.network import NetworkModel
 from repro.interconnect.topology import MeshTopology
 
@@ -12,30 +11,6 @@ from repro.interconnect.topology import MeshTopology
 def net() -> NetworkModel:
     params = NetworkParams()
     return NetworkModel(MeshTopology(params), params)
-
-
-class TestMessageClasses:
-    def test_data_messages(self):
-        assert MsgType.DATA_EXCLUSIVE.msg_class is MessageClass.DATA
-        assert MsgType.DATA_SHARED.msg_class is MessageClass.DATA
-        assert MsgType.PUTM.msg_class is MessageClass.DATA
-
-    def test_control_messages(self):
-        for mt in (
-            MsgType.GETS,
-            MsgType.GETM,
-            MsgType.NACK,
-            MsgType.REJECT,
-            MsgType.WAKEUP,
-            MsgType.INV,
-            MsgType.UNBLOCK,
-        ):
-            assert mt.msg_class is MessageClass.CONTROL
-
-    def test_message_carries_priority(self):
-        m = Message(MsgType.GETM, 0, 5, line=7, priority=42, requester=1)
-        assert m.priority == 42
-        assert m.msg_class is MessageClass.CONTROL
 
 
 class TestLatency:
@@ -61,9 +36,20 @@ class TestLatency:
     def test_round_trip_is_sum(self, net):
         assert net.round_trip(0, 3) == net.control_latency(0, 3) + net.data_latency(3, 0)
 
-    def test_latency_for_by_type(self, net):
-        assert net.latency_for(0, 1, MsgType.GETS) == 2
-        assert net.latency_for(0, 1, MsgType.DATA_SHARED) == 6
+    def test_leg_latency_by_class(self, net):
+        # Each class prices h hops as h * (link + router) + tail flits;
+        # local delivery pays the router once.
+        params = net.params
+        hops = MeshTopology(params).hops
+        per_hop = params.link_latency + params.router_latency
+        for leg, flits in (
+            (net.control_latency, params.control_flits),
+            (net.data_latency, params.data_flits),
+        ):
+            for a, b in ((0, 0), (0, 1), (0, 31), (5, 20), (31, 0)):
+                h = hops(a, b)
+                base = h * per_hop if h else params.router_latency
+                assert leg(a, b) == base + flits - 1
 
     def test_counters_accumulate(self, net):
         before = net.messages_sent

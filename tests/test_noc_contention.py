@@ -4,7 +4,6 @@ from dataclasses import replace
 
 from repro.common.params import NetworkParams, typical_params
 from repro.harness.systems import get_system
-from repro.interconnect.message import MessageClass
 from repro.interconnect.network import NetworkModel
 from repro.interconnect.topology import MeshTopology
 from repro.sim.runner import RunConfig, run_workload

@@ -228,29 +228,29 @@ class TestShardedStore:
 
 class TestServiceHTTP:
     def test_healthz_and_stats(self, service):
-        client = client_of(service)
-        assert client.healthz()["ok"] is True
-        stats = client.stats()
-        assert stats["workers"] == 2
-        assert stats["draining"] is False
+        with client_of(service) as client:
+            assert client.healthz()["ok"] is True
+            stats = client.stats()
+            assert stats["workers"] == 2
+            assert stats["draining"] is False
 
     def test_unknown_routes_404(self, service):
-        client = client_of(service)
-        with pytest.raises(ServiceError) as err:
-            client.status("j-nope")
-        assert err.value.status == 404
-        with pytest.raises(ServiceError) as err:
-            client._request("GET", "/nope")
-        assert err.value.status == 404
+        with client_of(service) as client:
+            with pytest.raises(ServiceError) as err:
+                client.status("j-nope")
+            assert err.value.status == 404
+            with pytest.raises(ServiceError) as err:
+                client._request("GET", "/nope")
+            assert err.value.status == 404
 
     def test_bad_campaign_400(self, service):
-        client = client_of(service)
-        with pytest.raises(ServiceError) as err:
-            client.submit({"workloads": ["no-such"], "systems": ["CGL"]})
-        assert err.value.status == 400
-        with pytest.raises(ServiceError) as err:
-            client._request("POST", "/v1/jobs", {"campaign": "nope"})
-        assert err.value.status == 400
+        with client_of(service) as client:
+            with pytest.raises(ServiceError) as err:
+                client.submit({"workloads": ["no-such"], "systems": ["CGL"]})
+            assert err.value.status == 400
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/v1/jobs", {"campaign": "nope"})
+            assert err.value.status == 400
 
     @pytest.mark.parametrize("body", [b"[]", b'"x"'], ids=["list", "str"])
     def test_body_not_an_object_400(self, service, body):
@@ -269,10 +269,11 @@ class TestServiceHTTP:
         assert "Content-Length" in payload["error"]
 
     def test_non_integer_cursor_400(self, service):
-        job_id = client_of(service).submit({
-            "workloads": ["ssca2"], "systems": ["CGL"], "threads": [1],
-            "seeds": [1], "scale": 0.01,
-        })["job_id"]
+        with client_of(service) as client:
+            job_id = client.submit({
+                "workloads": ["ssca2"], "systems": ["CGL"], "threads": [1],
+                "seeds": [1], "scale": 0.01,
+            })["job_id"]
         status, payload = raw_request(service, (
             f"GET /v1/jobs/{job_id}/events?cursor=abc HTTP/1.1\r\n"
             f"Host: x\r\n\r\n"
@@ -293,75 +294,75 @@ class TestServiceDeterminism:
             for r in serial.records
         ]
 
-        client = client_of(service)
-        job = client.submit(TINY, tenant="alice")
-        final = client.wait(job["job_id"], timeout=180)
-        assert final["state"] == "done"
-        assert final["progress"]["cells_scheduled"] == spec.size()
+        with client_of(service) as client:
+            job = client.submit(TINY, tenant="alice")
+            final = client.wait(job["job_id"], timeout=180)
+            assert final["state"] == "done"
+            assert final["progress"]["cells_scheduled"] == spec.size()
 
-        results = client.results(job["job_id"])
-        assert [c["fingerprint"] for c in results["cells"]] == serial_fps
-        assert [c["stats"] for c in results["cells"]] == serial_dicts
-        # The wire dicts reconstruct to RunStats with zero differences.
-        for cell, record in zip(results["cells"], serial.records):
-            assert not compare_runs(
-                run_stats_from_dict(cell["stats"]), record.stats
-            )
+            results = client.results(job["job_id"])
+            assert [c["fingerprint"] for c in results["cells"]] == serial_fps
+            assert [c["stats"] for c in results["cells"]] == serial_dicts
+            # The wire dicts reconstruct to RunStats with zero differences.
+            for cell, record in zip(results["cells"], serial.records):
+                assert not compare_runs(
+                    run_stats_from_dict(cell["stats"]), record.stats
+                )
 
-        # End-to-end dedup pin: an immediate resubmission (different
-        # tenant, same campaign) schedules zero new cells.
-        job2 = client.submit(TINY, tenant="bob")
-        final2 = client.wait(job2["job_id"], timeout=60)
-        progress = final2["progress"]
-        assert final2["state"] == "done"
-        assert progress["cells_scheduled"] == 0
-        assert progress["cells_from_cache"] == spec.size()
-        fps2 = [
-            c["fingerprint"]
-            for c in client.results(job2["job_id"], lite=True)["cells"]
-        ]
-        assert fps2 == serial_fps
+            # End-to-end dedup pin: an immediate resubmission (different
+            # tenant, same campaign) schedules zero new cells.
+            job2 = client.submit(TINY, tenant="bob")
+            final2 = client.wait(job2["job_id"], timeout=60)
+            progress = final2["progress"]
+            assert final2["state"] == "done"
+            assert progress["cells_scheduled"] == 0
+            assert progress["cells_from_cache"] == spec.size()
+            fps2 = [
+                c["fingerprint"]
+                for c in client.results(job2["job_id"], lite=True)["cells"]
+            ]
+            assert fps2 == serial_fps
 
     def test_multiseed_summary(self, service):
-        client = client_of(service)
-        campaign = {
-            "kind": "multiseed",
-            "workloads": ["ssca2"],
-            "systems": ["LockillerTM"],
-            "threads": [2],
-            "seeds": [1, 2, 3],
-            "scale": 0.05,
-        }
-        job = client.submit(campaign)
-        final = client.wait(job["job_id"], timeout=180)
-        assert final["state"] == "done"
-        summary = client.results(job["job_id"], lite=True)["summary"]
-        assert summary["n"] == 3
-        assert summary["min"] <= summary["mean"] <= summary["max"]
+        with client_of(service) as client:
+            campaign = {
+                "kind": "multiseed",
+                "workloads": ["ssca2"],
+                "systems": ["LockillerTM"],
+                "threads": [2],
+                "seeds": [1, 2, 3],
+                "scale": 0.05,
+            }
+            job = client.submit(campaign)
+            final = client.wait(job["job_id"], timeout=180)
+            assert final["state"] == "done"
+            summary = client.results(job["job_id"], lite=True)["summary"]
+            assert summary["n"] == 3
+            assert summary["min"] <= summary["mean"] <= summary["max"]
 
-        from repro.harness.multiseed import multi_seed_runs
+            from repro.harness.multiseed import multi_seed_runs
 
-        runs = multi_seed_runs("ssca2", "LockillerTM", 2, [1, 2, 3],
-                               scale=0.05)
-        mean = sum(r.execution_cycles for r in runs) / 3
-        assert summary["mean"] == pytest.approx(mean)
+            runs = multi_seed_runs("ssca2", "LockillerTM", 2, [1, 2, 3],
+                                   scale=0.05)
+            mean = sum(r.execution_cycles for r in runs) / 3
+            assert summary["mean"] == pytest.approx(mean)
 
     def test_event_feed_order_and_stream(self, service):
-        client = client_of(service)
-        job = client.submit(TINY)
-        events = list(client.stream(job["job_id"], follow=True))
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "submitted"
-        assert kinds[-1] == "job_done"
-        assert kinds.count("cell_done") == 4
-        assert [e["seq"] for e in events] == list(
-            range(1, len(events) + 1)
-        )
-        # The JSONL feed on disk carries the same events.
-        feed = service.service.jobs[job["job_id"]].events_path
-        with open(feed, encoding="utf-8") as fh:
-            on_disk = [json.loads(line) for line in fh]
-        assert on_disk == events
+        with client_of(service) as client:
+            job = client.submit(TINY)
+            events = list(client.stream(job["job_id"], follow=True))
+            kinds = [e["event"] for e in events]
+            assert kinds[0] == "submitted"
+            assert kinds[-1] == "job_done"
+            assert kinds.count("cell_done") == 4
+            assert [e["seq"] for e in events] == list(
+                range(1, len(events) + 1)
+            )
+            # The JSONL feed on disk carries the same events.
+            feed = service.service.jobs[job["job_id"]].events_path
+            with open(feed, encoding="utf-8") as fh:
+                on_disk = [json.loads(line) for line in fh]
+            assert on_disk == events
 
 
 ONE_CELL = {
@@ -384,23 +385,23 @@ class TestStoreWriteFailure:
             raise OSError(28, "No space left on device")
 
         svc.store.put = failing_put
-        client = client_of(service)
-        first = client.submit(ONE_CELL)
-        final = client.wait(first["job_id"], timeout=60)
-        assert final["state"] == "done"
-        assert final["progress"]["cells_scheduled"] == 1
-        second = client.submit(dict(ONE_CELL, seeds=[2]))
-        assert client.wait(second["job_id"], timeout=60)["state"] == "done"
+        with client_of(service) as client:
+            first = client.submit(ONE_CELL)
+            final = client.wait(first["job_id"], timeout=60)
+            assert final["state"] == "done"
+            assert final["progress"]["cells_scheduled"] == 1
+            second = client.submit(dict(ONE_CELL, seeds=[2]))
+            assert client.wait(second["job_id"], timeout=60)["state"] == "done"
 
-        store = client.stats()["store"]
-        assert store["put_failures"] == 2
-        assert store["stores"] == 0
-        assert "No space left" in store["last_put_error"]
-        # The delivered result is the real one.
-        cell = client.results(first["job_id"])["cells"][0]
-        spec = CampaignSpec.from_dict(ONE_CELL)
-        serial = spec.to_sweep().run().records[0].stats
-        assert cell["fingerprint"] == fingerprint(serial)
+            store = client.stats()["store"]
+            assert store["put_failures"] == 2
+            assert store["stores"] == 0
+            assert "No space left" in store["last_put_error"]
+            # The delivered result is the real one.
+            cell = client.results(first["job_id"])["cells"][0]
+            spec = CampaignSpec.from_dict(ONE_CELL)
+            serial = spec.to_sweep().run().records[0].stats
+            assert cell["fingerprint"] == fingerprint(serial)
 
 
 class TestBrokenPool:
@@ -425,26 +426,26 @@ class TestBrokenPool:
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
             svc = handle.service
-            client = client_of(handle)
-            lost = client.submit(self.SLOW)["job_id"]
-            for event in client.stream(lost, follow=True):
-                if event["event"] == "cell_scheduled":
-                    break
-            # Mid-run: the cell's execution is lost with its worker.
-            self._kill_workers(svc)
-            assert client.wait(lost, timeout=60)["state"] == "failed"
-            error = client.results(lost)["cells"][0]["error"]
-            assert error.startswith("BrokenProcessPool")
-            # A later cold campaign runs on a fresh pool.
-            later = client.submit(ONE_CELL)["job_id"]
-            assert client.wait(later, timeout=60)["state"] == "done"
-            # Idle: the next submit finds the pool broken and replaces
-            # it, so no execution is lost and the campaign completes.
-            self._kill_workers(svc)
-            idle = client.submit(dict(ONE_CELL, seeds=[2]))["job_id"]
-            assert client.wait(idle, timeout=60)["state"] == "done"
-            assert not svc._scheduler_task.done()
-            assert client.stats()["cells_executed"] == 2
+            with client_of(handle) as client:
+                lost = client.submit(self.SLOW)["job_id"]
+                for event in client.stream(lost, follow=True):
+                    if event["event"] == "cell_scheduled":
+                        break
+                # Mid-run: the cell's execution is lost with its worker.
+                self._kill_workers(svc)
+                assert client.wait(lost, timeout=60)["state"] == "failed"
+                error = client.results(lost)["cells"][0]["error"]
+                assert error.startswith("BrokenProcessPool")
+                # A later cold campaign runs on a fresh pool.
+                later = client.submit(ONE_CELL)["job_id"]
+                assert client.wait(later, timeout=60)["state"] == "done"
+                # Idle: the next submit finds the pool broken and replaces
+                # it, so no execution is lost and the campaign completes.
+                self._kill_workers(svc)
+                idle = client.submit(dict(ONE_CELL, seeds=[2]))["job_id"]
+                assert client.wait(idle, timeout=60)["state"] == "done"
+                assert not svc._scheduler_task.done()
+                assert client.stats()["cells_executed"] == 2
 
     def test_stream_follower_ends_after_pool_is_replaced(self, tmp_path):
         """The replacement pool forks while a job's stream is open, and
@@ -454,35 +455,36 @@ class TestBrokenPool:
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
             svc = handle.service
-            client = client_of(handle)
-            slow = client.submit(self.SLOW)["job_id"]
-            for event in client.stream(slow, follow=True):
-                if event["event"] == "cell_scheduled":
-                    break
-            queued = client.submit(ONE_CELL)["job_id"]
-            following = threading.Event()
-            events, errors = [], []
+            with client_of(handle) as client:
+                slow = client.submit(self.SLOW)["job_id"]
+                for event in client.stream(slow, follow=True):
+                    if event["event"] == "cell_scheduled":
+                        break
+                queued = client.submit(ONE_CELL)["job_id"]
+                following = threading.Event()
+                events, errors = [], []
 
-            def follow() -> None:
-                follower = ServiceClient(handle.host, handle.port,
-                                         timeout=10)
-                try:
-                    for event in follower.stream(queued, follow=True):
-                        events.append(event)
-                        following.set()
-                except Exception as exc:  # noqa: BLE001 - report below
-                    errors.append(exc)
-                following.set()
+                def follow() -> None:
+                    try:
+                        with ServiceClient(handle.host, handle.port,
+                                           timeout=10) as follower:
+                            for event in follower.stream(queued,
+                                                         follow=True):
+                                events.append(event)
+                                following.set()
+                    except Exception as exc:  # noqa: BLE001 - report below
+                        errors.append(exc)
+                    following.set()
 
-            thread = threading.Thread(target=follow)
-            thread.start()
-            assert following.wait(timeout=30)
-            self._kill_workers(svc)
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-            assert errors == []
-            assert events[-1]["event"] == "job_done"
-            assert client.status(slow)["state"] == "failed"
+                thread = threading.Thread(target=follow)
+                thread.start()
+                assert following.wait(timeout=30)
+                self._kill_workers(svc)
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                assert errors == []
+                assert events[-1]["event"] == "job_done"
+                assert client.status(slow)["state"] == "failed"
 
 
 class TestDrainResume:
@@ -495,40 +497,39 @@ class TestDrainResume:
             ServiceConfig(state_dir=state_dir, jobs=1)
         ).start()
         try:
-            client = client_of(handle)
-            job_id = client.submit(campaign)["job_id"]
-            deadline = time.monotonic() + 120
-            while (
-                client.status(job_id)["progress"]["cells_done"] < 2
-            ):
-                assert time.monotonic() < deadline, "no progress"
-                time.sleep(0.01)
+            with client_of(handle) as client:
+                job_id = client.submit(campaign)["job_id"]
+                deadline = time.monotonic() + 120
+                while (
+                    client.status(job_id)["progress"]["cells_done"] < 2
+                ):
+                    assert time.monotonic() < deadline, "no progress"
+                    time.sleep(0.01)
         finally:
             handle.stop()  # graceful drain mid-campaign
 
-        journal = json.load(
-            open(os.path.join(state_dir, "jobs", f"{job_id}.json"))
-        )
+        with open(os.path.join(state_dir, "jobs", f"{job_id}.json")) as fh:
+            journal = json.load(fh)
         assert journal["state"] == "queued"  # resumable, not lost
 
         handle = ServiceThread(
             ServiceConfig(state_dir=state_dir, jobs=2)
         ).start()
         try:
-            client = client_of(handle)
-            final = client.wait(job_id, timeout=240)
-            assert final["state"] == "done"
-            # Work finished before the drain is served from the store.
-            assert final["progress"]["cells_from_cache"] >= 2
-            assert (
-                final["progress"]["cells_scheduled"] < spec.size()
-            )
-            fps = [
-                c["fingerprint"]
-                for c in client.results(job_id, lite=True)["cells"]
-            ]
-            serial = spec.to_sweep().run()
-            assert fps == [fingerprint(r.stats) for r in serial.records]
+            with client_of(handle) as client:
+                final = client.wait(job_id, timeout=240)
+                assert final["state"] == "done"
+                # Work finished before the drain is served from the store.
+                assert final["progress"]["cells_from_cache"] >= 2
+                assert (
+                    final["progress"]["cells_scheduled"] < spec.size()
+                )
+                fps = [
+                    c["fingerprint"]
+                    for c in client.results(job_id, lite=True)["cells"]
+                ]
+                serial = spec.to_sweep().run()
+                assert fps == [fingerprint(r.stats) for r in serial.records]
         finally:
             handle.stop()
 
@@ -597,54 +598,54 @@ class TestPersistentConnections:
     def test_round_trip_pattern_uses_one_connection(self, service):
         """The benchmark's round trip: 3 submits, 3 streams left at
         ``job_done``, 3 results fetches — 9 requests, 1 connection."""
-        client = client_of(service)
-        ids = [client.submit(campaign, tenant=tenant)["job_id"]
-               for campaign, tenant in ((TINY, "a"), (ONE_CELL, "a"),
-                                        (ONE_CELL, "b"))]
-        for job_id in ids:
-            for event in client.stream(job_id, follow=True):
-                if event["event"] == "job_done":
-                    break
-            else:
-                pytest.fail("stream ended without job_done")
-            assert client.results(job_id)["state"] == "done"
-        stats = client.stats()
-        assert stats["connections_accepted"] == 1
-        assert stats["requests_served"] == 9
-        client.close()
+        with client_of(service) as client:
+            ids = [client.submit(campaign, tenant=tenant)["job_id"]
+                   for campaign, tenant in ((TINY, "a"), (ONE_CELL, "a"),
+                                            (ONE_CELL, "b"))]
+            for job_id in ids:
+                for event in client.stream(job_id, follow=True):
+                    if event["event"] == "job_done":
+                        break
+                else:
+                    pytest.fail("stream ended without job_done")
+                assert client.results(job_id)["state"] == "done"
+            stats = client.stats()
+            assert stats["connections_accepted"] == 1
+            assert stats["requests_served"] == 9
+            client.close()
 
     def test_drain_hangs_up_idle_connections_and_ends_streams(
             self, tmp_path, caplog):
         handle = ServiceThread(
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ).start()
-        client = client_of(handle)
-        try:
-            # The one worker runs the slow cell, so this job stays queued.
-            slow = client.submit(TestBrokenPool.SLOW)["job_id"]
-            queued = client.submit(ONE_CELL)["job_id"]
-            assert client.status(queued)["state"] == "queued"
-            events, following = [], threading.Event()
+        with client_of(handle) as client:
+            try:
+                # The one worker runs the slow cell, so this job stays queued.
+                slow = client.submit(TestBrokenPool.SLOW)["job_id"]
+                queued = client.submit(ONE_CELL)["job_id"]
+                assert client.status(queued)["state"] == "queued"
+                events, following = [], threading.Event()
 
-            def follow() -> None:
-                with client_of(handle) as follower:
-                    for event in follower.stream(queued, follow=True):
-                        events.append(event)
-                        following.set()
+                def follow() -> None:
+                    with client_of(handle) as follower:
+                        for event in follower.stream(queued, follow=True):
+                            events.append(event)
+                            following.set()
 
-            follower = threading.Thread(target=follow)
-            follower.start()
-            assert following.wait(timeout=30)
-            assert client.healthz()["ok"]  # leaves an idle connection
-        finally:
-            start = time.monotonic()
-            handle.stop()
-            stopped_s = time.monotonic() - start
-        follower.join(timeout=30)
-        assert not follower.is_alive()
-        assert stopped_s < 20
-        assert [e["event"] for e in events][-1] == "drained"
-        assert not [r for r in caplog.records if r.name == "asyncio"]
-        # The idle socket was hung up; its retry finds no server.
-        with pytest.raises(ConnectionRefusedError):
-            client.status(slow)
+                follower = threading.Thread(target=follow)
+                follower.start()
+                assert following.wait(timeout=30)
+                assert client.healthz()["ok"]  # leaves an idle connection
+            finally:
+                start = time.monotonic()
+                handle.stop()
+                stopped_s = time.monotonic() - start
+            follower.join(timeout=30)
+            assert not follower.is_alive()
+            assert stopped_s < 20
+            assert [e["event"] for e in events][-1] == "drained"
+            assert not [r for r in caplog.records if r.name == "asyncio"]
+            # The idle socket was hung up; its retry finds no server.
+            with pytest.raises(ConnectionRefusedError):
+                client.status(slow)

@@ -154,19 +154,19 @@ class TestAdmissionEdges:
             state_dir=str(tmp_path / "svc"), jobs=1, max_queued_cells=0,
         )
         with ServiceThread(config) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            for campaign, cells in ((TINY, 4), (ONE, 1)):
-                with pytest.raises(ServiceError) as err:
-                    client.submit(campaign, tenant="anyone")
-                assert err.value.status == 429
-                assert err.value.is_backpressure
-                payload = err.value.payload
-                assert payload["queued_cells"] == 0
-                assert payload["requested_cells"] == cells
-                assert payload["max_queued_cells"] == 0
-                assert "queue full" in payload["error"]
-            assert client.jobs()["jobs"] == []
-            assert client.stats()["queue"]["rejected_submits"] == 2
+            with ServiceClient(handle.host, handle.port) as client:
+                for campaign, cells in ((TINY, 4), (ONE, 1)):
+                    with pytest.raises(ServiceError) as err:
+                        client.submit(campaign, tenant="anyone")
+                    assert err.value.status == 429
+                    assert err.value.is_backpressure
+                    payload = err.value.payload
+                    assert payload["queued_cells"] == 0
+                    assert payload["requested_cells"] == cells
+                    assert payload["max_queued_cells"] == 0
+                    assert "queue full" in payload["error"]
+                assert client.jobs()["jobs"] == []
+                assert client.stats()["queue"]["rejected_submits"] == 2
 
     def test_cancel_while_queued_returns_budget(self, tmp_path):
         campaign = CampaignSpec.from_dict(dict(TINY, seeds=[1, 2]))
@@ -220,34 +220,34 @@ class TestCancel:
         total = CampaignSpec.from_dict(campaign).size()
         config = ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         with ServiceThread(config) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            job_id = client.submit(campaign)["job_id"]
-            deadline = time.monotonic() + 120
-            while (
-                client.status(job_id)["progress"]["cells_done"] < 1
-            ):
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            cancelled = client.cancel(job_id)
-            assert cancelled["state"] == "cancelled"
-            assert client.status(job_id)["state"] == "cancelled"
-            # Cancelling is idempotent.
-            assert client.cancel(job_id)["state"] == "cancelled"
+            with ServiceClient(handle.host, handle.port) as client:
+                job_id = client.submit(campaign)["job_id"]
+                deadline = time.monotonic() + 120
+                while (
+                    client.status(job_id)["progress"]["cells_done"] < 1
+                ):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                cancelled = client.cancel(job_id)
+                assert cancelled["state"] == "cancelled"
+                assert client.status(job_id)["state"] == "cancelled"
+                # Cancelling is idempotent.
+                assert client.cancel(job_id)["state"] == "cancelled"
 
-            # Resubmit: completed cells come from the cache, any cell
-            # still in flight at cancel time is joined, and no key is
-            # ever executed twice service-wide.
-            job2 = client.submit(campaign)
-            final = client.wait(job2["job_id"], timeout=180)
-            progress = final["progress"]
-            assert final["state"] == "done"
-            assert progress["cells_done"] == total
-            assert (
-                progress["cells_from_cache"]
-                + progress["cells_deduped"] >= 1
-            )
-            assert progress["cells_scheduled"] < total
-            assert client.stats()["cells_executed"] <= total
+                # Resubmit: completed cells come from the cache, any cell
+                # still in flight at cancel time is joined, and no key is
+                # ever executed twice service-wide.
+                job2 = client.submit(campaign)
+                final = client.wait(job2["job_id"], timeout=180)
+                progress = final["progress"]
+                assert final["state"] == "done"
+                assert progress["cells_done"] == total
+                assert (
+                    progress["cells_from_cache"]
+                    + progress["cells_deduped"] >= 1
+                )
+                assert progress["cells_scheduled"] < total
+                assert client.stats()["cells_executed"] <= total
 
     def test_cancel_wakes_stream_followers(self, tmp_path):
         """A follower of a queued job sees the cancel at once, not at
@@ -272,16 +272,17 @@ class TestCancel:
     def test_cancelled_job_keeps_no_results(self, tmp_path):
         config = ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         with ServiceThread(config) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            job_id = client.submit(TINY)["job_id"]
-            client.cancel(job_id)
-            results = client.results(job_id, lite=True)
-            assert results["state"] == "cancelled"
-            # Journal records the terminal state (no resume on restart).
-            journal = json.load(open(os.path.join(
-                str(tmp_path / "svc"), "jobs", f"{job_id}.json"
-            )))
-            assert journal["state"] == "cancelled"
+            with ServiceClient(handle.host, handle.port) as client:
+                job_id = client.submit(TINY)["job_id"]
+                client.cancel(job_id)
+                results = client.results(job_id, lite=True)
+                assert results["state"] == "cancelled"
+                # Journal records the terminal state (no resume on restart).
+                with open(os.path.join(
+                    str(tmp_path / "svc"), "jobs", f"{job_id}.json"
+                )) as fh:
+                    journal = json.load(fh)
+                assert journal["state"] == "cancelled"
 
 
 class TestConcurrentCampaigns:
@@ -293,30 +294,30 @@ class TestConcurrentCampaigns:
             dict(TINY, seeds=[seed]) for seed in (1, 2, 3)
         ]
         with ServiceThread(config) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            # Overlapping seeds, so the in-flight and store dedup paths
-            # get real concurrent traffic.
-            submitted = [
-                client.submit(campaign)["job_id"]
-                for _ in range(3) for campaign in campaigns
-            ]
-            expected = {}
-            for job_id in submitted:
-                final = client.wait(job_id, timeout=300)
-                assert final["state"] == "done", final
-                fps = tuple(
-                    c["fingerprint"]
-                    for c in client.results(job_id, lite=True)["cells"]
-                )
-                key = json.dumps(final["campaign"], sort_keys=True)
-                assert expected.setdefault(key, fps) == fps
-            assert len(expected) == 3
+            with ServiceClient(handle.host, handle.port) as client:
+                # Overlapping seeds, so the in-flight and store dedup paths
+                # get real concurrent traffic.
+                submitted = [
+                    client.submit(campaign)["job_id"]
+                    for _ in range(3) for campaign in campaigns
+                ]
+                expected = {}
+                for job_id in submitted:
+                    final = client.wait(job_id, timeout=300)
+                    assert final["state"] == "done", final
+                    fps = tuple(
+                        c["fingerprint"]
+                        for c in client.results(job_id, lite=True)["cells"]
+                    )
+                    key = json.dumps(final["campaign"], sort_keys=True)
+                    assert expected.setdefault(key, fps) == fps
+                assert len(expected) == 3
 
-            stats = client.stats()
-            # 3 distinct campaigns x 4 cells: at most 12 executions
-            # for 9 campaigns (36 cells).
-            assert stats["cells_executed"] <= 12
-            assert stats["queue"]["queued_cells"] == 0
+                stats = client.stats()
+                # 3 distinct campaigns x 4 cells: at most 12 executions
+                # for 9 campaigns (36 cells).
+                assert stats["cells_executed"] <= 12
+                assert stats["queue"]["queued_cells"] == 0
 
 
 def spawn_service(state_dir):
@@ -396,33 +397,32 @@ class TestSigtermResume:
 
         proc = spawn_service(state_dir)
         try:
-            client = discover(state_dir, wait_s=30)
-            job_id = client.submit(campaign)["job_id"]
-            wait_for_cells_done(client, job_id, 2)
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=60) == 0
+            with discover(state_dir, wait_s=30) as client:
+                job_id = client.submit(campaign)["job_id"]
+                wait_for_cells_done(client, job_id, 2)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
 
-        journal = json.load(open(
-            os.path.join(state_dir, "jobs", f"{job_id}.json")
-        ))
+        with open(os.path.join(state_dir, "jobs", f"{job_id}.json")) as fh:
+            journal = json.load(fh)
         assert journal["state"] == "queued"  # resumable checkpoint
 
         proc = spawn_service(state_dir)
         try:
-            client = discover(state_dir, wait_s=30)
-            final = client.wait(job_id, timeout=240)
-            assert final["state"] == "done"
-            assert final["progress"]["cells_from_cache"] >= 2
-            fps = [
-                c["fingerprint"]
-                for c in client.results(job_id, lite=True)["cells"]
-            ]
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=60) == 0
+            with discover(state_dir, wait_s=30) as client:
+                final = client.wait(job_id, timeout=240)
+                assert final["state"] == "done"
+                assert final["progress"]["cells_from_cache"] >= 2
+                fps = [
+                    c["fingerprint"]
+                    for c in client.results(job_id, lite=True)["cells"]
+                ]
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -448,18 +448,18 @@ class TestSigkillResume:
 
         proc = spawn_service(state_dir)
         try:
-            client = discover(state_dir, wait_s=30)
-            job_id = client.submit(campaign)["job_id"]
-            wait_for_cells_done(client, job_id, 2)
-            proc.kill()
-            proc.wait(timeout=60)
-            # Its pool worker notices the lost parent and exits.
-            deadline = time.monotonic() + 10
-            while live_group_members(proc.pid):
-                assert time.monotonic() < deadline, (
-                    f"orphans left: {live_group_members(proc.pid)}"
-                )
-                time.sleep(0.1)
+            with discover(state_dir, wait_s=30) as client:
+                job_id = client.submit(campaign)["job_id"]
+                wait_for_cells_done(client, job_id, 2)
+                proc.kill()
+                proc.wait(timeout=60)
+                # Its pool worker notices the lost parent and exits.
+                deadline = time.monotonic() + 10
+                while live_group_members(proc.pid):
+                    assert time.monotonic() < deadline, (
+                        f"orphans left: {live_group_members(proc.pid)}"
+                    )
+                    time.sleep(0.1)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -477,16 +477,16 @@ class TestSigkillResume:
 
         proc = spawn_service(state_dir)
         try:
-            client = discover(state_dir, wait_s=30)
-            final = client.wait(job_id, timeout=240)
-            assert final["state"] == "done"
-            assert final["progress"]["cells_from_cache"] >= 2
-            fps = [
-                c["fingerprint"]
-                for c in client.results(job_id, lite=True)["cells"]
-            ]
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=60) == 0
+            with discover(state_dir, wait_s=30) as client:
+                final = client.wait(job_id, timeout=240)
+                assert final["state"] == "done"
+                assert final["progress"]["cells_from_cache"] >= 2
+                fps = [
+                    c["fingerprint"]
+                    for c in client.results(job_id, lite=True)["cells"]
+                ]
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()

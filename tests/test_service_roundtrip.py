@@ -398,13 +398,13 @@ class TestBytesPinned:
         with ServiceThread(
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            first = client.submit(stored)["job_id"]
-            assert client.wait(first, timeout=120)["state"] == "done"
-            job_id = client.submit(pinned)["job_id"]
-            assert client.wait(job_id, timeout=120)["state"] == "done"
-            full = _raw_get(handle, f"/v1/jobs/{job_id}/results")
-            lite = _raw_get(handle, f"/v1/jobs/{job_id}/results?lite=1")
+            with ServiceClient(handle.host, handle.port) as client:
+                first = client.submit(stored)["job_id"]
+                assert client.wait(first, timeout=120)["state"] == "done"
+                job_id = client.submit(pinned)["job_id"]
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+                full = _raw_get(handle, f"/v1/jobs/{job_id}/results")
+                lite = _raw_get(handle, f"/v1/jobs/{job_id}/results?lite=1")
         sources = [e["source"] for e in _feed(tmp_path / "svc", job_id)
                    if e["event"] == "cell_done"]
         assert sorted(sources) == ["cache", "executed"]
@@ -540,18 +540,18 @@ class TestStoredRecords:
         with ServiceThread(
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            ids = []
-            for _ in range(2):
+            with ServiceClient(handle.host, handle.port) as client:
+                ids = []
+                for _ in range(2):
+                    ids.append(client.submit(campaign)["job_id"])
+                    assert client.wait(ids[-1], timeout=120)["state"] == "done"
+                # The entry deleted after it was memoized: the cell re-runs.
+                os.unlink(handle.service.store.path_for(
+                    handle.service.jobs[ids[0]].cells[0].key))
                 ids.append(client.submit(campaign)["job_id"])
                 assert client.wait(ids[-1], timeout=120)["state"] == "done"
-            # The entry deleted after it was memoized: the cell re-runs.
-            os.unlink(handle.service.store.path_for(
-                handle.service.jobs[ids[0]].cells[0].key))
-            ids.append(client.submit(campaign)["job_id"])
-            assert client.wait(ids[-1], timeout=120)["state"] == "done"
-            progress = [client.status(i)["progress"] for i in ids]
-            records = [handle.service.jobs[i].results[0] for i in ids]
+                progress = [client.status(i)["progress"] for i in ids]
+                records = [handle.service.jobs[i].results[0] for i in ids]
         assert [p["cells_scheduled"] for p in progress] == [1, 0, 1]
         assert [p["cells_from_cache"] for p in progress] == [0, 1, 0]
         assert records[0] == records[1] == records[2]
@@ -588,19 +588,19 @@ class TestFingerprintOnce:
         with ServiceThread(
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            job_id = client.submit(campaign)["job_id"]
-            assert client.wait(job_id, timeout=120)["state"] == "done"
-            calls = []
+            with ServiceClient(handle.host, handle.port) as client:
+                job_id = client.submit(campaign)["job_id"]
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+                calls = []
 
-            def counting(stats):
-                calls.append(1)
-                return fingerprint(stats)
+                def counting(stats):
+                    calls.append(1)
+                    return fingerprint(stats)
 
-            monkeypatch.setattr(runcache, "fingerprint", counting)
-            results = client.results(job_id)
-            lite = client.results(job_id, lite=True)
-            events = list(client.stream(job_id, follow=False))
+                monkeypatch.setattr(runcache, "fingerprint", counting)
+                results = client.results(job_id)
+                lite = client.results(job_id, lite=True)
+                events = list(client.stream(job_id, follow=False))
         assert calls == []
         done = {e["index"]: e["fingerprint"] for e in events
                 if e["event"] == "cell_done"}
@@ -648,15 +648,15 @@ class TestEventHandles:
             "threads": [1], "seeds": [1], "scale": 0.01,
         }
         with ServiceThread(ServiceConfig(state_dir=state_dir, jobs=1)) as h:
-            client = ServiceClient(h.host, h.port)
-            job_id = client.submit(campaign)["job_id"]
-            assert client.wait(job_id, timeout=120)["state"] == "done"
-            assert _open_event_feeds(state_dir) == []
-            # Three slower cells on one worker: the stop below drains
-            # the job mid-campaign, leaving it live.
-            live_id = client.submit(dict(
-                campaign, threads=[2], seeds=[2, 3, 4], scale=0.1,
-            ))["job_id"]
+            with ServiceClient(h.host, h.port) as client:
+                job_id = client.submit(campaign)["job_id"]
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+                assert _open_event_feeds(state_dir) == []
+                # Three slower cells on one worker: the stop below drains
+                # the job mid-campaign, leaving it live.
+                live_id = client.submit(dict(
+                    campaign, threads=[2], seeds=[2, 3, 4], scale=0.1,
+                ))["job_id"]
         with open(os.path.join(state_dir, "jobs", f"{live_id}.json")) as fh:
             assert json.load(fh)["state"] == "queued"
         assert _open_event_feeds(state_dir) == []
@@ -694,14 +694,14 @@ class TestFeedPerPass:
         with ServiceThread(
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            fill = client.submit(WARM)["job_id"]
-            assert client.wait(fill, timeout=120)["state"] == "done"
-            del writes[:], wakeups[:]
-            warm = client.submit(WARM)["job_id"]
-            events = list(client.stream(warm, follow=True))
-            job = handle.service.jobs[warm]
-            assert _feed_bytes(job) == b"".join(job.event_lines)
+            with ServiceClient(handle.host, handle.port) as client:
+                fill = client.submit(WARM)["job_id"]
+                assert client.wait(fill, timeout=120)["state"] == "done"
+                del writes[:], wakeups[:]
+                warm = client.submit(WARM)["job_id"]
+                events = list(client.stream(warm, follow=True))
+                job = handle.service.jobs[warm]
+                assert _feed_bytes(job) == b"".join(job.event_lines)
         assert [e["event"] for e in events] == (
             ["submitted"] + ["cell_done"] * 48 + ["job_done"])
         # ``submitted`` at admission, then the whole pass in one write.
@@ -719,18 +719,18 @@ class TestFeedPerPass:
         with ServiceThread(
             ServiceConfig(state_dir=str(tmp_path / "svc"), jobs=1)
         ) as handle:
-            client = ServiceClient(handle.host, handle.port)
-            # Half the cells are served from the store, half executed.
-            seed = client.submit(dict(campaign, threads=[1]))["job_id"]
-            assert client.wait(seed, timeout=120)["state"] == "done"
-            job_id = client.submit(campaign)["job_id"]
-            job = handle.service.jobs[job_id]
-            streamed = []
-            for event in client.stream(job_id, follow=True):
-                streamed.append(event)
-                on_disk = [json.loads(line)
-                           for line in _feed_bytes(job).splitlines()]
-                assert on_disk[:len(streamed)] == streamed
+            with ServiceClient(handle.host, handle.port) as client:
+                # Half the cells are served from the store, half executed.
+                seed = client.submit(dict(campaign, threads=[1]))["job_id"]
+                assert client.wait(seed, timeout=120)["state"] == "done"
+                job_id = client.submit(campaign)["job_id"]
+                job = handle.service.jobs[job_id]
+                streamed = []
+                for event in client.stream(job_id, follow=True):
+                    streamed.append(event)
+                    on_disk = [json.loads(line)
+                               for line in _feed_bytes(job).splitlines()]
+                    assert on_disk[:len(streamed)] == streamed
         sources = sorted(e["source"] for e in streamed
                          if e["event"] == "cell_done")
         assert sources == ["cache"] * 4 + ["executed"] * 4
