@@ -14,9 +14,8 @@ Run:  python examples/custom_workload.py
 
 from typing import List
 
-import numpy as np
-
 from repro import RunConfig, get_system, run_workload
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute
 from repro.workloads.base import (
     Workload,
@@ -42,14 +41,14 @@ class BankWorkload(Workload):
     summary = "pairwise transfers; conserved total balance"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
         for t in range(threads):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_txs):
-                prog.append(Plain([compute(int(rng.integers(20, 60)))]))
+                prog.append(Plain([compute(rng.integers(20, 60))]))
                 src, dst = rng.choice(N_ACCOUNTS, size=2, replace=False)
                 shard = COUNTER_BASE + (t % N_COUNTER_SHARDS)
                 prog.append(
@@ -58,8 +57,8 @@ class BankWorkload(Workload):
                         reads=[],
                         writes=[],
                         rmw_pairs=[
-                            (shared_line_addr(int(src)), -TRANSFER),
-                            (shared_line_addr(int(dst)), +TRANSFER),
+                            (shared_line_addr(src), -TRANSFER),
+                            (shared_line_addr(dst), +TRANSFER),
                             (shared_line_addr(shard), 1),
                         ],
                         pre_compute=6,

@@ -222,7 +222,7 @@ class FaultInjector:
 
         def stream(tag: str) -> SplitMix64:
             root = substream(seed, "chaos", plan.name, tag)
-            return SplitMix64(int(root.integers(0, 1 << 63)))
+            return SplitMix64(root.integers(0, 1 << 63))
 
         self._net = stream("net")
         self._wake = stream("wakeup")

@@ -477,8 +477,7 @@ class CPU:
     def _abort_checkpoint(self, now: int, attempt_seq: int) -> None:
         tx = self.tx
         if (
-            self.done
-            or tx.attempt_seq != attempt_seq
+            tx.attempt_seq != attempt_seq
             or not tx.aborted
             or tx.mode is not _HTM
         ):

@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.common.params import CacheParams, SystemParams
-from repro.common.rng import substream
+from repro.common.rng import RandomStream, substream
 from repro.harness.systems import get_system
 from repro.htm.isa import (
     Plain,
@@ -60,7 +58,7 @@ def fuzz_params(num_cores: int = 4) -> SystemParams:
 
 
 def random_programs(
-    rng: np.random.Generator,
+    rng: RandomStream,
     max_threads: int = 4,
     max_segments: int = 5,
     max_ops: int = 8,
@@ -69,19 +67,19 @@ def random_programs(
 ) -> List[List[Segment]]:
     """One random program per thread over ``n_lines`` hot lines."""
     programs: List[List[Segment]] = []
-    for _ in range(int(rng.integers(1, max_threads + 1))):
+    for _ in range(rng.integers(1, max_threads + 1)):
         segments: List[Segment] = []
-        for _ in range(int(rng.integers(1, max_segments + 1))):
-            ops = [compute(int(rng.integers(1, 12)))]
-            for _ in range(int(rng.integers(1, max_ops + 1))):
-                kind = int(rng.integers(0, 3))
-                addr = int(rng.integers(0, n_lines)) * 64
+        for _ in range(rng.integers(1, max_segments + 1)):
+            ops = [compute(rng.integers(1, 12))]
+            for _ in range(rng.integers(1, max_ops + 1)):
+                kind = rng.integers(0, 3)
+                addr = rng.integers(0, n_lines) * 64
                 if kind == 0:
                     ops.append(load(addr))
                 elif kind == 1:
-                    ops.append(store(addr, int(rng.integers(1, 4))))
+                    ops.append(store(addr, rng.integers(1, 4)))
                 else:
-                    ops.append(compute(int(rng.integers(1, 6))))
+                    ops.append(compute(rng.integers(1, 6)))
             if rng.random() < 0.5:
                 if rng.random() < fault_prob:
                     ops.insert(

@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.common.rng import substream
+from repro.common.rng import RandomStream, substream
 from repro.common.types import LINE_SIZE
 from repro.htm.isa import OP_STORE, Plain, Segment
 
@@ -122,14 +120,14 @@ class Workload:
         return {"name": self.name, "summary": self.summary}
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         raise NotImplementedError
 
 
-def interleave_warmup(thread: int, rng: np.random.Generator) -> Plain:
+def interleave_warmup(thread: int, rng: RandomStream) -> Plain:
     """A small staggered warm-up so threads do not start in lockstep."""
     from repro.htm.isa import compute
 
-    jitter = 20 + 13 * thread + int(rng.integers(0, 40))
+    jitter = 20 + 13 * thread + rng.integers(0, 40)
     return Plain([compute(jitter)])

@@ -20,10 +20,10 @@ plus a hot task-list head and moderate per-op compute.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute
 from repro.workloads.base import (
     Workload,
@@ -45,24 +45,22 @@ class BayesWorkload(Workload):
     summary = "structure learning; wildly variable tx footprints (excluded)"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
-        log_lo = np.log(MIN_FOOTPRINT)
-        log_hi = np.log(MAX_FOOTPRINT)
+        log_lo = math.log(MIN_FOOTPRINT)
+        log_hi = math.log(MAX_FOOTPRINT)
         for t in range(threads):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_txs):
-                prog.append(Plain([compute(int(rng.integers(80, 400)))]))
-                footprint = int(
-                    round(np.exp(rng.uniform(log_lo, log_hi)))
-                )
+                prog.append(Plain([compute(rng.integers(80, 400))]))
+                footprint = round(math.exp(rng.uniform(log_lo, log_hi)))
                 n_writes = max(1, footprint // 4)
                 picks = pick_lines(rng, ADTREE_LINES, footprint)
-                reads = [shared_line_addr(int(x)) for x in picks]
+                reads = [shared_line_addr(x) for x in picks]
                 writes = [
-                    (shared_line_addr(int(x)), 1)
+                    (shared_line_addr(x), 1)
                     for x in picks[:n_writes]
                 ]
                 reads.extend(
@@ -75,7 +73,7 @@ class BayesWorkload(Workload):
                         reads,
                         writes,
                         rmw_pairs=[(shared_line_addr(TASK_HEAD), 1)],
-                        pre_compute=int(rng.integers(20, 120)),
+                        pre_compute=rng.integers(20, 120),
                         per_op_compute=2,
                         tag=f"bayes-{t}-{i}",
                     )

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute, load, store
 from repro.workloads.base import (
     Workload,
@@ -40,7 +39,7 @@ class GenomeWorkload(Workload):
     summary = "hash-table segment dedup; moderate txs, low contention"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
@@ -48,17 +47,17 @@ class GenomeWorkload(Workload):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_txs):
                 # Non-transactional phase: private work + rare shared read.
-                plain_ops = [compute(int(rng.integers(40, 120)))]
+                plain_ops = [compute(rng.integers(40, 120))]
                 for k in range(2):
                     plain_ops.append(load(private_line_addr(t, (i * 2 + k) % 64)))
                 if rng.random() < 0.08:
                     plain_ops.append(
-                        load(shared_line_addr(int(rng.integers(0, TABLE_LINES))))
+                        load(shared_line_addr(rng.integers(0, TABLE_LINES)))
                     )
                 if rng.random() < 0.02:
                     plain_ops.append(
                         store(
-                            shared_line_addr(int(rng.integers(0, TABLE_LINES))),
+                            shared_line_addr(rng.integers(0, TABLE_LINES)),
                             1,
                         )
                     )
@@ -66,16 +65,16 @@ class GenomeWorkload(Workload):
 
                 probes = pick_lines(rng, TABLE_LINES, 6)
                 inserts = pick_lines(rng, TABLE_LINES, 2)
-                link = TABLE_LINES + int(rng.integers(0, LINK_LINES))
-                reads = [shared_line_addr(int(x)) for x in probes]
-                writes = [(shared_line_addr(int(x)), 1) for x in inserts]
+                link = TABLE_LINES + rng.integers(0, LINK_LINES)
+                reads = [shared_line_addr(x) for x in probes]
+                writes = [(shared_line_addr(x), 1) for x in inserts]
                 writes.append((shared_line_addr(link), 1))
                 prog.append(
                     make_txn(
                         rng,
                         reads,
                         writes,
-                        pre_compute=int(rng.integers(8, 24)),
+                        pre_compute=rng.integers(8, 24),
                         per_op_compute=2,
                         tag=f"genome-{t}-{i}",
                     )

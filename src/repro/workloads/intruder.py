@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute, load
 from repro.workloads.base import (
     Workload,
@@ -48,7 +47,7 @@ class IntruderWorkload(Workload):
     summary = "queue pop / map insert / queue push; high contention"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_iters = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
@@ -56,13 +55,13 @@ class IntruderWorkload(Workload):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_iters):
                 # Capture/decode phase: private, non-transactional.
-                plain_ops = [compute(int(rng.integers(90, 220)))]
+                plain_ops = [compute(rng.integers(90, 220))]
                 plain_ops.append(load(private_line_addr(t, i % 32)))
                 if rng.random() < 0.05:
                     plain_ops.append(
                         load(
                             shared_line_addr(
-                                DICT_BASE + int(rng.integers(0, DICT_LINES))
+                                DICT_BASE + rng.integers(0, DICT_LINES)
                             )
                         )
                     )
@@ -82,27 +81,27 @@ class IntruderWorkload(Workload):
                 )
 
                 # Decode between transactions.
-                prog.append(Plain([compute(int(rng.integers(40, 110)))]))
+                prog.append(Plain([compute(rng.integers(40, 110))]))
 
                 # (2) reassembly map: the medium transaction (the bulk of
                 # the work, diluting queue-pointer pressure).
                 dict_picks = pick_lines(rng, DICT_LINES, 12)
                 reads = [
-                    shared_line_addr(DICT_BASE + int(x))
+                    shared_line_addr(DICT_BASE + x)
                     for x in dict_picks[:8]
                 ]
                 writes = [
-                    (shared_line_addr(DICT_BASE + int(x)), 1)
+                    (shared_line_addr(DICT_BASE + x), 1)
                     for x in dict_picks[8:12]
                 ]
-                counter = 2 + int(rng.integers(0, COUNTER_LINES))
+                counter = 2 + rng.integers(0, COUNTER_LINES)
                 prog.append(
                     make_txn(
                         rng,
                         reads,
                         writes,
                         rmw_pairs=[(shared_line_addr(counter), 1)],
-                        pre_compute=int(rng.integers(8, 24)),
+                        pre_compute=rng.integers(8, 24),
                         per_op_compute=2,
                         tag=f"intruder-map-{t}-{i}",
                     )

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute, load
 from repro.workloads.base import (
     Workload,
@@ -33,7 +32,7 @@ class KMeansWorkload(Workload):
     clusters = 256
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
@@ -44,12 +43,12 @@ class KMeansWorkload(Workload):
                 prog.append(
                     Plain(
                         [
-                            compute(int(rng.integers(30, 90))),
+                            compute(rng.integers(30, 90)),
                             load(private_line_addr(t, i % 48)),
                         ]
                     )
                 )
-                center = int(rng.integers(0, self.clusters))
+                center = rng.integers(0, self.clusters)
                 counter = self.clusters + center
                 prog.append(
                     make_txn(

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute, load
 from repro.workloads.base import (
     Workload,
@@ -44,21 +43,21 @@ class LabyrinthWorkload(Workload):
     summary = "maze routing; ~230-line tx footprints, overflow-bound"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
         for t in range(threads):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_txs):
-                prog.append(Plain([compute(int(rng.integers(200, 500)))]))
+                prog.append(Plain([compute(rng.integers(200, 500))]))
                 reads: List[int] = []
                 for _ in range(READ_BLOCKS):
-                    base = int(rng.integers(0, GRID_LINES - BLOCK_LEN))
+                    base = rng.integers(0, GRID_LINES - BLOCK_LEN)
                     reads.extend(
                         shared_line_addr(base + j) for j in range(BLOCK_LEN)
                     )
-                path_base = int(rng.integers(0, GRID_LINES - PATH_LEN))
+                path_base = rng.integers(0, GRID_LINES - PATH_LEN)
                 writes = [
                     (shared_line_addr(path_base + j), 1)
                     for j in range(PATH_LEN)
@@ -72,7 +71,7 @@ class LabyrinthWorkload(Workload):
                         rng,
                         reads,
                         writes,
-                        pre_compute=int(rng.integers(80, 200)),
+                        pre_compute=rng.integers(80, 200),
                         per_op_compute=2,
                         tag=f"labyrinth-{t}-{i}",
                     )

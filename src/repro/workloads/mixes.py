@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Op, Txn, compute, fault, load, store
 
 
 def make_txn(
-    rng: np.random.Generator,
+    rng: RandomStream,
     reads: Sequence[int],
     writes: Sequence[Tuple[int, int]],
     pre_compute: int = 10,
@@ -56,8 +55,8 @@ def make_txn(
 
 
 def pick_lines(
-    rng: np.random.Generator, universe: int, count: int
-) -> np.ndarray:
+    rng: RandomStream, universe: int, count: int
+) -> List[int]:
     """``count`` distinct line indices out of ``universe``."""
     count = min(count, universe)
     if count * 3 < universe:

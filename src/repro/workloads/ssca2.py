@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute, load
 from repro.workloads.base import (
     Workload,
@@ -35,7 +34,7 @@ class Ssca2Workload(Workload):
     summary = "graph construction; 3-access txs, minimal contention"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
@@ -45,13 +44,13 @@ class Ssca2Workload(Workload):
                 prog.append(
                     Plain(
                         [
-                            compute(int(rng.integers(15, 45))),
+                            compute(rng.integers(15, 45)),
                             load(private_line_addr(t, i % 16)),
                         ]
                     )
                 )
-                a = int(rng.integers(0, GRAPH_LINES))
-                b = int(rng.integers(0, GRAPH_LINES))
+                a = rng.integers(0, GRAPH_LINES)
+                b = rng.integers(0, GRAPH_LINES)
                 reads = [shared_line_addr(a)]
                 writes = [
                     (shared_line_addr(a), 1),

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute, load, store
 from repro.workloads.base import (
     Workload,
@@ -37,20 +36,20 @@ class VacationWorkload(Workload):
     n_writes = 4
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
         for t in range(threads):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_txs):
-                plain_ops = [compute(int(rng.integers(50, 140)))]
+                plain_ops = [compute(rng.integers(50, 140))]
                 plain_ops.append(load(private_line_addr(t, i % 40)))
                 if rng.random() < 0.06:
                     plain_ops.append(
                         load(
                             shared_line_addr(
-                                int(rng.integers(0, self.table_lines))
+                                rng.integers(0, self.table_lines)
                             )
                         )
                     )
@@ -58,7 +57,7 @@ class VacationWorkload(Workload):
                     plain_ops.append(
                         store(
                             shared_line_addr(
-                                int(rng.integers(0, self.table_lines))
+                                rng.integers(0, self.table_lines)
                             ),
                             1,
                         )
@@ -66,19 +65,17 @@ class VacationWorkload(Workload):
                 prog.append(Plain(plain_ops))
 
                 tbl = pick_lines(rng, self.table_lines, self.n_reads)
-                reads = [shared_line_addr(int(x)) for x in tbl]
+                reads = [shared_line_addr(x) for x in tbl]
                 wr = pick_lines(rng, self.table_lines, self.n_writes)
-                writes = [(shared_line_addr(int(x)), 1) for x in wr]
-                cust = self.table_lines + int(
-                    rng.integers(0, self.customer_lines)
-                )
+                writes = [(shared_line_addr(x), 1) for x in wr]
+                cust = self.table_lines + rng.integers(0, self.customer_lines)
                 writes.append((shared_line_addr(cust), 1))
                 prog.append(
                     make_txn(
                         rng,
                         reads,
                         writes,
-                        pre_compute=int(rng.integers(10, 30)),
+                        pre_compute=rng.integers(10, 30),
                         per_op_compute=2,
                         tag=f"{self.name}-{t}-{i}",
                     )

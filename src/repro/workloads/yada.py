@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.common.rng import RandomStream
 from repro.htm.isa import Plain, Segment, compute
 from repro.workloads.base import (
     Workload,
@@ -55,19 +54,19 @@ class YadaWorkload(Workload):
     summary = "Delaunay refinement; big txs, many exceptions"
 
     def _generate(
-        self, threads: int, scale: float, rng: np.random.Generator
+        self, threads: int, scale: float, rng: RandomStream
     ) -> List[List[Segment]]:
         n_txs = self.txs_per_thread(scale)
         programs: List[List[Segment]] = []
         for t in range(threads):
             prog: List[Segment] = [interleave_warmup(t, rng)]
             for i in range(n_txs):
-                prog.append(Plain([compute(int(rng.integers(100, 300)))]))
+                prog.append(Plain([compute(rng.integers(100, 300))]))
                 # Cavity: a contiguous region plus scattered neighbours.
-                base = int(rng.integers(0, ACTIVE_FRONT_LINES - 32))
+                base = rng.integers(0, ACTIVE_FRONT_LINES - 32)
                 reads = [shared_line_addr(base + j) for j in range(32)]
                 scattered = pick_lines(rng, MESH_LINES, READS - 32)
-                reads.extend(shared_line_addr(int(x)) for x in scattered)
+                reads.extend(shared_line_addr(x) for x in scattered)
                 writes = [
                     (shared_line_addr(base + j), 1) for j in range(WRITES)
                 ]
@@ -84,16 +83,16 @@ class YadaWorkload(Workload):
                 persistent = False
                 roll = rng.random()
                 if roll < FAULT_PERSISTENT_P:
-                    fault_at = int(rng.integers(0, early))
+                    fault_at = rng.integers(0, early)
                     persistent = True
                 elif roll < FAULT_PERSISTENT_P + FAULT_ONCE_P:
-                    fault_at = int(rng.integers(0, early))
+                    fault_at = rng.integers(0, early)
                 prog.append(
                     make_txn(
                         rng,
                         reads,
                         writes,
-                        pre_compute=int(rng.integers(40, 120)),
+                        pre_compute=rng.integers(40, 120),
                         per_op_compute=2,
                         tag=f"yada-{t}-{i}",
                         fault_at=fault_at,

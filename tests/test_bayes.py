@@ -1,6 +1,7 @@
 """Tests for the bayes workload (implemented though paper-excluded)."""
 
-import numpy as np
+import statistics
+
 import pytest
 
 from repro.harness.systems import get_system
@@ -17,7 +18,7 @@ class TestBayesShape:
         assert min(footprints) < 20
         assert max(footprints) > 150
         # Heavy tail: the spread is the workload's defining trait.
-        assert np.std(footprints) > np.mean(footprints) * 0.6
+        assert statistics.pstdev(footprints) > statistics.mean(footprints) * 0.6
 
     def test_deterministic(self):
         wl = get_workload("bayes")

@@ -102,6 +102,44 @@ class TestStaleWakeup:
         assert m.memsys.check_quiescent() == []
 
 
+class TestStaleAbortCheckpoint:
+    def test_finished_core_leaves_abort_checkpoint_a_noop(self, monkeypatch):
+        # Core 0 takes the fallback lock and kills cores 1 and 2 inside
+        # compute bursts, so each gets an abort checkpoint at its next
+        # elided boundary (see test_burst_equivalence.py).  Once every
+        # core has finished, a checkpoint for the last attempt with the
+        # abort flag set must do nothing: a finished core's transaction
+        # is out of HTM mode, so no rollback, billing or retry follows.
+        fired = []
+        checkpoint = CPU._abort_checkpoint
+
+        def spy(cpu, now, attempt_seq):
+            fired.append(cpu.core)
+            checkpoint(cpu, now, attempt_seq)
+
+        monkeypatch.setattr(CPU, "_abort_checkpoint", spy)
+        m = make_machine(
+            [
+                [Txn([fault(persistent=True), store(line_addr(1), 1)])],
+                [Txn([compute(22), compute(5), compute(10),
+                      store(line_addr(2), 1)])],
+                [Txn([compute(27), compute(10), store(line_addr(3), 1)])],
+            ],
+            params=params_with(max_retries=1),
+            seed=1,
+        )
+        m.run()
+        assert sorted(fired) == [1, 2]
+        for cpu in m.cpus:
+            assert cpu.done
+            before = (dict(cpu.stats.aborts), dict(cpu.stats.time),
+                      cpu.attempts_this_txn, m.engine.pending())
+            cpu.tx.aborted = True
+            checkpoint(cpu, m.engine.now, cpu.tx.attempt_seq)
+            assert (dict(cpu.stats.aborts), dict(cpu.stats.time),
+                    cpu.attempts_this_txn, m.engine.pending()) == before
+
+
 class TestRetryLater:
     def test_rri_retries_same_op_until_granted(self):
         # Two cores fight over one line under RETRY_LATER; both commit,

@@ -1,6 +1,7 @@
 """Tests for the fuzzer and a fuzz-based stress pass over all systems."""
 
-import numpy as np
+import hashlib
+
 import pytest
 
 from repro.common.rng import substream
@@ -8,13 +9,45 @@ from repro.htm.isa import Txn
 from repro.sim.fuzz import (
     DEFAULT_SYSTEMS,
     FuzzReport,
+    case_programs,
     fuzz_params,
     random_programs,
     run_fuzz,
 )
 
 
+#: Digest of each segment's kind and ops for fuzz cases 0-49 at campaign
+#: seed 0, the programs :func:`~repro.sim.fuzz.replay_case` rebuilds.
+CASE_DIGESTS = (
+    "8f325fc07d", "9d0179228d", "2c699e4921", "e74fba8cbb", "aae9ff0f94",
+    "d5f41ae849", "ae5b0f44c7", "71c8444b67", "11d04ed536", "5bc62ee770",
+    "9ae098c294", "8cde31db6d", "2f3109d63d", "a9a747fe22", "304121bfc9",
+    "69bb1c3b7a", "6410628377", "ed39ae36ae", "15d0caa730", "30f8cec023",
+    "289ad9f11c", "36bde50cc2", "5a85ce1a8f", "0168edb614", "5ac2a3adce",
+    "e669a66b85", "a2fd572339", "f12a6b62ef", "56c655755e", "a702d5aaee",
+    "2599dc48ee", "557fcb3b72", "fb42181ea6", "1d1655fdb3", "b2f6299f7f",
+    "178ef97c35", "161a1535a9", "2c3d49e185", "d0d0fade15", "0998e26ae1",
+    "0a02bd6e30", "20560bd325", "d44a2813df", "6741a7ee1d", "3dbeb92e90",
+    "52fcaac244", "e749c512e6", "be9c6ba721", "5e5659be85", "cf2ada00de",
+)
+
+
+def programs_digest(programs):
+    h = hashlib.sha256()
+    for prog in programs:
+        for seg in prog:
+            h.update(repr((type(seg).__name__, seg.ops)).encode())
+    return h.hexdigest()[:10]
+
+
 class TestGenerator:
+    def test_case_programs_are_pinned(self):
+        moved = [
+            case for case, want in enumerate(CASE_DIGESTS)
+            if programs_digest(case_programs(0, case)) != want
+        ]
+        assert not moved, f"fuzz case programs moved: {moved}"
+
     def test_deterministic(self):
         a = random_programs(substream(1, "x"))
         b = random_programs(substream(1, "x"))

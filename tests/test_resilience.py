@@ -2,6 +2,7 @@
 forward-progress watchdog, structured errors, and the crash-tolerant
 harness (timeouts, retries, quarantine, resume through the run cache)."""
 
+import hashlib
 import time
 
 import pytest
@@ -68,7 +69,37 @@ def run_and_observe(progs, system, seed=0, plan=None, watchdog=None):
 # ----------------------------------------------------------------------
 
 
+#: (plan, run seed) -> digest of the six per-component SplitMix64 seeds
+#: a preset plan's injector derives from its substreams.
+CHAOS_SEED_DIGESTS = {
+    ("chaos-monkey", 0): "a526a587acce1def",
+    ("chaos-monkey", 42): "bc9b3e81bc008a4f",
+    ("jitter", 0): "7e3e5c3e960fee71",
+    ("jitter", 42): "afe9411965d753b8",
+    ("lossy", 0): "7982c0270eabf382",
+    ("lossy", 42): "72943227147a36c5",
+    ("nack-storm", 0): "d51a57a91101c6ff",
+    ("nack-storm", 42): "4df1e164a27bb975",
+    ("sig-storm", 0): "438438bb79b2d428",
+    ("sig-storm", 42): "d167d733dcc718c3",
+    ("stalls", 0): "e998802f6d2f9789",
+    ("stalls", 42): "64ac8a2b4bfc059a",
+}
+
+
 class TestFaultPlan:
+    def test_injector_seeds_are_pinned(self):
+        assert {name for name, _ in CHAOS_SEED_DIGESTS} == set(plan_names())
+        for (name, seed), want in CHAOS_SEED_DIGESTS.items():
+            inj = get_plan(name).injector(seed)
+            seeds = tuple(
+                getattr(inj, part)._state
+                for part in ("_net", "_wake", "_nack", "_stall", "_sig",
+                             "_storm")
+            )
+            got = hashlib.sha256(repr(seeds).encode()).hexdigest()[:16]
+            assert got == want, (name, seed)
+
     def test_default_is_empty(self):
         assert FaultPlan().empty
 

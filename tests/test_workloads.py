@@ -268,6 +268,20 @@ BUILD_DIGESTS = {
     ("yada", 16, 0.1): "4c0a445ac44d22d0",
 }
 
+#: (threads, scale, seed) -> :func:`build_digest` of ``bayes``, which is
+#: outside ``PAPER_ORDER`` and the only build that draws ``uniform`` and
+#: rounds ``math.exp`` of it.
+BAYES_DIGESTS = {
+    (2, 0.25, 42): "4244b7e360988091",
+    (2, 0.25, 7): "8b1a76ce5285b859",
+    (2, 1.0, 42): "4419e1f57a1f0bf0",
+    (2, 1.0, 7): "c884c4d8073ab426",
+    (8, 0.25, 42): "a09726631b1d50f2",
+    (8, 0.25, 7): "fd9f76741a9d27e3",
+    (8, 1.0, 42): "100e266025b68fca",
+    (8, 1.0, 7): "203cae9c3663b53d",
+}
+
 
 def build_digest(build) -> str:
     """Value digest of a build's programs and expected memory image.
@@ -298,3 +312,11 @@ class TestBuildDigest:
         }
         moved = sorted(c for c in got if got[c] != BUILD_DIGESTS[c])
         assert not moved, f"build content moved: {moved}"
+
+    def test_bayes_builds_match_pinned_digests(self):
+        bayes = get_workload("bayes")
+        got = {
+            cell: build_digest(bayes.build(*cell)) for cell in BAYES_DIGESTS
+        }
+        moved = sorted(c for c in got if got[c] != BAYES_DIGESTS[c])
+        assert not moved, f"bayes build content moved: {moved}"
