@@ -55,15 +55,12 @@ def default_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 
 
-def default_jobs() -> int:
-    return int(os.environ.get("REPRO_JOBS", "1") or "1")
-
-
 @dataclass
 class ExperimentContext:
     """Shared run memo + sweep configuration.
 
-    ``jobs`` (default ``$REPRO_JOBS``, else serial) lets the figure
+    ``jobs`` (default ``None``: ``$REPRO_JOBS``, else serial, resolved
+    by :func:`~repro.harness.parallel.run_cells`) lets the figure
     drivers execute their grids through the multi-process runner —
     every driver pre-warms its full cell grid via :meth:`prewarm`, then
     reads the memo cell by cell.  ``disk_cache`` additionally persists
@@ -77,7 +74,7 @@ class ExperimentContext:
     threads: Tuple[int, ...] = field(default_factory=default_threads)
     workloads: Tuple[str, ...] = tuple(PAPER_ORDER)
     params: SystemParams = field(default_factory=typical_params)
-    jobs: int = field(default_factory=default_jobs)
+    jobs: Optional[int] = None
     #: Persistent run cache (RunCache | path | True | None).
     disk_cache: object = None
     _cache: Dict[tuple, RunStats] = field(default_factory=dict, repr=False)

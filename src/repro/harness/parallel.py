@@ -119,10 +119,12 @@ def resolve_jobs(jobs: Optional[int]) -> int:
         if env:
             try:
                 jobs = int(env)
+                if jobs < 0:
+                    raise ValueError
             except ValueError:
                 raise ValueError(
                     f"invalid REPRO_JOBS={env!r}: expected an integer "
-                    "(0 = one worker per CPU, 1 = serial, N > 1 = "
+                    ">= 0 (0 = one worker per CPU, 1 = serial, N > 1 = "
                     "N worker processes)"
                 ) from None
         else:

@@ -50,12 +50,6 @@ class RunConfig:
     #: None (the default) leaves every event slot None —
     #: telemetry-off runs are bit-identical to the seed goldens.
     telemetry: Optional[object] = None
-    #: Share WorkloadBuilds through the process-wide build cache: the
-    #: generator RNG stream runs once per distinct (workload, threads,
-    #: scale, seed) instead of once per run.  Builds are pure and never
-    #: mutated, so results are bit-identical (pinned by the shared-vs-
-    #: fresh golden test); False forces a fresh build.
-    share_build: bool = True
     #: Machine reuse (repro.sim.pool): ``None`` (the default) acquires
     #: from the process-global pool and returns the machine after a
     #: clean run; ``False`` always constructs fresh; a MachinePool
@@ -89,6 +83,12 @@ def run_workload(
 ) -> RunStats:
     """Build the machine, execute the workload, verify, return stats.
 
+    A :class:`Workload` is built once per (workload, threads, scale,
+    seed) through the process-wide build cache; builds are pure and
+    never mutated, so sharing them is bit-identical (pinned by the
+    shared-vs-fresh test).  Pass a :class:`WorkloadBuild` to run a
+    build of the caller's own.
+
     The whole cell (build lookup, machine acquire, run, checks, pool
     release) runs under :func:`collector_paused`.
     """
@@ -107,14 +107,12 @@ def _run_cell(
                 f"prebuilt workload has {len(build.programs)} programs, "
                 f"config wants {config.threads} threads"
             )
-    elif config.share_build:
+    else:
         from repro.workloads.buildcache import shared_builds
 
         build = shared_builds().get(
             workload, config.threads, config.scale, config.seed
         )
-    else:
-        build = workload.build(config.threads, config.scale, config.seed)
     params = config.params
     pool = config.machine_pool
     if pool is False:

@@ -67,6 +67,28 @@ class TestBasicExecution:
         m, cycles = run_machine(progs, system="LockillerTM")
         for cs in m.core_stats:
             assert sum(cs.time.values()) == cycles
+        # Compute-bound: long ALU runs that fold into compute bursts,
+        # two memory ops per transaction, 4 threads x 40 transactions.
+        bursts = [
+            [
+                seg
+                for i in range(40)
+                for seg in (
+                    Txn(
+                        [compute(20)]
+                        + [compute(5 + k % 7) for k in range(12)]
+                        + [load(line_addr(t * 4096 + i)), compute(30),
+                           store(line_addr(16384 + i % 64), 1), compute(15)]
+                    ),
+                    Plain([compute(25)]),
+                )
+            ]
+            for t in range(4)
+        ]
+        m, cycles = run_machine(bursts, system="LockillerTM", seed=7)
+        assert sum(cs.commits for cs in m.core_stats) == 160
+        for cs in m.core_stats:
+            assert sum(cs.time.values()) == cycles
 
 
 class TestCGL:

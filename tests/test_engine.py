@@ -144,17 +144,20 @@ class TestStepAndAccounting:
             eng.run()
 
     def test_events_scheduled_during_run(self):
-        eng = SimEngine()
-        seen = []
+        # A short chain, and a 10 000-event chain with one event resident.
+        for last in (5, 9_999):
+            eng = SimEngine()
+            seen = []
 
-        def chain(t):
-            seen.append(t)
-            if t < 5:
-                eng.schedule_after(1, chain)
+            def chain(t):
+                seen.append(t)
+                if t < last:
+                    eng.schedule_after(1, chain)
 
-        eng.schedule_after(0, chain)
-        eng.run()
-        assert seen == [0, 1, 2, 3, 4, 5]
+            eng.schedule_after(0, chain)
+            eng.run()
+            assert seen == list(range(last + 1))
+            assert eng.events_processed == last + 1
 
 
 class TestCalendarRingEdgeCases:

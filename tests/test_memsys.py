@@ -43,6 +43,13 @@ class TestPlainCoherence:
         ms.access(0, line_addr(5), False, 0)
         res = ms.access(0, line_addr(5), False, 100)
         assert res.hit and res.latency == m.params.l1.hit_latency
+        # Every repeated hit costs the same, read or write.
+        for write in (False, True):
+            total = sum(
+                ms.access(0, line_addr(5), write, 200 + i).latency
+                for i in range(1000)
+            )
+            assert total == 1000 * m.params.l1.hit_latency
 
     def test_second_reader_shares(self):
         m = idle_machine()

@@ -28,7 +28,6 @@ from repro.workloads.registry import get_workload
 def _cfg(system, threads=4, scale=0.05, seed=3, **kw):
     # Reuse is what's under test, so default it OFF: the "fresh" runs
     # these suites compare against must really build from scratch.
-    kw.setdefault("share_build", False)
     kw.setdefault("machine_pool", False)
     return RunConfig(
         spec=get_system(system),
@@ -37,6 +36,11 @@ def _cfg(system, threads=4, scale=0.05, seed=3, **kw):
         seed=seed,
         **kw,
     )
+
+
+def _run(wl, cfg):
+    """Run ``cfg`` on a fresh build of ``wl``, never the shared one."""
+    return run_workload(wl.build(cfg.threads, cfg.scale, cfg.seed), cfg)
 
 
 class TestSharedBuildEquivalence:
@@ -63,9 +67,9 @@ class TestSharedBuildEquivalence:
     @pytest.mark.parametrize("workload", ["intruder", "vacation-"])
     def test_shared_vs_fresh_bit_identical(self, workload):
         wl = get_workload(workload)
-        fresh = run_workload(wl, _cfg("LockillerTM", share_build=False))
-        shared = run_workload(wl, _cfg("LockillerTM", share_build=True))
-        again = run_workload(wl, _cfg("LockillerTM", share_build=True))
+        fresh = _run(wl, _cfg("LockillerTM"))
+        shared = run_workload(wl, _cfg("LockillerTM"))
+        again = run_workload(wl, _cfg("LockillerTM"))
         assert fingerprint(shared) == fingerprint(fresh)
         assert fingerprint(again) == fingerprint(fresh)
 
@@ -75,9 +79,9 @@ class TestPooledVsFresh:
     def test_table2_system_bit_identical(self, system):
         wl = get_workload("intruder")
         pool = MachinePool()
-        fresh = run_workload(wl, _cfg(system))
-        first = run_workload(wl, _cfg(system, machine_pool=pool))
-        reused = run_workload(wl, _cfg(system, machine_pool=pool))
+        fresh = _run(wl, _cfg(system))
+        first = _run(wl, _cfg(system, machine_pool=pool))
+        reused = _run(wl, _cfg(system, machine_pool=pool))
         assert pool.builds == 1 and pool.reuses == 1
         assert fingerprint(first) == fingerprint(fresh)
         assert fingerprint(reused) == fingerprint(fresh)
@@ -85,9 +89,9 @@ class TestPooledVsFresh:
     def test_reuse_across_thread_counts(self):
         wl = get_workload("ssca2")
         pool = MachinePool()
-        run_workload(wl, _cfg("LockillerTM", threads=4, machine_pool=pool))
-        fresh = run_workload(wl, _cfg("LockillerTM", threads=2))
-        pooled = run_workload(
+        _run(wl, _cfg("LockillerTM", threads=4, machine_pool=pool))
+        fresh = _run(wl, _cfg("LockillerTM", threads=2))
+        pooled = _run(
             wl, _cfg("LockillerTM", threads=2, machine_pool=pool)
         )
         assert pool.reuses == 1
@@ -100,19 +104,19 @@ class TestPooledVsFresh:
         gp = global_pool()
         acquired = gp.builds + gp.reuses
         released = gp.releases
-        run_workload(wl, _cfg("CGL", threads=2, seed=1, machine_pool=None))
-        run_workload(wl, _cfg("CGL", threads=2, seed=1, machine_pool=None))
+        _run(wl, _cfg("CGL", threads=2, seed=1, machine_pool=None))
+        _run(wl, _cfg("CGL", threads=2, seed=1, machine_pool=None))
         assert gp.builds + gp.reuses >= acquired + 2
         assert gp.releases >= released + 2
         # machine_pool=False opts out entirely.
         acquired = gp.builds + gp.reuses
-        run_workload(wl, _cfg("CGL", threads=2, seed=1))
+        _run(wl, _cfg("CGL", threads=2, seed=1))
         assert gp.builds + gp.reuses == acquired
 
     def test_release_scrubs_parked_state(self):
         wl = get_workload("ssca2")
         pool = MachinePool()
-        run_workload(wl, _cfg("CGL", threads=2, seed=1, machine_pool=pool))
+        _run(wl, _cfg("CGL", threads=2, seed=1, machine_pool=pool))
         (parked,) = next(iter(pool._free.values()))
         assert parked.engine.now == 0
         assert parked.engine.events_processed == 0
@@ -165,12 +169,12 @@ class TestPooledChaos:
     def test_pooled_equals_fresh(self, plan, system):
         wl = get_workload("intruder")
         pool = MachinePool()
-        fresh = run_workload(wl, _cfg(system, fault_plan=get_plan(plan)))
-        built = run_workload(
+        fresh = _run(wl, _cfg(system, fault_plan=get_plan(plan)))
+        built = _run(
             wl, _cfg(system, fault_plan=get_plan(plan), machine_pool=pool)
         )
         assert (pool.builds, pool.reuses) == (1, 0)
-        reused = run_workload(
+        reused = _run(
             wl, _cfg(system, fault_plan=get_plan(plan), machine_pool=pool)
         )
         assert (pool.builds, pool.reuses) == (1, 1)
@@ -185,7 +189,7 @@ class TestPooledChaos:
         wl = get_workload("labyrinth")
         pool = MachinePool()
         cell = dict(threads=8, scale=0.1, seed=42)
-        run_workload(
+        _run(
             wl,
             _cfg(
                 "LockillerTM",
@@ -194,10 +198,10 @@ class TestPooledChaos:
                 **cell,
             ),
         )
-        pooled = run_workload(
+        pooled = _run(
             wl, _cfg("LockillerTM", machine_pool=pool, **cell)
         )
-        fresh = run_workload(wl, _cfg("LockillerTM", **cell))
+        fresh = _run(wl, _cfg("LockillerTM", **cell))
         assert pool.reuses == 1
         assert pooled.execution_cycles == fresh.execution_cycles == 283_975
         assert fingerprint(pooled) == fingerprint(fresh)

@@ -371,12 +371,22 @@ class TestResolveJobs:
             resolve_jobs(-1)
 
     def test_malformed_env_names_variable_and_convention(self, monkeypatch):
+        from repro.harness.experiments import ExperimentContext
+
         monkeypatch.setenv("REPRO_JOBS", "all")
         with pytest.raises(ValueError) as err:
             resolve_jobs(None)
         msg = str(err.value)
         assert "REPRO_JOBS" in msg and "'all'" in msg
         assert "0 = one worker per CPU" in msg
+        # ExperimentContext leaves jobs to the same parser: it builds,
+        # and its first run raises the same message for either value.
+        for env in ("all", "-2"):
+            monkeypatch.setenv("REPRO_JOBS", env)
+            ctx = ExperimentContext(threads=(2,))
+            assert ctx.jobs is None
+            with pytest.raises(ValueError, match=f"REPRO_JOBS='{env}'"):
+                ctx.run("ssca2", "CGL", 2)
 
 
 class TestRunCells:
