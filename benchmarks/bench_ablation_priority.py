@@ -12,8 +12,6 @@ progression-based priority used by LosaTM" — it should win or tie on the
 contended workloads.
 """
 
-from conftest import once
-
 from repro.common.stats import geometric_mean
 from repro.core.policies import PriorityKind, RequesterPolicy, SystemSpec
 from repro.sim.runner import RunConfig, run_workload
@@ -30,7 +28,7 @@ PROGRESSION_SPEC = SystemSpec(
 WORKLOADS = ("intruder", "kmeans+", "vacation+")
 
 
-def test_ablation_priority_kind(benchmark, ctx, publish):
+def test_ablation_priority_kind(ctx, publish):
     th = max(ctx.threads)
 
     def experiment():
@@ -61,7 +59,7 @@ def test_ablation_priority_kind(benchmark, ctx, publish):
         out["progression"] = geometric_mean(speedups)
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = [f"Ablation: priority kind on {WORKLOADS}, {th} threads"]
     for label, speedup in data.items():
         lines.append(f"  {label:16s} geomean speedup vs CGL = {speedup:.2f}x")

@@ -7,8 +7,6 @@ the paper's ordering: the work-preserving policies (RRI/RWI) commit more
 than SelfAbort, and all three beat requester-wins.
 """
 
-from conftest import once
-
 from repro.common.stats import geometric_mean
 
 
@@ -21,7 +19,7 @@ POLICY_SYSTEMS = (
 WORKLOADS = ("intruder", "kmeans+", "vacation+")
 
 
-def test_ablation_requester_policy(benchmark, ctx, publish):
+def test_ablation_requester_policy(ctx, publish):
     th = max(ctx.threads)
 
     def experiment():
@@ -44,7 +42,7 @@ def test_ablation_requester_policy(benchmark, ctx, publish):
             }
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
 
     lines = [f"Ablation: requester policy on {WORKLOADS}, {th} threads"]
     for system, row in data.items():

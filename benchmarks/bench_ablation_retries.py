@@ -10,8 +10,6 @@ do not consume retries at all.
 
 from dataclasses import replace
 
-from conftest import once
-
 from repro.common.params import typical_params
 from repro.harness.systems import get_system
 from repro.sim.runner import RunConfig, run_workload
@@ -20,7 +18,7 @@ from repro.workloads.registry import get_workload
 RETRY_BUDGETS = (1, 4, 16)
 
 
-def test_ablation_retry_budget(benchmark, ctx, publish):
+def test_ablation_retry_budget(ctx, publish):
     def run_with(system, retries):
         base = typical_params()
         params = replace(base, htm=replace(base.htm, max_retries=retries))
@@ -47,7 +45,7 @@ def test_ablation_retry_budget(benchmark, ctx, publish):
             }
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = ["Ablation: max_retries on intruder, 8 threads"]
     for system, rows in data.items():
         for r, row in rows.items():

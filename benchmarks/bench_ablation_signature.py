@@ -10,8 +10,6 @@ dominate.
 
 from dataclasses import replace
 
-from conftest import once
-
 from repro.common.params import small_cache_params
 from repro.sim.runner import RunConfig, run_workload
 from repro.harness.systems import get_system
@@ -20,7 +18,7 @@ from repro.workloads.registry import get_workload
 SIG_BITS = (64, 512, 4096)
 
 
-def test_ablation_signature_size(benchmark, ctx, publish):
+def test_ablation_signature_size(ctx, publish):
     def experiment():
         out = {}
         for bits in SIG_BITS:
@@ -44,7 +42,7 @@ def test_ablation_signature_size(benchmark, ctx, publish):
             }
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = ["Ablation: signature bits on labyrinth, 8KB L1, 4 threads"]
     for bits, row in data.items():
         lines.append(

@@ -9,8 +9,6 @@ insensitive to the simplification.
 
 from dataclasses import replace
 
-from conftest import once
-
 from repro.common.params import typical_params
 from repro.common.stats import geometric_mean
 from repro.harness.systems import get_system
@@ -21,7 +19,7 @@ WORKLOADS = ("intruder", "vacation+", "kmeans+")
 SYSTEMS = ("Baseline", "LockillerTM-RWI", "LockillerTM")
 
 
-def test_ext_noc_contention(benchmark, ctx, publish):
+def test_ext_noc_contention(ctx, publish):
     th = min(8, max(ctx.threads))
     base = typical_params()
     contended = replace(
@@ -53,7 +51,7 @@ def test_ext_noc_contention(benchmark, ctx, publish):
                 out[tag][system] = geometric_mean(speedups)
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = [f"Extension: NoC contention sensitivity ({WORKLOADS}, {th} threads)"]
     for tag, per_system in data.items():
         for system, speedup in per_system.items():

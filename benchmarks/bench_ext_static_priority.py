@@ -9,8 +9,6 @@ fairness (coefficient of variation of per-core aborts) and throughput.
 
 import statistics
 
-from conftest import once
-
 from repro.core.extensions import STATIC_PRIORITY_SPEC
 from repro.harness.systems import get_system
 from repro.sim.runner import RunConfig, run_workload
@@ -26,7 +24,7 @@ def _unfairness(stats) -> float:
     return statistics.pstdev(aborts) / mean
 
 
-def test_ext_static_priority(benchmark, ctx, publish):
+def test_ext_static_priority(ctx, publish):
     th = min(8, max(ctx.threads))
 
     def experiment():
@@ -48,7 +46,7 @@ def test_ext_static_priority(benchmark, ctx, publish):
             }
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = [f"Extension: static vs insts priority (kmeans+, {th} threads)"]
     for label, row in data.items():
         lines.append(

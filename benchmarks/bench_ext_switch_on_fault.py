@@ -8,8 +8,6 @@ transactions apply for an STL switch and take the trap non-speculatively
 while keeping their work.
 """
 
-from conftest import once
-
 from repro.common.stats import AbortReason
 from repro.core.extensions import SWITCH_ON_FAULT_SPEC
 from repro.harness.systems import get_system
@@ -17,7 +15,7 @@ from repro.sim.runner import RunConfig, run_workload
 from repro.workloads.registry import get_workload
 
 
-def test_ext_switch_on_fault(benchmark, ctx, publish):
+def test_ext_switch_on_fault(ctx, publish):
     th = min(8, max(ctx.threads))
 
     def experiment():
@@ -41,7 +39,7 @@ def test_ext_switch_on_fault(benchmark, ctx, publish):
             }
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = [f"Extension: switching on exceptions (yada, {th} threads)"]
     for label, row in data.items():
         lines.append(

@@ -9,8 +9,6 @@ complexity — while LockillerTM's switchingMode recovers the
 overflow-tolerance on the *simple* two-level protocol.
 """
 
-from conftest import once
-
 from repro.common.params import three_level_params, typical_params
 from repro.common.stats import AbortReason
 from repro.harness.systems import get_system
@@ -24,7 +22,7 @@ CASES = (
 )
 
 
-def test_ext_three_level(benchmark, ctx, publish):
+def test_ext_three_level(ctx, publish):
     th = min(8, max(ctx.threads))
 
     def experiment():
@@ -50,7 +48,7 @@ def test_ext_three_level(benchmark, ctx, publish):
             }
         return out
 
-    data = once(benchmark, experiment)
+    data = experiment()
     lines = [f"Extension: protocol levels on labyrinth, {th} threads"]
     for label, row in data.items():
         lines.append(

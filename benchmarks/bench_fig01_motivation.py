@@ -5,13 +5,11 @@ overflow/exception-prone workloads (labyrinth, yada) while winning the
 low-contention ones.
 """
 
-from conftest import once
-
 from repro.harness.experiments import fig1_motivation, print_fig1
 
 
-def test_fig1_motivation(benchmark, ctx, publish):
-    data = once(benchmark, lambda: fig1_motivation(ctx))
+def test_fig1_motivation(ctx, publish):
+    data = fig1_motivation(ctx)
     publish("fig01_motivation", print_fig1(ctx))
     # Shape assertions: the motivation's losers and winners.
     assert data["yada"] < 1.0

@@ -6,13 +6,11 @@ the baseline substantially; HTMLock adds most on fallback-heavy
 workloads.
 """
 
-from conftest import once
-
 from repro.harness.experiments import fig7_speedup_grid, print_fig7
 
 
-def test_fig7_speedup_grid(benchmark, ctx, publish):
-    grid = once(benchmark, lambda: fig7_speedup_grid(ctx))
+def test_fig7_speedup_grid(ctx, publish):
+    grid = fig7_speedup_grid(ctx)
     publish("fig07_speedup_grid", print_fig7(ctx))
 
     full = {

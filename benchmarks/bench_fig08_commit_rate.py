@@ -6,13 +6,11 @@ the average commit rate well above requester-wins (the paper reports
 count as friendly fire intensifies.
 """
 
-from conftest import once
-
 from repro.harness.experiments import fig8_commit_rate, print_fig8
 
 
-def test_fig8_commit_rate(benchmark, ctx, publish):
-    data = once(benchmark, lambda: fig8_commit_rate(ctx))
+def test_fig8_commit_rate(ctx, publish):
+    data = fig8_commit_rate(ctx)
     publish("fig08_commit_rate", print_fig8(ctx))
 
     hi = max(ctx.threads)

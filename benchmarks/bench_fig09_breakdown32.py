@@ -7,8 +7,6 @@ transactions, and lifts commit rates because transactions that do not
 conflict with the lock transaction now survive.
 """
 
-from conftest import once
-
 from repro.harness.experiments import (
     FIG9_SYSTEMS,
     fig9_breakdown32,
@@ -16,8 +14,8 @@ from repro.harness.experiments import (
 )
 
 
-def test_fig9_breakdown32(benchmark, ctx, publish):
-    data = once(benchmark, lambda: fig9_breakdown32(ctx))
+def test_fig9_breakdown32(ctx, publish):
+    data = fig9_breakdown32(ctx)
     publish("fig09_breakdown32", print_fig9(ctx))
 
     assert set(data) == set(ctx.workloads)

@@ -6,13 +6,11 @@ sharply reduces ``of`` (capacity) aborts by converting them into STL
 switches.
 """
 
-from conftest import once
-
 from repro.harness.experiments import fig10_abort_reasons, print_fig10
 
 
-def test_fig10_abort_reasons(benchmark, ctx, publish):
-    data = once(benchmark, lambda: fig10_abort_reasons(ctx))
+def test_fig10_abort_reasons(ctx, publish):
+    data = fig10_abort_reasons(ctx)
     publish("fig10_abort_reasons", print_fig10(ctx))
 
     # HTMLock removes mutex aborts on every workload.

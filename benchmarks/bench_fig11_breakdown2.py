@@ -7,8 +7,6 @@ their work — and commit rates rise on the overflow-prone workloads
 (labyrinth, yada), shrinking wasted transaction time.
 """
 
-from conftest import once
-
 from repro.harness.experiments import (
     FIG11_SYSTEMS,
     fig11_breakdown2,
@@ -16,8 +14,8 @@ from repro.harness.experiments import (
 )
 
 
-def test_fig11_breakdown2(benchmark, ctx, publish):
-    data = once(benchmark, lambda: fig11_breakdown2(ctx))
+def test_fig11_breakdown2(ctx, publish):
+    data = fig11_breakdown2(ctx)
     publish("fig11_breakdown2", print_fig11(ctx))
 
     for wl, per_system in data.items():

@@ -6,8 +6,6 @@ typical cache size.  The reproduced shape to check: LockillerTM > every
 recovery-only variant > Baseline, and LockillerTM > LosaTM-SAFU.
 """
 
-from conftest import once
-
 from repro.harness.experiments import (
     fig12_avg_speedup,
     headline_ratios,
@@ -15,11 +13,8 @@ from repro.harness.experiments import (
 )
 
 
-def test_fig12_avg_speedup(benchmark, ctx, publish):
-    def experiment():
-        return fig12_avg_speedup(ctx), headline_ratios(ctx)
-
-    data, heads = once(benchmark, experiment)
+def test_fig12_avg_speedup(ctx, publish):
+    data, heads = fig12_avg_speedup(ctx), headline_ratios(ctx)
     publish("fig12_avg_speedup", print_fig12(ctx))
 
     hi = max(ctx.threads)
@@ -29,5 +24,3 @@ def test_fig12_avg_speedup(benchmark, ctx, publish):
     # Headline ratios: direction must match (paper: 1.86x / 1.57x).
     assert heads["vs Baseline"] > 1.2
     assert heads["vs LosaTM-SAFU"] > 1.0
-    benchmark.extra_info["vs_baseline"] = round(heads["vs Baseline"], 3)
-    benchmark.extra_info["vs_losatm"] = round(heads["vs LosaTM-SAFU"], 3)

@@ -7,8 +7,6 @@ corner (the paper's extreme scenario reports up to 7.79x vs Baseline and
 6.73x vs LosaTM-SAFU on high-contention workloads).
 """
 
-from conftest import once
-
 from repro.harness.experiments import (
     extreme_scenario,
     fig13_cache_sensitivity,
@@ -16,11 +14,8 @@ from repro.harness.experiments import (
 )
 
 
-def test_fig13_cache_sensitivity(benchmark, ctx, publish):
-    def experiment():
-        return fig13_cache_sensitivity(ctx), extreme_scenario(ctx)
-
-    data, ext = once(benchmark, experiment)
+def test_fig13_cache_sensitivity(ctx, publish):
+    data, ext = fig13_cache_sensitivity(ctx), extreme_scenario(ctx)
     publish("fig13_cache_sensitivity", print_fig13(ctx))
 
     hi = max(ctx.threads)
@@ -38,9 +33,3 @@ def test_fig13_cache_sensitivity(benchmark, ctx, publish):
     assert ext["max vs Baseline"] > geomean_gap_small
     # Extreme corner: clearly super-unit speedups over Baseline.
     assert ext["max vs Baseline"] > 1.5
-    benchmark.extra_info["extreme_vs_baseline"] = round(
-        ext["max vs Baseline"], 3
-    )
-    benchmark.extra_info["extreme_vs_losatm"] = round(
-        ext["max vs LosaTM-SAFU"], 3
-    )

@@ -1,10 +1,8 @@
 """Table I — system model parameters (configuration self-check).
 
-Regenerates the parameter table and times a cold machine construction,
-verifying the modeled hardware matches the paper's Table I exactly.
+Regenerates the parameter table and builds a cold machine, verifying
+the modeled hardware matches the paper's Table I exactly.
 """
-
-from conftest import once
 
 from repro.common.params import typical_params
 from repro.harness.experiments import table1_parameters
@@ -12,13 +10,9 @@ from repro.harness.systems import get_system
 from repro.sim.machine import Machine
 
 
-def test_table1_parameters(benchmark, publish):
-    def build():
-        params = typical_params()
-        machine = Machine(params, get_system("Baseline"), [[] for _ in range(32)])
-        return params, machine
-
-    params, machine = once(benchmark, build)
+def test_table1_parameters(publish):
+    params = typical_params()
+    machine = Machine(params, get_system("Baseline"), [[] for _ in range(32)])
     assert params.num_cores == 32
     assert machine.topology.num_tiles == 32
     assert params.l1.num_sets == 128 and params.l1.assoc == 4

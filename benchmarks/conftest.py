@@ -1,10 +1,9 @@
 """Shared fixtures for the per-figure benchmark harness.
 
 Every bench regenerates one of the paper's tables/figures: it runs the
-figure's workload/system/thread grid once (pytest-benchmark pedantic
-mode — these are simulations, not microbenchmarks to be repeated), then
-prints the series and writes it under ``benchmarks/results/`` so the
-output survives pytest's capture.
+figure's workload/system/thread grid once, then prints the series and
+writes it under ``benchmarks/results/`` so the output survives pytest's
+capture.
 
 Scale knobs (environment):
 
@@ -45,8 +44,3 @@ def publish(results_dir):
         (results_dir / f"{name}.txt").write_text(text + "\n")
 
     return _publish
-
-
-def once(benchmark, fn):
-    """Run a whole-figure experiment exactly once under the timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

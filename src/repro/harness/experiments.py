@@ -36,7 +36,9 @@ from repro.harness.reporting import (
     format_series,
     format_table,
 )
-from repro.harness.parallel import CellTask, run_cells
+from repro.harness.parallel import run_cells
+from repro.harness.runcache import cell_keyer
+from repro.harness.sweeps import Cell
 from repro.harness.systems import TABLE_ORDER, get_system
 from repro.workloads.registry import PAPER_ORDER
 
@@ -114,18 +116,19 @@ class ExperimentContext:
         pure lookups.  Returns the number of cells actually executed.
         """
         p = params or self.params
-        tasks: Dict[tuple, CellTask] = {}
+        key_of = cell_keyer()
+        todo: Dict[tuple, Cell] = {}
         for wl, system, th in cells:
             key = self._key(wl, system, th, params_tag)
-            if key not in self._cache and key not in tasks:
-                tasks[key] = CellTask(
-                    len(tasks), wl, get_system(system), th, self.scale,
-                    self.seed, p,
+            if key not in self._cache and key not in todo:
+                todo[key] = Cell.of(
+                    wl, system, th, self.scale, self.seed, params_tag,
+                    get_system(system), p, key_of,
                 )
         done = run_cells(
-            list(tasks.values()), jobs=self.jobs, cache=self.disk_cache
+            list(todo.values()), jobs=self.jobs, cache=self.disk_cache
         )
-        self._cache.update(zip(tasks, done.stats))
+        self._cache.update(zip(todo, done.stats))
         return done.executed
 
     def speedup_vs_cgl(

@@ -16,13 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.params import SystemParams, typical_params
 from repro.common.stats import RunStats
-from repro.harness.parallel import (
-    CellTask,
-    resolve_spec,
-    run_cells,
-    trace_cell,
-)
-from repro.harness.systems import get_system
+from repro.harness.sweeps import Sweep
 
 #: z for a ~95% two-sided normal interval.
 Z95 = 1.96
@@ -65,33 +59,28 @@ def summarize_values(values: Sequence[float]) -> MetricSummary:
     return MetricSummary(mean, math.sqrt(var), min(values), max(values), n)
 
 
-def seed_tasks(
+def _seed_sweep(
     workload: str,
-    system: str,
+    systems: Sequence[str],
     threads: int,
     seeds: Sequence[int],
     scale: float,
-    params: SystemParams,
-    base_index: int = 0,
-    fault_plan=None,
-    watchdog=None,
-) -> List[CellTask]:
-    """One task per seed, indexed from ``base_index`` in seed order."""
-    spec = resolve_spec(get_system, system)
-    return [
-        CellTask(
-            base_index + i,
-            workload,
-            spec,
-            threads,
-            scale,
-            seed,
-            params,
-            fault_plan,
-            watchdog,
-        )
-        for i, seed in enumerate(seeds)
-    ]
+    params: Optional[SystemParams],
+) -> Sweep:
+    """One workload at one thread count: a cell per system and seed, in
+    that order.  Its params tag is ``typical``, or ``custom`` when
+    ``params`` is given."""
+    return Sweep(
+        workloads=(workload,),
+        systems=systems,
+        threads=(threads,),
+        seeds=seeds,
+        scale=scale,
+        params_by_tag=(
+            {"typical": typical_params()} if params is None
+            else {"custom": params}
+        ),
+    )
 
 
 def multi_seed_runs(
@@ -108,10 +97,8 @@ def multi_seed_runs(
     worker processes and ``cache`` consults/fills the persistent run
     cache; output is identical either way (each run is deterministic in
     its seed)."""
-    tasks = seed_tasks(
-        workload, system, threads, seeds, scale, params or typical_params()
-    )
-    return run_cells(tasks, jobs=jobs, cache=cache).stats
+    sweep = _seed_sweep(workload, (system,), threads, seeds, scale, params)
+    return [r.stats for r in sweep.run(jobs=jobs, cache=cache).records]
 
 
 def trace_seed(
@@ -131,14 +118,12 @@ def trace_seed(
     a telemetry session attached and drop ``.metrics.json`` /
     ``.trace.json`` artifacts next to its runcache entry (creating the
     entry if the campaign didn't cache), through
-    :func:`~repro.harness.parallel.trace_cell`.  Returns artifact paths
-    keyed ``result`` / ``metrics`` / ``trace``.
+    :meth:`~repro.harness.sweeps.Sweep.rerun_with_telemetry`.  Returns
+    artifact paths keyed ``result`` / ``metrics`` / ``trace``.
     """
-    (task,) = seed_tasks(
-        workload, system, threads, (seed,), scale, params or typical_params()
-    )
-    return trace_cell(
-        task, cache, f"{workload}/{system}/t{threads}/s{seed}", telemetry
+    sweep = _seed_sweep(workload, (system,), threads, (seed,), scale, params)
+    return sweep.rerun_with_telemetry(
+        cache, telemetry, run_label=f"{workload}/{system}/t{threads}/s{seed}"
     )
 
 
@@ -155,20 +140,12 @@ def multi_seed_runs_resilient(
     """Crash-tolerant :func:`multi_seed_runs`: each seed runs under a
     timeout + retry policy, failures are quarantined instead of raising,
     and ``cache`` makes the campaign resumable.  Returns
-    ``(runs, quarantined)``; see
-    :func:`repro.resilience.harness.resilient_seed_runs`."""
-    from repro.resilience.harness import resilient_seed_runs
-
-    return resilient_seed_runs(
-        workload,
-        system,
-        threads,
-        seeds,
-        scale=scale,
-        params=params,
-        retry=retry,
-        cache=cache,
-    )
+    ``(runs, quarantined)``: the completed runs in seed order (failed
+    seeds omitted) and the quarantine records; see
+    :func:`repro.resilience.harness.run_sweep_resilient`."""
+    sweep = _seed_sweep(workload, (system,), threads, seeds, scale, params)
+    report = sweep.run_resilient(retry=retry, cache=cache)
+    return [r.stats for r in report.results.records], report.quarantined
 
 
 def metric_over_seeds(
@@ -203,16 +180,14 @@ def paired_speedup(
 
     Pairing removes the between-input variance: both systems see the
     exact same generated programs for each seed (as in the paper, where
-    every system runs the same binaries).  Both systems' runs go into
-    one task batch, so ``jobs=N`` parallelizes across the full
+    every system runs the same binaries).  Both systems' runs are one
+    sweep, so ``jobs=N`` parallelizes across the full
     ``2 x len(seeds)`` set.
     """
-    p = params or typical_params()
-    base_tasks = seed_tasks(workload, baseline, threads, seeds, scale, p)
-    sys_tasks = seed_tasks(
-        workload, system, threads, seeds, scale, p, base_index=len(base_tasks)
+    sweep = _seed_sweep(
+        workload, (baseline, system), threads, seeds, scale, params
     )
-    runs = run_cells(base_tasks + sys_tasks, jobs=jobs, cache=cache).stats
+    runs = [r.stats for r in sweep.run(jobs=jobs, cache=cache).records]
     base_runs, sys_runs = runs[: len(seeds)], runs[len(seeds):]
     ratios = [
         b.execution_cycles / s.execution_cycles

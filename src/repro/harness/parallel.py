@@ -1,20 +1,22 @@
 """The one cell executor of the harness, serial or multi-process.
 
 Every cell of an experiment grid is an isolated, deterministic
-simulation — a pure function of its :class:`CellTask` — so a sweep can
-fan cells out to worker processes and reassemble the results without
-changing a single bit of output: workers return ``(index, result)``
-pairs, the parent slots each result at its index, and the merged list is
-identical (same order, same stats) to what the serial loop produces.
+simulation — a pure function of its
+:class:`~repro.harness.sweeps.Cell` — so a sweep can fan cells out to
+worker processes and reassemble the results without changing a single
+bit of output: the parent slots each result at its cell's position, and
+the merged list is identical (same order, same stats) to what the serial
+loop produces.
 Determinism needs no cross-process coordination because no RNG state is
 shared: each run seeds its own generators from the cell's seed.
 
 :func:`run_cells` is the only cell loop: ``Sweep.run``, the multi-seed
 drivers, the figure drivers' ``ExperimentContext`` and the resilient
-wrappers build tasks and shape its results.  Runs are pure functions of
-the cell key and run-cache writes are atomic, so the run cache is also
-the resume journal of an interrupted campaign: a re-run serves every
-completed cell from it.
+wrappers hand it cells and shape its results.  The service hands the
+same cells to :func:`execute_cell` on its own pool.  Runs are pure
+functions of the cell key and run-cache writes are atomic, so the run
+cache is also the resume journal of an interrupted campaign: a re-run
+serves every completed cell from it.
 
 ``jobs`` semantics (shared by every harness entry point):
 
@@ -31,28 +33,12 @@ name), so the pool works under both fork and spawn start methods.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
-from repro.common.params import SystemParams
 from repro.common.stats import RunStats
-from repro.core.policies import SystemSpec
-from repro.harness.runcache import (
-    cell_key,
-    cell_keyer,
-    cell_meta,
-    coerce_cache,
-)
+from repro.harness.runcache import cell_meta, coerce_cache
+from repro.harness.sweeps import Cell, UnresolvedSpec
 from repro.resilience.harness import (
     QuarantineRecord,
     RetryPolicy,
@@ -60,53 +46,13 @@ from repro.resilience.harness import (
 )
 
 
-@dataclass(frozen=True)
-class UnresolvedSpec:
-    """A system whose resolver raised while its cells were being built.
-
-    Each run of the cell raises that error, so it is the cell's error:
-    it propagates, or a retry policy retries and quarantines it.  A
-    cell without a spec has no key, so it never touches the cache.
-    """
-
-    name: str
-    error: Exception
-
-
-def resolve_spec(
-    resolve: Callable[[str], SystemSpec], system: str
-) -> Union[SystemSpec, UnresolvedSpec]:
-    """``resolve(system)``, or an :class:`UnresolvedSpec` if it raises."""
-    try:
-        return resolve(system)
-    except Exception as exc:  # noqa: BLE001 - raised by the cell's run
-        return UnresolvedSpec(system, exc)
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """One simulation cell, picklable for the worker pool."""
-
-    index: int
-    workload: str
-    spec: Union[SystemSpec, UnresolvedSpec]
-    threads: int
-    scale: float
-    seed: int
-    params: SystemParams
-    #: A FaultPlan perturbs timing, so a planned cell's result is not
-    #: the cell's result: it never reads or writes the run cache.
-    fault_plan: Optional[object] = None
-    watchdog: Optional[object] = None
-
-
 class CellResults(NamedTuple):
     """What :func:`run_cells` returns."""
 
-    #: Slot ``i`` holds task ``i``'s stats; ``None`` where no task has
-    #: index ``i`` or the cell was quarantined.
+    #: Slot ``i`` holds cell ``i``'s stats; ``None`` where the cell was
+    #: quarantined.
     stats: List[Optional[RunStats]]
-    #: Cells that failed every attempt of the retry policy, by index.
+    #: Cells that failed every attempt of the retry policy, by position.
     quarantined: Dict[int, QuarantineRecord]
     #: Cells run rather than served from the cache.
     executed: int
@@ -136,24 +82,25 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _run_config(task: CellTask, telemetry=None):
+def _run_config(cell: Cell, telemetry=None, fault_plan=None,
+                watchdog=None):
     from repro.sim.runner import RunConfig
 
-    if isinstance(task.spec, UnresolvedSpec):
-        raise task.spec.error
+    if isinstance(cell.spec, UnresolvedSpec):
+        raise cell.spec.error
     return RunConfig(
-        spec=task.spec,
-        threads=task.threads,
-        scale=task.scale,
-        seed=task.seed,
-        params=task.params,
-        fault_plan=task.fault_plan,
-        watchdog=task.watchdog,
+        spec=cell.spec,
+        threads=cell.threads,
+        scale=cell.scale,
+        seed=cell.seed,
+        params=cell.params,
+        fault_plan=fault_plan,
+        watchdog=watchdog,
         telemetry=telemetry,
     )
 
 
-def execute_cell(task: CellTask) -> Tuple[int, RunStats]:
+def execute_cell(cell: Cell, fault_plan=None, watchdog=None) -> RunStats:
     """Run one cell (worker entry point; also the serial path).
 
     Cells share the process-wide build cache and machine pool (the
@@ -164,37 +111,37 @@ def execute_cell(task: CellTask) -> Tuple[int, RunStats]:
     from repro.sim.runner import run_workload
     from repro.workloads.registry import get_workload
 
-    return task.index, run_workload(
-        get_workload(task.workload), _run_config(task)
+    return run_workload(
+        get_workload(cell.workload),
+        _run_config(cell, fault_plan=fault_plan, watchdog=watchdog),
     )
 
 
 def _execute_under(
-    task: CellTask, retry: Optional[RetryPolicy]
-) -> Tuple[int, Union[RunStats, QuarantineRecord]]:
+    cell: Cell, retry: Optional[RetryPolicy], fault_plan=None, watchdog=None
+) -> Union[RunStats, QuarantineRecord]:
     """:func:`execute_cell` under ``retry``: each attempt runs with the
     policy's timeout, and a cell that fails every attempt yields its
     :class:`QuarantineRecord`.  Without a policy its error propagates.
     """
+    run = partial(execute_cell, cell, fault_plan, watchdog)
     if retry is None:
-        return execute_cell(task)
+        return run()
     for _ in range(retry.max_attempts):
         try:
-            return call_with_timeout(
-                partial(execute_cell, task), retry.timeout_s
-            )
+            return call_with_timeout(run, retry.timeout_s)
         except Exception as exc:  # noqa: BLE001 - quarantine, don't abort
             error = exc
-    return task.index, QuarantineRecord(
-        label=f"{task.workload}/{task.spec.name}/t{task.threads}"
-        f"/s{task.seed}",
+    return QuarantineRecord(
+        label=cell.label(),
         replay={
-            "workload": task.workload,
-            "system": task.spec.name,
-            "threads": task.threads,
-            "seed": task.seed,
-            "scale": task.scale,
-            "fault_plan": getattr(task.fault_plan, "name", None),
+            "workload": cell.workload,
+            "system": cell.spec.name,
+            "threads": cell.threads,
+            "seed": cell.seed,
+            "scale": cell.scale,
+            "fault_plan": getattr(fault_plan, "name", None),
+            "params_tag": cell.params_tag,
         },
         error_type=type(error).__name__,
         error=str(error),
@@ -203,81 +150,69 @@ def _execute_under(
 
 
 def run_cells(
-    tasks: Sequence[CellTask],
+    cells: Sequence[Cell],
     jobs: Optional[int] = None,
     cache=None,
     retry: Optional[RetryPolicy] = None,
-    progress: Optional[Callable[[CellTask], None]] = None,
+    progress: Optional[Callable[[Cell], None]] = None,
+    fault_plan=None,
+    watchdog=None,
 ) -> CellResults:
-    """Execute ``tasks``; results are positioned by each task's index.
+    """Execute ``cells``; result ``i`` belongs to ``cells[i]``.
 
-    ``cache`` (anything :func:`~repro.harness.runcache.coerce_cache`
-    accepts) serves hits: every task is keyed once and looked up before
-    any cell runs, and each executed cell is stored with
-    :func:`~repro.harness.runcache.cell_meta` as it completes.  Tasks
-    with a fault plan or an :class:`UnresolvedSpec` bypass the cache.
+    ``jobs`` is resolved first, so a malformed ``$REPRO_JOBS`` raises
+    even when every cell is a cache hit.  ``cache`` (anything
+    :func:`~repro.harness.runcache.coerce_cache` accepts) serves hits:
+    every cell is looked up by its key before any cell runs, and each
+    executed cell is stored with
+    :func:`~repro.harness.runcache.cell_meta` as it completes.  A
+    ``fault_plan`` perturbs timing, so a planned run's result is not
+    the cell's result: it bypasses the cache, as does a cell with an
+    :class:`~repro.harness.sweeps.UnresolvedSpec`.  ``fault_plan`` and
+    ``watchdog`` apply to every cell.
 
     With ``jobs > 1`` misses run in a process pool and complete in
-    nondeterministic order, but the results are always in index order —
+    nondeterministic order, but the results are always in input order —
     parallel output is bit-identical to serial.  Without ``retry`` the
     first cell error propagates; with it, each cell runs under the
     policy's timeout and attempts, and one that fails them all is
     returned in ``quarantined`` instead.  ``progress`` fires once per
-    task, after its ``put``: hits first, then misses in completion
+    cell, after its ``put``: hits first, then misses in completion
     order.
     """
+    workers = resolve_jobs(jobs)
     rc = coerce_cache(cache)
-    size = max((t.index for t in tasks), default=-1) + 1
-    stats: List[Optional[RunStats]] = [None] * size
+    if fault_plan is not None:
+        rc = None
+    stats: List[Optional[RunStats]] = [None] * len(cells)
     quarantined: Dict[int, QuarantineRecord] = {}
-    keys: Dict[int, str] = {}
-    misses: List[CellTask] = []
-    key_of = cell_keyer()
-    for task in tasks:
-        if (
-            rc is None
-            or task.fault_plan is not None
-            or isinstance(task.spec, UnresolvedSpec)
-        ):
-            misses.append(task)
-            continue
-        key = keys[task.index] = key_of(
-            task.workload,
-            task.spec,
-            task.params,
-            task.threads,
-            task.scale,
-            task.seed,
-        )
-        hit = rc.get(key)
+    misses: List[int] = []
+    for i, cell in enumerate(cells):
+        hit = None
+        if rc is not None and cell.key is not None:
+            hit = rc.get(cell.key)
         if hit is None:
-            misses.append(task)
+            misses.append(i)
             continue
-        stats[task.index] = hit
+        stats[i] = hit
         if progress is not None:
-            progress(task)
+            progress(cell)
 
-    def settle(task: CellTask, result) -> None:
+    def settle(i: int, result) -> None:
+        cell = cells[i]
         if isinstance(result, QuarantineRecord):
-            quarantined[task.index] = result
+            quarantined[i] = result
         else:
-            stats[task.index] = result
-            key = keys.get(task.index)
-            if key is not None:
-                rc.put(key, result, cell_meta(
-                    task.workload,
-                    task.spec,
-                    task.threads,
-                    task.scale,
-                    task.seed,
-                ))
+            stats[i] = result
+            if rc is not None and cell.key is not None:
+                rc.put(cell.key, result, cell_meta(cell))
         if progress is not None:
-            progress(task)
+            progress(cell)
 
-    workers = min(resolve_jobs(jobs), len(misses)) if misses else 0
+    workers = min(workers, len(misses))
     if workers == 1:
-        for task in misses:
-            settle(task, _execute_under(task, retry)[1])
+        for i in misses:
+            settle(i, _execute_under(cells[i], retry, fault_plan, watchdog))
     elif workers > 1:
         # Imported here: multiprocessing costs every importer of the
         # harness tens of milliseconds, and serial runs never need it.
@@ -289,17 +224,20 @@ def run_cells(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending = {
-                pool.submit(_execute_under, t, retry): t for t in misses
+                pool.submit(
+                    _execute_under, cells[i], retry, fault_plan, watchdog
+                ): i
+                for i in misses
             }
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    settle(pending.pop(fut), fut.result()[1])
+                    settle(pending.pop(fut), fut.result())
     return CellResults(stats, quarantined, len(misses))
 
 
 def trace_cell(
-    task: CellTask, cache, label: str, telemetry=None
+    cell: Cell, cache, label: str, telemetry=None
 ) -> Dict[str, str]:
     """Re-run one cell under telemetry; write artifacts beside its entry.
 
@@ -320,21 +258,11 @@ def trace_cell(
     if rc is None:
         raise ValueError("a traced re-run needs a run cache")
     tel = telemetry if telemetry is not None else Telemetry()
-    stats = run_workload(get_workload(task.workload), _run_config(task, tel))
-    key = cell_key(
-        task.workload,
-        task.spec,
-        task.params,
-        task.threads,
-        task.scale,
-        task.seed,
-    )
-    rc.put(key, stats, cell_meta(
-        task.workload, task.spec, task.threads, task.scale, task.seed
-    ))
-    out = {"result": rc.path_for(key)}
-    out["metrics"] = tel.write_metrics(artifact_path(rc, key, "metrics"))
+    stats = run_workload(get_workload(cell.workload), _run_config(cell, tel))
+    rc.put(cell.key, stats, cell_meta(cell))
+    out = {"result": rc.path_for(cell.key)}
+    out["metrics"] = tel.write_metrics(artifact_path(rc, cell.key, "metrics"))
     out["trace"] = tel.write_trace(
-        artifact_path(rc, key, "trace"), run_label=label
+        artifact_path(rc, cell.key, "trace"), run_label=label
     )
     return out

@@ -163,15 +163,15 @@ def _float_json(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def cell_meta(workload: str, spec: SystemSpec, threads: int,
-              scale: float, seed: int) -> Dict:
-    """The ``meta`` block the harness stores beside a cell's result."""
+def cell_meta(cell) -> Dict:
+    """The ``meta`` block the harness stores beside a
+    :class:`~repro.harness.sweeps.Cell`'s result."""
     return {
-        "workload": workload,
-        "system": spec.name,
-        "threads": threads,
-        "scale": scale,
-        "seed": seed,
+        "workload": cell.workload,
+        "system": cell.spec.name,
+        "threads": cell.threads,
+        "scale": cell.scale,
+        "seed": cell.seed,
     }
 
 

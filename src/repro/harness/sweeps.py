@@ -6,13 +6,17 @@ thread counts, cache configs, seeds, HTM parameter overrides), get back
 a tidy list of records you can filter/aggregate, with optional progress
 reporting and a run cache.  Used by the ablation benches and available
 to downstream users exploring their own design space.
+
+:meth:`Sweep.points` is the harness's one grid expansion and
+:class:`Cell` its one executable cell: sweeps, the multi-seed helpers
+and service campaigns all run the cells it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.common.params import SystemParams, typical_params
 from repro.common.stats import RunStats
@@ -21,14 +25,63 @@ from repro.harness.systems import get_system
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One cell of the sweep grid."""
+class UnresolvedSpec:
+    """A system whose resolver raised while its cells were being built.
+
+    Each run of the cell raises that error, so it is the cell's error:
+    it propagates, or a retry policy retries and quarantines it.  A
+    cell without a spec has no key, so it never touches the cache.
+    """
+
+    name: str
+    error: Exception
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One cell of an experiment grid, ready to run and picklable.
+
+    Its coordinates are its identity (equality, hashing and the
+    :class:`SweepResults` criteria); the resolved spec, the params and
+    the run-cache key ride along.  ``system`` is the name as given, so
+    the label keeps it.  A cell with an :class:`UnresolvedSpec` has no
+    key.
+    """
 
     workload: str
     system: str
     threads: int
+    scale: float
     seed: int
-    params_tag: str = "typical"
+    params_tag: str
+    spec: Union[SystemSpec, UnresolvedSpec] = field(
+        compare=False, repr=False
+    )
+    params: SystemParams = field(compare=False, repr=False)
+    key: Optional[str] = field(compare=False, repr=False)
+
+    @classmethod
+    def of(
+        cls,
+        workload: str,
+        system: str,
+        threads,
+        scale,
+        seed,
+        params_tag: str,
+        spec: Union[SystemSpec, UnresolvedSpec],
+        params: SystemParams,
+        key_of: Callable[..., str],
+    ) -> "Cell":
+        """Build a cell: ``threads`` and ``seed`` become ints, ``scale``
+        a float, and ``key_of`` (a
+        :func:`~repro.harness.runcache.cell_keyer`) keys it."""
+        threads, scale, seed = int(threads), float(scale), int(seed)
+        key = None
+        if not isinstance(spec, UnresolvedSpec):
+            key = key_of(workload, spec, params, threads, scale, seed)
+        return cls(workload, system, threads, scale, seed, params_tag,
+                   spec, params, key)
 
     def label(self) -> str:
         return (
@@ -39,7 +92,7 @@ class SweepPoint:
 
 @dataclass
 class SweepRecord:
-    point: SweepPoint
+    point: Cell
     stats: RunStats
 
     @property
@@ -67,15 +120,36 @@ class Sweep:
     #: Optional spec resolver for systems outside Table II.
     spec_resolver: Callable[[str], SystemSpec] = get_system
 
-    def points(self) -> Iterable[SweepPoint]:
-        for wl, system, th, seed, tag in itertools.product(
-            self.workloads,
-            self.systems,
-            self.threads,
-            self.seeds,
-            self.params_by_tag,
-        ):
-            yield SweepPoint(wl, system, th, seed, tag)
+    def points(self) -> List[Cell]:
+        """The grid's cells, workload-major (then system, threads, seed
+        and params tag): the one expansion of a grid.
+
+        A system the resolver rejects becomes an
+        :class:`UnresolvedSpec`, so the error is raised by that cell's
+        run.
+        """
+        # Imported here, not at the top, so importing the sweep driver
+        # does not import the run cache.
+        from repro.harness.runcache import cell_keyer
+
+        specs: Dict[str, Union[SystemSpec, UnresolvedSpec]] = {}
+        for system in self.systems:
+            try:
+                specs[system] = self.spec_resolver(system)
+            except Exception as exc:  # noqa: BLE001 - raised by its cells
+                specs[system] = UnresolvedSpec(system, exc)
+        key_of = cell_keyer()
+        return [
+            Cell.of(wl, system, th, self.scale, seed, tag, specs[system],
+                    self.params_by_tag[tag], key_of)
+            for wl, system, th, seed, tag in itertools.product(
+                self.workloads,
+                self.systems,
+                self.threads,
+                self.seeds,
+                self.params_by_tag,
+            )
+        ]
 
     def size(self) -> int:
         return (
@@ -86,36 +160,9 @@ class Sweep:
             * len(self.params_by_tag)
         )
 
-    def cell_tasks(self, fault_plan=None, watchdog=None) -> list:
-        """One :class:`~repro.harness.parallel.CellTask` per
-        :meth:`points` entry, indexed in grid order.
-
-        A system the resolver rejects becomes an
-        :class:`~repro.harness.parallel.UnresolvedSpec`, so the error is
-        raised by that cell's run.
-        """
-        # Imported here, not at the top, so importing the sweep driver
-        # does not import the executor and the run cache.
-        from repro.harness.parallel import CellTask, resolve_spec
-
-        return [
-            CellTask(
-                i,
-                point.workload,
-                resolve_spec(self.spec_resolver, point.system),
-                point.threads,
-                self.scale,
-                point.seed,
-                self.params_by_tag[point.params_tag],
-                fault_plan,
-                watchdog,
-            )
-            for i, point in enumerate(self.points())
-        ]
-
     def run(
         self,
-        progress: Optional[Callable[[SweepPoint, int, int], None]] = None,
+        progress: Optional[Callable[[Cell, int, int], None]] = None,
         jobs: Optional[int] = None,
         cache=None,
     ) -> "SweepResults":
@@ -134,15 +181,15 @@ class Sweep:
         """
         from repro.harness.parallel import run_cells
 
-        points = list(self.points())
+        cells = self.points()
         done = run_cells(
-            self.cell_tasks(),
+            cells,
             jobs=jobs,
             cache=cache,
-            progress=counted(points, progress),
+            progress=counted(len(cells), progress),
         )
         return SweepResults(
-            [SweepRecord(p, s) for p, s in zip(points, done.stats)]
+            [SweepRecord(c, s) for c, s in zip(cells, done.stats)]
         )
 
     def rerun_with_telemetry(
@@ -155,31 +202,30 @@ class Sweep:
         """Re-run one cell under full telemetry; dump artifacts beside
         its runcache entry.
 
-        ``criteria`` select exactly one :class:`SweepPoint` (same
-        vocabulary as :meth:`SweepResults.filter`); the cell goes
-        through :func:`~repro.harness.parallel.trace_cell`, labelled
-        ``run_label`` or the point's label.  Returns ``{"metrics": path,
+        ``criteria`` select exactly one :class:`Cell` (same vocabulary
+        as :meth:`SweepResults.filter`); the cell goes through
+        :func:`~repro.harness.parallel.trace_cell`, labelled
+        ``run_label`` or the cell's label.  Returns ``{"metrics": path,
         "trace": path, "result": path}``.
         """
         from repro.harness.parallel import trace_cell
 
         _check_point_fields(*criteria)
         matches = [
-            (p, task)
-            for p, task in zip(self.points(), self.cell_tasks())
-            if all(getattr(p, k) == v for k, v in criteria.items())
+            c for c in self.points()
+            if all(getattr(c, k) == v for k, v in criteria.items())
         ]
         if len(matches) != 1:
             raise KeyError(
                 f"{len(matches)} sweep points match {criteria!r}; expected 1"
             )
-        ((point, task),) = matches
-        return trace_cell(task, cache, run_label or point.label(), telemetry)
+        (cell,) = matches
+        return trace_cell(cell, cache, run_label or cell.label(), telemetry)
 
     def run_resilient(
         self,
         retry=None,
-        progress: Optional[Callable[[SweepPoint, int, int], None]] = None,
+        progress: Optional[Callable[[Cell, int, int], None]] = None,
         fault_plan=None,
         watchdog=None,
         cache=None,
@@ -200,21 +246,18 @@ class Sweep:
 
 
 def counted(
-    points: Sequence[SweepPoint],
-    progress: Optional[Callable[[SweepPoint, int, int], None]],
-) -> Optional[Callable]:
-    """Adapt a ``progress(point, done, total)`` callback to
-    :func:`~repro.harness.parallel.run_cells`' per-task one."""
+    total: int, progress: Optional[Callable[[Cell, int, int], None]]
+) -> Optional[Callable[[Cell], None]]:
+    """Adapt a ``progress(cell, done, total)`` callback to
+    :func:`~repro.harness.parallel.run_cells`' per-cell one."""
     if progress is None:
         return None
     count = itertools.count(1)
-    return lambda task: progress(
-        points[task.index], next(count), len(points)
-    )
+    return lambda cell: progress(cell, next(count), total)
 
 
-#: The criteria vocabulary of filter/one/pivot.
-POINT_FIELDS = tuple(f.name for f in fields(SweepPoint))
+#: The criteria vocabulary of filter/one/pivot: a cell's coordinates.
+POINT_FIELDS = tuple(f.name for f in fields(Cell) if f.compare)
 
 
 def _check_point_fields(*names: str) -> None:
@@ -255,7 +298,7 @@ class SweepResults:
             )
         return matches[0]
 
-    def speedups_vs(self, baseline_system: str) -> Dict[SweepPoint, float]:
+    def speedups_vs(self, baseline_system: str) -> Dict[Cell, float]:
         """Per-point speedup relative to the same cell on ``baseline``."""
         base: Dict[tuple, int] = {}
         for r in self.records:
@@ -267,7 +310,7 @@ class SweepResults:
                     r.point.params_tag,
                 )
                 base[key] = r.cycles
-        out: Dict[SweepPoint, float] = {}
+        out: Dict[Cell, float] = {}
         for r in self.records:
             if r.point.system == baseline_system:
                 continue

@@ -17,20 +17,19 @@ Resume needs no file of its own: runs are pure functions of the cell
 key and run-cache writes are atomic, so ``cache=`` is the journal of an
 interrupted campaign and a re-run serves every completed cell from it.
 
-Entry points: :func:`run_sweep_resilient` (also reachable as
-``Sweep.run_resilient``) and :func:`resilient_seed_runs` (also
-``repro.harness.multiseed.multi_seed_runs_resilient``).
+Entry point: :func:`run_sweep_resilient`, also reachable as
+``Sweep.run_resilient`` and, for one configuration over seeds, as
+``repro.harness.multiseed.multi_seed_runs_resilient``.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigError, RunTimeoutError
-from repro.common.stats import RunStats
 
 
 def call_with_timeout(fn: Callable[[], object], timeout_s: Optional[float]):
@@ -134,70 +133,23 @@ def run_sweep_resilient(
     from repro.harness.parallel import run_cells
     from repro.harness.sweeps import SweepRecord, SweepResults, counted
 
-    points = list(sweep.points())
+    cells = sweep.points()
     done = run_cells(
-        sweep.cell_tasks(fault_plan, watchdog),
+        cells,
         jobs=1,
         cache=cache,
         retry=retry or RetryPolicy(),
-        progress=counted(points, progress),
+        progress=counted(len(cells), progress),
+        fault_plan=fault_plan,
+        watchdog=watchdog,
     )
-    records: List[SweepRecord] = []
-    quarantined: List[QuarantineRecord] = []
-    for i, point in enumerate(points):
-        record = done.quarantined.get(i)
-        if record is None:
-            records.append(SweepRecord(point, done.stats[i]))
-        else:
-            quarantined.append(replace(
-                record,
-                label=point.label(),
-                replay={**record.replay, "params_tag": point.params_tag},
-            ))
     return ResilientSweepReport(
-        SweepResults(records),
-        quarantined,
-        resumed=len(points) - done.executed,
+        SweepResults([
+            SweepRecord(cell, stats)
+            for cell, stats in zip(cells, done.stats)
+            if stats is not None
+        ]),
+        [done.quarantined[i] for i in sorted(done.quarantined)],
+        resumed=len(cells) - done.executed,
         executed=done.executed,
     )
-
-
-def resilient_seed_runs(
-    workload: str,
-    system: str,
-    threads: int,
-    seeds: Sequence[int],
-    scale: float = 0.25,
-    params=None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan=None,
-    watchdog=None,
-    cache=None,
-) -> "tuple[List[RunStats], List[QuarantineRecord]]":
-    """Crash-tolerant multi-seed runs (cf. ``multiseed.multi_seed_runs``).
-
-    Returns the completed runs (in seed order, failed seeds omitted)
-    and the quarantine list.  ``cache`` is the resume journal, as in
-    :func:`run_sweep_resilient`; fault-injected runs bypass it.
-    """
-    from repro.common.params import typical_params
-    from repro.harness.multiseed import seed_tasks
-    from repro.harness.parallel import run_cells
-
-    done = run_cells(
-        seed_tasks(
-            workload,
-            system,
-            threads,
-            seeds,
-            scale,
-            params or typical_params(),
-            fault_plan=fault_plan,
-            watchdog=watchdog,
-        ),
-        jobs=1,
-        cache=cache,
-        retry=retry or RetryPolicy(),
-    )
-    runs = [stats for stats in done.stats if stats is not None]
-    return runs, [done.quarantined[i] for i in sorted(done.quarantined)]

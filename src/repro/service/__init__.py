@@ -6,9 +6,9 @@ checkpointing — into a long-running experiment backend.  The package is
 pure stdlib (asyncio + http-over-``asyncio.start_server``):
 
 * :mod:`repro.service.campaigns` — the wire-level campaign model: a
-  sweep or multiseed grid, canonicalized into an ordered cell list whose
-  order is exactly :meth:`repro.harness.sweeps.Sweep.points`, each cell
-  addressed by its :func:`repro.harness.runcache.cell_key`.
+  sweep or multiseed grid whose cells are its
+  :class:`~repro.harness.sweeps.Sweep`'s cells, each addressed by its
+  :func:`repro.harness.runcache.cell_key`.
 * :mod:`repro.service.store` — :class:`ShardedStore`, a
   :class:`~repro.harness.runcache.RunCache` in the same on-disk layout
   whose reads return memoized result records.
@@ -27,7 +27,7 @@ campaign run serially via ``Sweep.run`` (pinned by the service test
 suite).
 """
 
-from repro.service.campaigns import CampaignSpec, CellSpec
+from repro.service.campaigns import CampaignSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import Job, JobState
 from repro.service.server import QueueFull, ReproService, ServiceConfig
@@ -35,7 +35,6 @@ from repro.service.store import ShardedStore
 
 __all__ = [
     "CampaignSpec",
-    "CellSpec",
     "Job",
     "JobState",
     "QueueFull",

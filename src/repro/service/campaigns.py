@@ -3,11 +3,11 @@
 A *campaign* is what a client submits: either a cartesian **sweep**
 (workloads x systems x threads x seeds x params tags) or a **multiseed**
 study (one configuration repeated across seeds — a degenerate sweep
-whose results additionally carry a per-metric summary).  Both
-canonicalize into an ordered list of :class:`CellSpec`, and the order is
-exactly :meth:`repro.harness.sweeps.Sweep.points` so a service-side
-campaign lines up cell-for-cell with a serial ``Sweep.run`` — the
-determinism pin the service test suite enforces.
+whose results additionally carry a per-metric summary).  Both are a
+:class:`~repro.harness.sweeps.Sweep` (:meth:`CampaignSpec.to_sweep`),
+and a campaign's cells are that sweep's
+:class:`~repro.harness.sweeps.Cell` s, so a service-side campaign lines
+up cell-for-cell with a serial ``Sweep.run`` by construction.
 
 Each cell is addressed by its content hash
 (:func:`repro.harness.runcache.cell_key`), which is what the scheduler
@@ -18,22 +18,19 @@ already in flight for other jobs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import (
-    SystemParams,
     large_cache_params,
     small_cache_params,
     typical_params,
 )
-from repro.core.policies import SystemSpec
-from repro.harness.runcache import cell_keyer
+from repro.harness.sweeps import Cell, Sweep
 from repro.harness.systems import resolve_system
 from repro.workloads.registry import get_workload
 
@@ -52,33 +49,11 @@ MAX_EXPANSIONS = 256
 
 #: Expanded campaigns, keyed by the frozen spec's value, so every
 #: submit of one campaign shares one tuple of cells.  Equal specs
-#: expand to equal cells: the cell fields and keys coerce the numeric
+#: expand to equal cells: the expansion coerces the numeric
 #: coordinates.
-_EXPANSIONS: "OrderedDict[CampaignSpec, Tuple[CellSpec, ...]]" = OrderedDict()
+_EXPANSIONS: "OrderedDict[CampaignSpec, Tuple[Cell, ...]]" = OrderedDict()
 #: The service's event loop and its callers' threads both expand.
 _EXPANSIONS_LOCK = threading.Lock()
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One fully resolved cell of a campaign, with its cache key."""
-
-    index: int
-    workload: str
-    system: str
-    threads: int
-    scale: float
-    seed: int
-    params_tag: str
-    spec: SystemSpec = field(repr=False, compare=False)
-    params: SystemParams = field(repr=False, compare=False)
-    key: str = field(compare=False)
-
-    def label(self) -> str:
-        return (
-            f"{self.workload}/{self.system}/t{self.threads}"
-            f"/s{self.seed}/{self.params_tag}"
-        )
 
 
 @dataclass(frozen=True)
@@ -135,8 +110,8 @@ class CampaignSpec:
             * len(self.params_tags)
         )
 
-    def cells(self) -> Tuple[CellSpec, ...]:
-        """Expand to cells in exactly ``Sweep.points`` order.
+    def cells(self) -> Tuple[Cell, ...]:
+        """The cells of :meth:`to_sweep`, in its order.
 
         Repeat campaigns are served from a bounded memo: the returned
         tuple is shared, like the frozen cells in it.
@@ -145,50 +120,17 @@ class CampaignSpec:
             try:
                 cells = _EXPANSIONS.get(self)
             except TypeError:  # a field holds a list: unhashable, unshared
-                return self._expand()
+                return tuple(self.to_sweep().points())
             if cells is None:
-                cells = _EXPANSIONS[self] = self._expand()
+                cells = _EXPANSIONS[self] = tuple(self.to_sweep().points())
                 if len(_EXPANSIONS) > MAX_EXPANSIONS:
                     _EXPANSIONS.popitem(last=False)
             else:
                 _EXPANSIONS.move_to_end(self)
         return cells
 
-    def _expand(self) -> Tuple[CellSpec, ...]:
-        specs = {s: resolve_system(s) for s in self.systems}
-        params = {t: PARAMS_TAGS[t]() for t in self.params_tags}
-        key_of = cell_keyer()
-        out: List[CellSpec] = []
-        for i, (wl, system, th, seed, tag) in enumerate(
-            itertools.product(
-                self.workloads,
-                self.systems,
-                self.threads,
-                self.seeds,
-                self.params_tags,
-            )
-        ):
-            spec, p = specs[system], params[tag]
-            out.append(
-                CellSpec(
-                    index=i,
-                    workload=wl,
-                    system=system,
-                    threads=int(th),
-                    scale=float(self.scale),
-                    seed=int(seed),
-                    params_tag=tag,
-                    spec=spec,
-                    params=p,
-                    key=key_of(wl, spec, p, th, self.scale, seed),
-                )
-            )
-        return tuple(out)
-
-    def to_sweep(self):
+    def to_sweep(self) -> Sweep:
         """The equivalent serial :class:`~repro.harness.sweeps.Sweep`."""
-        from repro.harness.sweeps import Sweep
-
         return Sweep(
             workloads=list(self.workloads),
             systems=list(self.systems),

@@ -34,7 +34,8 @@ from enum import Enum
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from repro.harness.runcache import StoredResult
-from repro.service.campaigns import CampaignSpec, CellSpec
+from repro.harness.sweeps import Cell
+from repro.service.campaigns import CampaignSpec
 
 JOURNAL_SCHEMA = "repro-service-job/1"
 
@@ -80,7 +81,7 @@ class Job:
         self.submit_seq = submit_seq
         self.state = JobState.QUEUED
         self.error: Optional[str] = None
-        self.cells: Tuple[CellSpec, ...] = campaign.cells()
+        self.cells: Tuple[Cell, ...] = campaign.cells()
         #: Per-cell record, set when the cell is delivered.
         self.results: List[Optional[StoredResult]] = (
             [None] * len(self.cells)

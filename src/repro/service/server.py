@@ -50,9 +50,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.common.errors import ConfigError
-from repro.harness.parallel import CellTask, execute_cell, resolve_jobs
+from repro.harness.parallel import execute_cell, resolve_jobs
 from repro.harness.runcache import StoredResult
-from repro.service.campaigns import CampaignSpec, CellSpec
+from repro.harness.sweeps import Cell
+from repro.service.campaigns import CampaignSpec
 from repro.service.jobs import Job, JobState
 from repro.service.store import ShardedStore
 
@@ -129,7 +130,7 @@ class _InFlight:
 
     __slots__ = ("cell", "subscribers")
 
-    def __init__(self, cell: CellSpec, job_id: str, index: int) -> None:
+    def __init__(self, cell: Cell, job_id: str, index: int) -> None:
         self.cell = cell
         self.subscribers: List[Tuple[str, int]] = [(job_id, index)]
 
@@ -241,7 +242,7 @@ class ReproService:
             job.save_journal()
             # Resumed cells were admitted before the restart: they
             # count against the bound but are not gated again.
-            self.queue.extend((job.job_id, cell.index) for cell in job.cells)
+            self.queue.extend((job.job_id, i) for i in range(job.cells_total))
             job.emit("resumed", cells_total=job.cells_total)
             job.close_events()
 
@@ -329,7 +330,7 @@ class ReproService:
         # it, so open handles grow with the cells in progress, not with
         # the queue.
         job.close_events()
-        self.queue.extend((job_id, cell.index) for cell in job.cells)
+        self.queue.extend((job_id, i) for i in range(job.cells_total))
         self._wake.set()
         return job
 
@@ -402,38 +403,34 @@ class ReproService:
                 if hit is not None:
                     self._deliver(job, index, hit, "cache")
                     continue
-                self._start_cell(loop, job, cell)
+                self._start_cell(loop, job, index, cell)
 
-    def _start_cell(self, loop, job: Job, cell: CellSpec) -> None:
-        inflight = _InFlight(cell, job.job_id, cell.index)
+    def _start_cell(self, loop, job: Job, index: int, cell: Cell) -> None:
+        inflight = _InFlight(cell, job.job_id, index)
         self._inflight[cell.key] = inflight
         self._executing += 1
         job.cells_scheduled += 1
         if job.state is JobState.QUEUED:
             job.state = JobState.RUNNING
             job.save_journal()
-        self._emit(job, "cell_scheduled", index=cell.index, key=cell.key,
+        self._emit(job, "cell_scheduled", index=index, key=cell.key,
                    label=cell.label())
-        task = CellTask(
-            cell.index, cell.workload, cell.spec, cell.threads,
-            cell.scale, cell.seed, cell.params,
-        )
-        pool, fut = self._submit_task(loop, task)
+        pool, fut = self._submit_cell(loop, cell)
         runner = asyncio.ensure_future(self._run_cell(inflight, pool, fut))
         self._cell_tasks.add(runner)
         runner.add_done_callback(self._cell_tasks.discard)
 
-    def _submit_task(self, loop, task: CellTask):
-        """Hand ``task`` to the pool; return the pool and the future.
+    def _submit_cell(self, loop, cell: Cell):
+        """Hand ``cell`` to the pool; return the pool and the future.
 
         A worker that died while idle leaves the pool broken, and the
         submit then raises at once.  Nothing was lost yet, so the
-        broken pool is replaced and the task goes to the fresh one.
+        broken pool is replaced and the cell goes to the fresh one.
         """
         if self._pool is not None:
             try:
                 return self._pool, loop.run_in_executor(
-                    self._pool, execute_cell, task)
+                    self._pool, execute_cell, cell)
             except BrokenProcessPool:
                 self._drop_pool(self._pool)
         self._pool = ProcessPoolExecutor(
@@ -442,7 +439,7 @@ class ReproService:
             initargs=(os.getpid(),),
         )
         return self._pool, loop.run_in_executor(
-            self._pool, execute_cell, task)
+            self._pool, execute_cell, cell)
 
     def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
         """Forget a broken pool; the next cold cell starts a fresh one."""
@@ -456,7 +453,7 @@ class ReproService:
         error: Optional[str] = None
         stats = None
         try:
-            _, stats = await fut
+            stats = await fut
         except Exception as exc:  # noqa: BLE001 - fail the cell, not us
             error = f"{type(exc).__name__}: {exc}"
             if isinstance(exc, BrokenProcessPool):
@@ -482,7 +479,7 @@ class ReproService:
         self._publish()
         self._wake.set()
 
-    def _persist(self, cell: CellSpec, stats) -> None:
+    def _persist(self, cell: Cell, stats) -> None:
         """Store an executed result.  A failed write costs only reuse:
         the result is still valid, so it is counted, not raised."""
         try:
@@ -571,10 +568,10 @@ class ReproService:
         """
         cells = []
         spliced: List[str] = []
-        for cell in job.cells:
-            record = job.results[cell.index]
+        for index, cell in enumerate(job.cells):
+            record = job.results[index]
             entry: Dict = {
-                "index": cell.index,
+                "index": index,
                 "label": cell.label(),
                 "key": cell.key,
             }
@@ -584,9 +581,9 @@ class ReproService:
                 if not lite:
                     entry["stats"] = None
                     spliced.append(record.stats_json)
-            elif cell.index in job.failures:
+            elif index in job.failures:
                 entry["state"] = "failed"
-                entry["error"] = job.failures[cell.index]
+                entry["error"] = job.failures[index]
             else:
                 entry["state"] = "pending"
             cells.append(entry)

@@ -17,6 +17,7 @@ from repro.common.errors import (
     RunTimeoutError,
     SimulationError,
 )
+from repro.common.params import small_cache_params
 from repro.common.stats import RunStats
 from repro.harness.export import fingerprint
 from repro.harness.multiseed import multi_seed_runs_resilient
@@ -469,6 +470,28 @@ class TestResilientSweep:
         assert second.executed == 0 and second.resumed == sweep.size()
         for a, b in zip(first.results.records, second.results.records):
             assert fingerprint(a.stats) == fingerprint(b.stats)
+
+    def test_multi_seed_quarantine_carries_the_cell_label(self):
+        def quarantined(params):
+            runs, records = multi_seed_runs_resilient(
+                "no-such-kernel", "CGL", 2, seeds=(1, 2), scale=0.05,
+                params=params, retry=RetryPolicy(max_attempts=1),
+            )
+            assert runs == []
+            return records
+
+        for params, tag in ((None, "typical"),
+                            (small_cache_params(), "custom")):
+            records = quarantined(params)
+            assert [q.label for q in records] == [
+                f"no-such-kernel/CGL/t2/s{seed}/{tag}" for seed in (1, 2)
+            ]
+            assert [q.replay["params_tag"] for q in records] == [tag, tag]
+            assert records[0].replay == {
+                "workload": "no-such-kernel", "system": "CGL",
+                "threads": 2, "seed": 1, "scale": 0.05,
+                "fault_plan": None, "params_tag": tag,
+            }
 
     def test_multi_seed_resilient(self, tmp_path):
         cache = RunCache(str(tmp_path))

@@ -12,18 +12,14 @@ from repro.common.params import small_cache_params, typical_params
 from repro.common.stats import RunStats
 from repro.harness.export import fingerprint, run_stats_to_dict
 from repro.common.errors import ConfigError
-from repro.harness.parallel import (
-    CellTask,
-    resolve_jobs,
-    resolve_spec,
-    run_cells,
-)
+from repro.harness.parallel import resolve_jobs, run_cells
 from repro.harness.runcache import (
     RunCache,
     cell_key,
     coerce_cache,
     default_cache_dir,
 )
+from repro.harness.sweeps import Sweep
 from repro.harness.systems import get_system
 from repro.resilience.harness import RetryPolicy
 from repro.service.store import ShardedStore
@@ -388,13 +384,39 @@ class TestResolveJobs:
             with pytest.raises(ValueError, match=f"REPRO_JOBS='{env}'"):
                 ctx.run("ssca2", "CGL", 2)
 
+    def test_malformed_env_raises_on_a_warm_cache(self, monkeypatch,
+                                                  tmp_path):
+        """A run whose every cell is a cache hit still parses
+        ``$REPRO_JOBS``, and raises what a cold run raises."""
+        from repro.harness.experiments import ExperimentContext
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        sweep = small_cells_sweep(("ssca2",))
+        cache = RunCache(str(tmp_path / "warm"))
+        sweep.run(cache=cache)
+        monkeypatch.setenv("REPRO_JOBS", "all")
+        with pytest.raises(ValueError) as cold:
+            sweep.run(cache=RunCache(str(tmp_path / "cold")))
+        with pytest.raises(ValueError) as warm:
+            sweep.run(cache=cache)
+        assert str(warm.value) == str(cold.value)
+        ctx = ExperimentContext(
+            scale=0.05, seed=1, threads=(2,), disk_cache=cache
+        )
+        with pytest.raises(ValueError) as warm_ctx:
+            ctx.run("ssca2", "CGL", 2)
+        assert str(warm_ctx.value) == str(cold.value)
+        assert cache.hits == 0
+
+
+def small_cells_sweep(workloads=("ssca2", "kmeans+"), systems=("CGL",)):
+    return Sweep(workloads=workloads, systems=systems, threads=(2,),
+                 seeds=(1,), scale=0.05)
+
 
 class TestRunCells:
     def _tasks(self):
-        return [
-            CellTask(i, wl, get_system("CGL"), 2, 0.05, 1, typical_params())
-            for i, wl in enumerate(("ssca2", "kmeans+"))
-        ]
+        return small_cells_sweep().points()
 
     def test_empty(self):
         assert run_cells([]) == ([], {}, 0)
@@ -406,19 +428,17 @@ class TestRunCells:
             fingerprint(s) for s in parallel
         ]
 
-    def test_sparse_indices_leave_none_slots(self):
-        task = CellTask(
-            2, "ssca2", get_system("CGL"), 2, 0.05, 1, typical_params()
-        )
-        out = run_cells([task], jobs=1).stats
-        assert len(out) == 3
-        assert out[0] is None and out[1] is None
-        assert out[2] is not None
+    def test_results_follow_input_order(self):
+        cells = self._tasks()
+        forward = [fingerprint(s) for s in run_cells(cells, jobs=1).stats]
+        backward = run_cells(cells[::-1], jobs=1).stats
+        assert [fingerprint(s) for s in backward] == forward[::-1]
+        assert forward[0] != forward[1]
 
     def test_on_done_fires_per_task(self):
         seen = []
         run_cells(self._tasks(), jobs=1, progress=seen.append)
-        assert {t.index for t in seen} == {0, 1}
+        assert seen == self._tasks()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cache_serves_hits_and_stores_misses(self, jobs, tmp_path):
@@ -445,29 +465,17 @@ class TestRunCells:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_propagates_without_policy(self, jobs):
-        tasks = self._tasks() + [
-            CellTask(
-                2, "no-such-kernel", get_system("CGL"), 2, 0.05, 1,
-                typical_params(),
-            )
-        ]
+        tasks = self._tasks() + small_cells_sweep(("no-such-kernel",)).points()
         with pytest.raises(ConfigError, match="no-such-kernel"):
             run_cells(tasks, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_policy_quarantines_instead_of_raising(self, jobs, tmp_path):
-        tasks = [
-            CellTask(
-                0, "no-such-kernel", get_system("CGL"), 2, 0.05, 1,
-                typical_params(),
-            ),
-            CellTask(
-                1, "ssca2", resolve_spec(get_system, "NoSuchSystem"), 2,
-                0.05, 1, typical_params(),
-            ),
-        ] + [
-            dataclasses.replace(t, index=t.index + 2) for t in self._tasks()
-        ]
+        tasks = (
+            small_cells_sweep(("no-such-kernel",)).points()
+            + small_cells_sweep(("ssca2",), ("NoSuchSystem",)).points()
+            + self._tasks()
+        )
         cache = RunCache(str(tmp_path))
         done = run_cells(
             tasks, jobs=jobs, cache=cache, retry=RetryPolicy(max_attempts=2)

@@ -61,9 +61,9 @@ ONE = {
 def store_stand_ins(service, campaign: CampaignSpec) -> None:
     """Store a stand-in result under every cell's key, so the scheduler
     serves the campaign from the store without running anything."""
-    for cell in campaign.cells():
+    for index, cell in enumerate(campaign.cells()):
         service.store.put(
-            cell.key, RunStats(execution_cycles=cell.index, cores=[]))
+            cell.key, RunStats(execution_cycles=index, cores=[]))
 
 
 async def until_terminal(jobs, timeout: float = 60.0) -> None:

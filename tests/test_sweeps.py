@@ -5,11 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.harness.export import fingerprint
 from repro.harness.runcache import RunCache
-from repro.harness.sweeps import (
-    Sweep,
-    SweepPoint,
-    small_vs_typical_sweep,
-)
+from repro.harness.sweeps import Sweep, small_vs_typical_sweep
 from repro.harness.systems import get_system
 
 
@@ -42,8 +38,9 @@ class TestSweepDefinition:
         assert len(list(sweep.points())) == 12
 
     def test_point_label(self):
-        p = SweepPoint("kmeans+", "CGL", 4, 7)
-        assert "kmeans+" in p.label() and "t4" in p.label()
+        (p,) = Sweep(workloads=("kmeans+",), systems=("CGL",), threads=(4,),
+                     seeds=(7,)).points()
+        assert p.label() == "kmeans+/CGL/t4/s7/typical"
 
     def test_progress_callback(self):
         seen = []

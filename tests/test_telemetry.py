@@ -521,6 +521,9 @@ class TestHarnessIntegration:
         assert validate_chrome_trace(doc) == []
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == GOLD_COMMITS + GOLD_ABORTS
+        names = [e["args"]["name"] for e in doc["traceEvents"]
+                 if e["ph"] == "M" and e["name"] == "process_name"]
+        assert names == ["intruder/LockillerTM/t4/s3"]
 
 
 class TestResolveSystem:
